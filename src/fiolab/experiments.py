@@ -36,6 +36,7 @@ enough from each threshold for that residual to sit well under the
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ from .extremal import (
     build_modulated_train,
     default_bump,
 )
-from .fio import apply_fio, decaying_symbol
+from .fio import apply_fio, apply_fio_family, decaying_symbol
 from .grid import Grid, SampledFunction, fourier_transform
 from .phase import (
     MINUS_INF,
@@ -136,6 +137,14 @@ def fast_modulation_norms(
     of that for finite exponents. Ratios of norms taken with the same
     step cancel most of the bias, which is what the sweeps consume;
     pass a smaller step to trade time for absolute accuracy.
+
+    Segments are transformed in chunks whose columns stay in FFT order:
+    the short frequency weight vectors are put in that order once, and
+    each space's per-frequency reduction is put back in centered order
+    before its norm is formed. Column sums and maxima do not depend on
+    column order, so this gives the same bytes as shifting every chunk,
+    without the chunk-sized copy; each chunk's buffers are freed as soon
+    as they are used.
     """
     specs = list(specs)
     if not specs:
@@ -165,9 +174,11 @@ def fast_modulation_norms(
     stride = max(1, int(round(step / dx)))
 
     nz = np.flatnonzero(mags > tail * peak)
+    del mags
     cuts = np.flatnonzero(np.diff(nz) > 2 * pad)
     seg_lo = nz[np.concatenate(([0], cuts + 1))] - pad
     seg_hi = nz[np.concatenate((cuts, [nz.size - 1]))] + pad
+    del nz
     shifts = np.concatenate(
         [
             np.arange(max(int(lo), 0), min(int(hi), n - 1) + 1, stride)
@@ -190,7 +201,7 @@ def fast_modulation_norms(
     for s in specs:
         t = s.weight.t
         if not s.weight.trivial and t not in xi_pows:
-            xi_pows[t] = bracket(xi) ** t
+            xi_pows[t] = np.fft.ifftshift(bracket(xi) ** t)
 
     chunk = max(1, _CHUNK_ENTRIES // m2)
     for start in range(0, shifts.size, chunk):
@@ -198,7 +209,10 @@ def fast_modulation_norms(
         idx = (sh[:, None] + off[None, :]) % n
         seg = f.samples[idx] * gw[None, :]
         spec = np.fft.fft(seg, n=m2, axis=1)
-        wm = np.abs(np.fft.fftshift(spec, axes=1)) * dx
+        del seg
+        wm = np.abs(spec)
+        del spec
+        wm *= dx
         xv = x_all[sh]
         cache = {}
         for s, acc in zip(specs, accs):
@@ -210,6 +224,9 @@ def fast_modulation_norms(
             if key not in cache:
                 cache[key] = wm * np.outer(bracket(xv) ** w.s, xi_pows[w.t])
             acc.feed(cache[key], dx_eff)
+        del wm, cache
+    for acc in accs:
+        acc.inner = np.fft.fftshift(acc.inner)
     return [acc.value(dx_eff, dxi) for acc in accs]
 
 
@@ -643,6 +660,14 @@ _THM3_WINDOW = "gauss"
 _SPECTRAL_MARGIN = 200.0
 _TRAIN_BUMP_RADIUS = 0.25
 
+# a thm1 sweep whose largest grid has at least this many points runs
+# its family steps on _POOL_WORKERS processes. On a 2-CPU host, forking
+# made a three-tuple sweep with grids up to 2^16 points 0.07 s slower
+# (0.58 s serial) and one with grids up to 2^17 points 0.25 s faster
+# (1.23 s serial)
+_THM1_POOL_POINTS = 1 << 17
+_POOL_WORKERS = 2
+
 
 def _next_pow2(x: float) -> int:
     return 1 << max(0, int(math.ceil(math.log2(max(float(x), 1.0)))))
@@ -692,54 +717,116 @@ def _thm1_grid(alpha: float, N: int) -> Grid:
     return Grid(1, n, 2.0 * half / n)
 
 
+def _thm1_step(grid, alpha, N, modulated, pair_pqs):
+    """Operator ratios of one thm1 family step on one input.
+
+    The input is the train F, or with ``modulated`` the conjugated
+    gradient-modulated train conj(G); it is transformed and checked once
+    for every symbol. For each ((s1, s2), pqs) entry of ``pair_pqs`` the
+    result maps ((s1, s2), (p, q)) to the output norm over the input
+    norm, for every (p, q) in pqs.
+    """
+    a = CoefficientSeq.ones(0, int(N))
+    h = default_bump(_TRAIN_BUMP_RADIUS)
+    if modulated:
+        f = SampledFunction(grid, np.conj(build_G(a, alpha, grid, h).samples))
+    else:
+        f = build_F(a, alpha, grid, h)
+    pq_all = sorted({pq for _, pqs in pair_pqs for pq in pqs})
+    norms_in = _norm_map(f, pq_all, _THM1_WINDOW)
+    plan = {decaying_symbol(s1, s2): ((s1, s2), pqs) for (s1, s2), pqs in pair_pqs}
+    norms_out = apply_fio_family(
+        f,
+        list(plan),
+        mild_growth(alpha),
+        lambda sym, g: _norm_map(g, plan[sym][1], _THM1_WINDOW),
+    )
+    return {
+        (pair, pq): out[pq] / norms_in[pq]
+        for (pair, pqs), out in zip(plan.values(), norms_out)
+        for pq in pqs
+    }
+
+
+def _run_steps(step, tasks, pooled):
+    """``[step(*task) for task in tasks]``, on two worker processes when
+    ``pooled`` and both the platform and the CPU affinity allow it.
+
+    Tasks are handed out in list order, so callers list the longest
+    first. Workers are forked rather than spawned: a spawned worker
+    re-imports the caller's main script, which would rerun any script
+    that sweeps without a ``__main__`` guard. The process starts no
+    threads of its own; the BLAS pool resets itself across a fork and
+    the steps use none of it. A worker's exception reaches the caller
+    unchanged, after the queued tasks are cancelled.
+    """
+    cpus = (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1
+    )
+    if not pooled or cpus < 2 or len(tasks) < 2:
+        return [step(*task) for task in tasks]
+    # imported here: the pool's modules add about 20 ms to every import
+    # of the package, each CLI call included
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [step(*task) for task in tasks]
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(_POOL_WORKERS, mp_context=ctx) as pool:
+        futures = [pool.submit(step, *task) for task in tasks]
+        try:
+            return [fut.result() for fut in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def _sweep_thm1(tuples, Ns):
     """Trains of bumps against the mild-growth operator.
 
     The plain train measures the frequency-refinement slope
     1/q - 1/p - s1/(1-alpha); the gradient-modulated train, which the
     operator refocuses onto a single frequency cell, measures
-    1/p - 1/q - s1/(1-alpha) - s2.
+    1/p - 1/q - s1/(1-alpha) - s2. Each (alpha, N, input) step is one
+    task; sweeps whose largest grid reaches ``_THM1_POOL_POINTS`` points
+    run the tasks on a process pool.
     """
     window = _THM1_WINDOW
-    h = default_bump(_TRAIN_BUMP_RADIUS)
-    data = {t: {"r1": [], "r2": [], "grids": []} for t in tuples}
+    grids = {}
+    tasks = []
     for alpha in sorted({t.alpha for t in tuples}):
         members = [t for t in tuples if t.alpha == alpha]
-        pq_all = sorted({(t.p, t.q) for t in members})
-        pairs = sorted({(t.s1, t.s2) for t in members})
-        phase = mild_growth(alpha)
+        pair_pqs = [
+            (pair, sorted({(t.p, t.q) for t in members if (t.s1, t.s2) == pair}))
+            for pair in sorted({(t.s1, t.s2) for t in members})
+        ]
         for N in Ns:
-            grid = _thm1_grid(alpha, int(N))
-            a = CoefficientSeq.ones(0, int(N))
-            F = build_F(a, alpha, grid, h)
-            G = build_G(a, alpha, grid, h)
-            CG = SampledFunction(grid, np.conj(G.samples))
-            in_f = _norm_map(F, pq_all, window)
-            in_g = _norm_map(CG, pq_all, window)
-            for s1, s2 in pairs:
-                sub = [t for t in members if (t.s1, t.s2) == (s1, s2)]
-                pqs = sorted({(t.p, t.q) for t in sub})
-                symbol = decaying_symbol(s1, s2)
-                out_f = _norm_map(apply_fio(F, symbol, phase), pqs, window)
-                out_g = _norm_map(apply_fio(CG, symbol, phase), pqs, window)
-                for t in sub:
-                    key = (t.p, t.q)
-                    data[t]["r1"].append(out_f[key] / in_f[key])
-                    data[t]["r2"].append(out_g[key] / in_g[key])
-            for t in members:
-                data[t]["grids"].append(grid.describe())
+            grid = grids[alpha, N] = _thm1_grid(alpha, int(N))
+            for modulated in (False, True):
+                tasks.append((grid, alpha, N, modulated, pair_pqs))
+    tasks.sort(key=lambda task: -task[0].n)
+    pooled = tasks[0][0].n >= _THM1_POOL_POINTS
+    steps = {
+        task[1:4]: ratios
+        for task, ratios in zip(tasks, _run_steps(_thm1_step, tasks, pooled))
+    }
+
     results = []
     for t in tuples:
-        d = data[t]
-        s1 = _fit_exponent(Ns, d["r1"])
-        s2 = _fit_exponent(Ns, d["r2"])
-        ratios = d["r1"] if s1 >= s2 else d["r2"]
+        key = ((t.s1, t.s2), (t.p, t.q))
+        r1 = [steps[t.alpha, N, False][key] for N in Ns]
+        r2 = [steps[t.alpha, N, True][key] for N in Ns]
+        s1 = _fit_exponent(Ns, r1)
+        s2 = _fit_exponent(Ns, r2)
         results.append(
             {
                 "tuple": t,
                 "params": list(Ns),
-                "ratios": ratios,
-                "grids": d["grids"],
+                "ratios": r1 if s1 >= s2 else r2,
+                "grids": [grids[t.alpha, N].describe() for N in Ns],
                 "exponent": max(s1, s2),
                 "window": window,
             }

@@ -36,6 +36,7 @@ __all__ = [
     "bandlimit_leakage",
     "ensure_bandlimited",
     "apply_fio",
+    "apply_fio_family",
     "apply_multiplier",
     "kernel",
     "apply_kernel",
@@ -128,8 +129,8 @@ def make_symbol(kind: str, **params) -> SymbolSpec:
     return factory(**params)
 
 
-def bandlimit_leakage(f: SampledFunction) -> float:
-    """Fraction of spectral amplitude above half the Nyquist frequency."""
+def _spectrum(f: SampledFunction):
+    """f's transform and the fraction of its amplitude above half Nyquist."""
     if f.dim != 1:
         raise StructuralError("band-limit checks apply to one-dimensional samples")
     fhat = fourier_transform(f)
@@ -138,17 +139,30 @@ def bandlimit_leakage(f: SampledFunction) -> float:
     outside = np.abs(xi) > nyquist / 2.0
     total = float(np.linalg.norm(fhat.samples))
     if total == 0.0:
-        return 0.0
-    return float(np.linalg.norm(fhat.samples[outside])) / total
+        return fhat, 0.0
+    return fhat, float(np.linalg.norm(fhat.samples[outside])) / total
 
 
-def ensure_bandlimited(f: SampledFunction, tol: float = BANDLIMIT_TOL):
-    leak = bandlimit_leakage(f)
+def _checked_transform(f, check=True, tol=BANDLIMIT_TOL) -> SampledFunction:
+    """f's transform; with ``check``, f's band limit is tested on it."""
+    if not check:
+        return fourier_transform(f)
+    fhat, leak = _spectrum(f)
     if leak >= tol:
         raise ValidationError(
             f"input is not band-limited to half Nyquist: spectral leakage "
             f"{leak:.3e} exceeds {tol:.0e}"
         )
+    return fhat
+
+
+def bandlimit_leakage(f: SampledFunction) -> float:
+    """Fraction of spectral amplitude above half the Nyquist frequency."""
+    return _spectrum(f)[1]
+
+
+def ensure_bandlimited(f: SampledFunction, tol: float = BANDLIMIT_TOL):
+    _checked_transform(f, tol=tol)
 
 
 def _phase_matrix_rows(symbol, phase, x_rows, xi):
@@ -179,11 +193,35 @@ def apply_fio(
     """
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
-    if check:
-        ensure_bandlimited(f)
-    fhat = fourier_transform(f)
+    fhat = _checked_transform(f, check)
+    return _apply_transformed(f.grid, fhat, symbol, phase, force_direct)
+
+
+def apply_fio_family(
+    f: SampledFunction,
+    symbols,
+    phase: PhaseSpec,
+    reduce: Callable,
+    check: bool = True,
+) -> list:
+    """``[reduce(s, apply_fio(f, s, phase)) for s in symbols]``, with f
+    transformed and checked once for the whole family.
+
+    Each output is handed to ``reduce`` and dropped before the next one
+    is made, so a family of large outputs costs the memory of one.
+    """
+    if f.dim != 1:
+        raise StructuralError("operators act on one-dimensional samples")
+    fhat = _checked_transform(f, check)
+    return [
+        reduce(s, _apply_transformed(f.grid, fhat, s, phase)) for s in symbols
+    ]
+
+
+def _apply_transformed(grid, fhat, symbol, phase, force_direct=False):
+    """The operator applied to the input on ``grid`` whose transform is fhat."""
     xi = fhat.grid.axis()
-    x = f.grid.axis()
+    x = grid.axis()
 
     use_fast = (
         not force_direct
@@ -208,9 +246,9 @@ def apply_fio(
         else:
             constant = weighted.sum() * fhat.grid.cell_measure()
             out = front * constant
-        return SampledFunction(f.grid, out)
+        return SampledFunction(grid, out)
 
-    n = f.grid.n
+    n = grid.n
     chunk = max(1, _ROW_CHUNK_ENTRIES // n)
     out = np.empty(n, dtype=complex)
     coeffs = fhat.samples * fhat.grid.cell_measure()
@@ -218,7 +256,7 @@ def apply_fio(
         rows = x[start : start + chunk]
         block = _phase_matrix_rows(symbol, phase, rows, xi)
         out[start : start + rows.size] = block @ coeffs
-    return SampledFunction(f.grid, out)
+    return SampledFunction(grid, out)
 
 
 def apply_multiplier(f: SampledFunction, mu: Callable) -> SampledFunction:
@@ -285,9 +323,7 @@ def weak_pairing(
     """
     if f.grid != g.grid:
         raise StructuralError("weak pairing needs both functions on one grid")
-    if check:
-        ensure_bandlimited(f)
-    fhat = fourier_transform(f)
+    fhat = _checked_transform(f, check)
     xi = fhat.grid.axis()
     x = f.grid.axis()
     coeffs = fhat.samples * fhat.grid.cell_measure()

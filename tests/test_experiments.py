@@ -1,5 +1,8 @@
 """Norm engine accuracy, report plumbing, and sweep determinism."""
 
+import hashlib
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from fiolab import (
     threshold_sweep,
     thm3_predicate,
 )
+from fiolab import cli, experiments
 from fiolab.experiments import (
     VERDICT_BOUNDED,
     VERDICT_UNBOUNDED,
@@ -64,6 +68,7 @@ def test_fast_norms_track_exact_norms():
         SpaceSpec(2.0, 2.0, Weight(), "gauss"),
         SpaceSpec(INF, 1.0, Weight(), "gauss"),
         SpaceSpec(2.0, INF, Weight(0.5, 0.0), "gauss"),
+        SpaceSpec(2.0, 1.0, Weight(0.0, 1.0), "gauss"),
     ]
     exact = [modulation_norm(f, s) for s in specs]
     coarse = fast_modulation_norms(f, specs)
@@ -204,6 +209,37 @@ def test_threshold_sweep_rows_and_determinism():
     assert {r.N for r in rows} == {4.0, 8.0}
     again = threshold_sweep("thm3", tuples=tuples, Ns=(4, 8))
     assert rows_to_csv(again) == rows_to_csv(rows)
+
+
+# one thm1 tuple per stratum; the digest is that of the rows written
+# before the sweep's family steps became independent tasks
+THM1_SMALL = [
+    SweepTuple(INF, 1, 0.5, 0, alpha=0),
+    SweepTuple(INF, 1, 0.25, 0, alpha=0.5),
+    SweepTuple(1, INF, 0, 0.8, alpha=0.5),
+]
+THM1_SMALL_SHA256 = "0b939f2e04cd4b18aa76208f520ff3615ec4aef0410d7a8256f233d73f68532b"
+
+
+@pytest.mark.parametrize("pool_points", [1 << 40, 1])
+def test_thm1_sweep_bytes_serial_and_pooled(monkeypatch, pool_points):
+    monkeypatch.setattr(experiments, "_THM1_POOL_POINTS", pool_points)
+    rows = threshold_sweep("thm1", tuples=THM1_SMALL, Ns=(4, 8))
+    digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+    assert digest == THM1_SMALL_SHA256
+    assert multiprocessing.active_children() == []
+
+
+def test_thm1_worker_errors_reach_the_caller(monkeypatch, tmp_path):
+    # without spectral headroom the trains leak past half Nyquist, so
+    # the operator's input check fails inside a worker
+    monkeypatch.setattr(experiments, "_THM1_POOL_POINTS", 1)
+    monkeypatch.setattr(experiments, "_SPECTRAL_MARGIN", 0.0)
+    with pytest.raises(ValidationError, match="band-limited"):
+        threshold_sweep("thm1", tuples=THM1_SMALL, Ns=(4, 8))
+    argv = ["sweep", "--theorem", "thm1", "--ns", "4,8", "--out", str(tmp_path / "r.csv")]
+    assert cli.main(argv + ["--max-tuples", "1"]) == 2
+    assert multiprocessing.active_children() == []
 
 
 def test_threshold_sweep_subsample_is_seeded():

@@ -11,6 +11,7 @@ from fiolab import (
     StructuralError,
     ValidationError,
     apply_fio,
+    apply_fio_family,
     apply_kernel,
     apply_multiplier,
     bandlimit_leakage,
@@ -147,6 +148,19 @@ def test_three_realizations_agree(small):
     g = bandlimited(grid, rng)
     paired = weak_pairing(f, g, sym, ph)
     assert paired == pytest.approx(inner(fast, g), rel=1e-10)
+
+
+def test_family_matches_single_applications(small):
+    grid, f = small
+    symbols = [constant_symbol(), decaying_symbol(0.5, 0.3), decaying_symbol(0.0, 1.0)]
+    for ph in (mild_growth(0.5), bilinear()):
+        got = apply_fio_family(f, symbols, ph, lambda sym, g: (sym, g.samples))
+        assert [sym for sym, _ in got] == symbols
+        for sym, samples in got:
+            assert samples.tobytes() == apply_fio(f, sym, ph).samples.tobytes()
+    wave = SampledFunction(grid, np.exp(1j * np.pi * grid.axis() / grid.spacing))
+    with pytest.raises(ValidationError, match="band-limited"):
+        apply_fio_family(wave, symbols, bilinear(), lambda sym, g: g)
 
 
 def test_kernel_of_identity_is_delta(small):
