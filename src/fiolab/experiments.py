@@ -750,7 +750,9 @@ def _thm1_step(grid, alpha, N, modulated, pair_pqs):
 
 def _run_steps(step, tasks, pooled):
     """``[step(*task) for task in tasks]``, on two worker processes when
-    ``pooled`` and both the platform and the CPU affinity allow it.
+    ``pooled`` and the platform, the CPU affinity and the calling process
+    allow it: a daemonic process, such as a ``multiprocessing.Pool``
+    worker, may not have children and runs the steps itself.
 
     Tasks are handed out in list order, so callers list the longest
     first. Workers are forked rather than spawned: a spawned worker
@@ -772,7 +774,10 @@ def _run_steps(step, tasks, pooled):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
         return [step(*task) for task in tasks]
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(_POOL_WORKERS, mp_context=ctx) as pool:

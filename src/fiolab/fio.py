@@ -143,10 +143,8 @@ def _spectrum(f: SampledFunction):
     return fhat, float(np.linalg.norm(fhat.samples[outside])) / total
 
 
-def _checked_transform(f, check=True, tol=BANDLIMIT_TOL) -> SampledFunction:
-    """f's transform; with ``check``, f's band limit is tested on it."""
-    if not check:
-        return fourier_transform(f)
+def _checked_transform(f, tol=BANDLIMIT_TOL) -> SampledFunction:
+    """f's transform, after f's band limit is tested on it."""
     fhat, leak = _spectrum(f)
     if leak >= tol:
         raise ValidationError(
@@ -162,7 +160,7 @@ def bandlimit_leakage(f: SampledFunction) -> float:
 
 
 def ensure_bandlimited(f: SampledFunction, tol: float = BANDLIMIT_TOL):
-    _checked_transform(f, tol=tol)
+    _checked_transform(f, tol)
 
 
 def _phase_matrix_rows(symbol, phase, x_rows, xi):
@@ -193,7 +191,7 @@ def apply_fio(
     """
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
-    fhat = _checked_transform(f, check)
+    fhat = _checked_transform(f) if check else fourier_transform(f)
     return _apply_transformed(f.grid, fhat, symbol, phase, force_direct)
 
 
@@ -202,7 +200,6 @@ def apply_fio_family(
     symbols,
     phase: PhaseSpec,
     reduce: Callable,
-    check: bool = True,
 ) -> list:
     """``[reduce(s, apply_fio(f, s, phase)) for s in symbols]``, with f
     transformed and checked once for the whole family.
@@ -212,7 +209,7 @@ def apply_fio_family(
     """
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
-    fhat = _checked_transform(f, check)
+    fhat = _checked_transform(f)
     return [
         reduce(s, _apply_transformed(f.grid, fhat, s, phase)) for s in symbols
     ]
@@ -323,7 +320,7 @@ def weak_pairing(
     """
     if f.grid != g.grid:
         raise StructuralError("weak pairing needs both functions on one grid")
-    fhat = _checked_transform(f, check)
+    fhat = _checked_transform(f) if check else fourier_transform(f)
     xi = fhat.grid.axis()
     x = f.grid.axis()
     coeffs = fhat.samples * fhat.grid.cell_measure()

@@ -230,6 +230,30 @@ def test_thm1_sweep_bytes_serial_and_pooled(monkeypatch, pool_points):
     assert multiprocessing.active_children() == []
 
 
+def _send_thm1_digest(conn):
+    try:
+        rows = threshold_sweep("thm1", tuples=THM1_SMALL, Ns=(4, 8))
+        conn.send(hashlib.sha256(rows_to_csv(rows).encode()).hexdigest())
+    except BaseException as exc:
+        conn.send(repr(exc))
+
+
+def test_thm1_sweep_in_a_daemonic_process(monkeypatch):
+    # a daemonic process may not have children, so a pooled-size sweep
+    # made inside one (say, a multiprocessing.Pool task) runs serially
+    monkeypatch.setattr(experiments, "_THM1_POOL_POINTS", 1)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_send_thm1_digest, args=(send,), daemon=True)
+    proc.start()
+    try:
+        assert recv.poll(300)
+        assert recv.recv() == THM1_SMALL_SHA256
+    finally:
+        proc.join()
+    assert proc.exitcode == 0
+
+
 def test_thm1_worker_errors_reach_the_caller(monkeypatch, tmp_path):
     # without spectral headroom the trains leak past half Nyquist, so
     # the operator's input check fails inside a worker
