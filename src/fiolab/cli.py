@@ -61,6 +61,14 @@ def parse_kv_spec(text: str):
     return kind, params
 
 
+def _number(text, what: str, cast=float):
+    """``cast(text)``, or a ValidationError naming ``what``."""
+    try:
+        return cast(text)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a number, got {text!r}") from None
+
+
 def _parse_space(text: str, window: str) -> SpaceSpec:
     params = {}
     for item in text.split(","):
@@ -69,7 +77,7 @@ def _parse_space(text: str, window: str) -> SpaceSpec:
             raise ValidationError(
                 f"space spec takes p=..,q=..,s=..,t=.., got {item!r}"
             )
-        params[key.strip()] = float(val.strip())
+        params[key.strip()] = _number(val.strip(), f"space parameter {key.strip()}")
     if "p" not in params:
         raise ValidationError("space spec needs at least p=...")
     p = params["p"]
@@ -87,14 +95,18 @@ def _space_label(spec: SpaceSpec) -> str:
 
 def _build_signal(spec_text: str, grid: Grid) -> SampledFunction:
     kind, params = parse_kv_spec(spec_text)
+
+    def pop(key, default, cast=float):
+        return _number(params.pop(key, default), f"{kind} parameter {key}", cast)
+
     if kind == "gauss":
-        sigma = float(params.pop("sigma", 1.0))
+        sigma = pop("sigma", 1.0)
         _reject_extras(kind, params)
         return make_window(f"gauss:{sigma:g}", grid)
     if kind == "bump":
-        radius = float(params.pop("radius", 1.0))
-        center = float(params.pop("center", 0.0))
-        freq = float(params.pop("freq", 0.0))
+        radius = pop("radius", 1.0)
+        center = pop("center", 0.0)
+        freq = pop("freq", 0.0)
         _reject_extras(kind, params)
         x = grid.axis()
         samples = mollifier(x - center, radius) * np.exp(
@@ -102,17 +114,17 @@ def _build_signal(spec_text: str, grid: Grid) -> SampledFunction:
         )
         return SampledFunction(grid, samples)
     if kind == "train":
-        alpha = float(params.pop("alpha", 0.0))
-        start = int(params.pop("start", 4))
-        count = int(params.pop("count", 8))
-        radius = float(params.pop("radius", 0.2))
+        alpha = pop("alpha", 0.0)
+        start = pop("start", 4, int)
+        count = pop("count", 8, int)
+        radius = pop("radius", 0.2)
         _reject_extras(kind, params)
         a = CoefficientSeq.ones(start, count)
         h = Bump(radius, lambda u: mollifier(u, radius))
         return build_F(a, alpha, grid, h)
     if kind == "mtrain":
-        count = int(params.pop("count", 8))
-        radius = float(params.pop("radius", 0.3))
+        count = pop("count", 8, int)
+        radius = pop("radius", 0.3)
         _reject_extras(kind, params)
         a = CoefficientSeq.ones(0, count)
         phi = Bump(radius, lambda u: mollifier(u, radius))
@@ -135,6 +147,10 @@ def _load_input(args) -> SampledFunction:
         with open(args.input) as fh:
             return sampled_from_csv(fh.read())
     if getattr(args, "signal", None):
+        if args.grid_n < 2:
+            raise ValidationError(
+                f"--grid-n must be a power of two >= 2, got {args.grid_n}"
+            )
         grid = Grid(1, args.grid_n, 2.0 * args.grid_L / args.grid_n)
         return _build_signal(args.signal, grid)
     raise ValidationError("provide --input FILE or --signal SPEC")
@@ -193,7 +209,7 @@ def _cmd_check(args) -> int:
 def _cmd_sweep(args) -> int:
     ns = None
     if args.ns:
-        ns = tuple(int(v) for v in args.ns.split(","))
+        ns = tuple(_number(v, "--ns step", int) for v in args.ns.split(","))
     rows = threshold_sweep(
         args.theorem, Ns=ns, seed=args.seed, max_tuples=args.max_tuples
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .extremal import (
     default_bump,
 )
 from .fio import apply_fio, apply_fio_family, decaying_symbol
-from .grid import Grid, SampledFunction, fourier_transform
+from .grid import Grid, SampledFunction, bracket, fourier_transform
 from .phase import (
     MINUS_INF,
     GrowthParams,
@@ -65,13 +65,13 @@ from .phase import (
 from .spaces import (
     SpaceSpec,
     Weight,
-    _ModAccumulator,
-    bracket,
+    fold_norms,
     modulation_norm,
     thm1_predicate,
     thm2_predicate,
     thm3_predicate,
 )
+from .tf import window_width
 
 __all__ = [
     "REPORT_COLUMNS",
@@ -80,7 +80,6 @@ __all__ = [
     "ExperimentRow",
     "SweepTuple",
     "fast_modulation_norms",
-    "estimate_operator_ratio",
     "thm1_default_tuples",
     "thm2_default_tuples",
     "thm3_default_tuples",
@@ -93,25 +92,9 @@ __all__ = [
 
 INF = float("inf")
 
-_CHUNK_ENTRIES = 1 << 22
-
 
 # ---------------------------------------------------------------------------
 # fast windowed norms
-
-
-def _gauss_sigma(window: str) -> float:
-    kind, _, rest = window.partition(":")
-    if kind != "gauss":
-        raise ValidationError(
-            f"fast norms support gaussian windows only, got {window!r}"
-        )
-    if not rest:
-        return 1.0
-    sigma = float(rest)
-    if not (sigma > 0):
-        raise DomainError(f"window width must be positive, got {sigma}")
-    return sigma
 
 
 def fast_modulation_norms(
@@ -138,13 +121,10 @@ def fast_modulation_norms(
     step cancel most of the bias, which is what the sweeps consume;
     pass a smaller step to trade time for absolute accuracy.
 
-    Segments are transformed in chunks whose columns stay in FFT order:
-    the short frequency weight vectors are put in that order once, and
-    each space's per-frequency reduction is put back in centered order
-    before its norm is formed. Column sums and maxima do not depend on
-    column order, so this gives the same bytes as shifting every chunk,
-    without the chunk-sized copy; each chunk's buffers are freed as soon
-    as they are used.
+    The segments' magnitudes are handed to :func:`spaces.fold_norms`
+    block by block with their columns in FFT order, which the fold
+    reduces in increasing-frequency order; each block's buffers are
+    freed as soon as they are used.
     """
     specs = list(specs)
     if not specs:
@@ -154,7 +134,7 @@ def fast_modulation_norms(
         raise ValidationError("all spaces must share one window")
     if f.dim != 1:
         raise ValidationError("fast norms handle one-dimensional samples")
-    sigma = _gauss_sigma(window)
+    sigma = window_width(window)
     grid = f.grid
     n, dx = grid.n, grid.spacing
     mags = np.abs(f.samples)
@@ -193,55 +173,16 @@ def fast_modulation_norms(
     )
     xi = (np.arange(m2) - m2 // 2) / (m2 * dx)
     dxi = 1.0 / (m2 * dx)
-    dx_eff = stride * dx
-    x_all = grid.axis()
 
-    accs = [_ModAccumulator(s.p, s.q, m2) for s in specs]
-    xi_pows = {}
-    for s in specs:
-        t = s.weight.t
-        if not s.weight.trivial and t not in xi_pows:
-            xi_pows[t] = np.fft.ifftshift(bracket(xi) ** t)
-
-    chunk = max(1, _CHUNK_ENTRIES // m2)
-    for start in range(0, shifts.size, chunk):
-        sh = shifts[start : start + chunk]
-        idx = (sh[:, None] + off[None, :]) % n
-        seg = f.samples[idx] * gw[None, :]
-        spec = np.fft.fft(seg, n=m2, axis=1)
-        del seg
-        wm = np.abs(spec)
-        del spec
+    def rows(sl):
+        idx = (shifts[sl, None] + off) % n
+        wm = np.abs(np.fft.fft(f.samples[idx] * gw, n=m2, axis=1))
         wm *= dx
-        xv = x_all[sh]
-        cache = {}
-        for s, acc in zip(specs, accs):
-            w = s.weight
-            if w.trivial:
-                acc.feed(wm, dx_eff)
-                continue
-            key = (w.s, w.t)
-            if key not in cache:
-                cache[key] = wm * np.outer(bracket(xv) ** w.s, xi_pows[w.t])
-            acc.feed(cache[key], dx_eff)
-        del wm, cache
-    for acc in accs:
-        acc.inner = np.fft.fftshift(acc.inner)
-    return [acc.value(dx_eff, dxi) for acc in accs]
+        return wm
 
-
-def estimate_operator_ratio(op, input_norm, output_norm, family) -> float:
-    """Largest ratio output_norm(op(f)) / input_norm(f) over the family."""
-    best = None
-    for f in family:
-        denom = float(input_norm(f))
-        if denom == 0.0:
-            continue
-        val = float(output_norm(op(f))) / denom
-        best = val if best is None else max(best, val)
-    if best is None:
-        raise ValidationError("the family contains no usable member")
-    return best
+    kinds = ["modulation"] * len(specs)
+    x = grid.axis()[shifts]
+    return fold_norms(rows, x, np.fft.ifftshift(xi), stride * dx, dxi, specs, kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +208,6 @@ REPORT_COLUMNS = (
 
 VERDICT_BOUNDED = "predicted-bounded"
 VERDICT_UNBOUNDED = "predicted-unbounded"
-
-
-def _fmt(v) -> str:
-    return "%.17g" % float(v)
 
 
 @dataclass(frozen=True)
@@ -310,30 +247,24 @@ class ExperimentRow:
                 )
 
 
+def _column_types():
+    """Each report column's type, read from ExperimentRow's annotations."""
+    types = {f.name: f.type for f in fields(ExperimentRow)}
+    return [{"str": str, "float": float, "int": int}[types[c]] for c in REPORT_COLUMNS]
+
+
+def _cell(value, kind) -> str:
+    if kind is str:
+        return value
+    return "%d" % value if kind is int else "%.17g" % float(value)
+
+
 def rows_to_csv(rows) -> str:
+    kinds = _column_types()
     out = [",".join(REPORT_COLUMNS)]
     for r in rows:
-        out.append(
-            ",".join(
-                (
-                    r.id,
-                    _fmt(r.p),
-                    _fmt(r.q),
-                    _fmt(r.s1),
-                    _fmt(r.s2),
-                    _fmt(r.alpha),
-                    _fmt(r.t1),
-                    _fmt(r.t2),
-                    "%d" % r.d,
-                    _fmt(r.N),
-                    _fmt(r.ratio),
-                    r.verdict,
-                    _fmt(r.exponent),
-                    r.grid,
-                    r.window,
-                )
-            )
-        )
+        cells = (_cell(getattr(r, c), k) for c, k in zip(REPORT_COLUMNS, kinds))
+        out.append(",".join(cells))
     return "\n".join(out) + "\n"
 
 
@@ -341,6 +272,7 @@ def rows_from_csv(text: str):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != ",".join(REPORT_COLUMNS):
         raise ValidationError("missing or malformed report header")
+    kinds = _column_types()
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
@@ -348,25 +280,11 @@ def rows_from_csv(text: str):
             raise ValidationError(
                 f"expected {len(REPORT_COLUMNS)} fields, got {len(parts)}"
             )
-        rows.append(
-            ExperimentRow(
-                id=parts[0],
-                p=float(parts[1]),
-                q=float(parts[2]),
-                s1=float(parts[3]),
-                s2=float(parts[4]),
-                alpha=float(parts[5]),
-                t1=float(parts[6]),
-                t2=float(parts[7]),
-                d=int(parts[8]),
-                N=float(parts[9]),
-                ratio=float(parts[10]),
-                verdict=parts[11],
-                exponent=float(parts[12]),
-                grid=parts[13],
-                window=parts[14],
-            )
-        )
+        try:
+            values = {c: k(v) for c, k, v in zip(REPORT_COLUMNS, kinds, parts)}
+        except ValueError:
+            raise ValidationError(f"non-numeric field in report row {ln!r}") from None
+        rows.append(ExperimentRow(**values))
     return rows
 
 

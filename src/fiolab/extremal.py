@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .grid import Grid, SampledFunction, inverse_fourier_transform
+from .grid import Grid, SampledFunction, bracket, inverse_fourier_transform
 from .phase import bracket_power, k_alpha, mollifier, mu_gradient
 
 __all__ = [
@@ -37,11 +37,6 @@ __all__ = [
 ]
 
 INF = float("inf")
-
-
-def _bracket(x):
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(1.0 + x * x)
 
 
 @dataclass(frozen=True)
@@ -257,7 +252,7 @@ def build_chirp_train(
     g = g if g is not None else default_bump()
     idx = a.index_array()
     centers = k_alpha(idx, alpha)
-    scales = _bracket(idx) ** (alpha / (1.0 - alpha))
+    scales = bracket(idx) ** (alpha / (1.0 - alpha))
     _check_train_geometry(centers, g.radius * scales, grid.half_length)
     x = grid.axis()
     out = np.zeros(grid.n, dtype=complex)
@@ -274,7 +269,7 @@ def chirp_modulate(f: SampledFunction, alpha: float) -> SampledFunction:
     if not (0.0 <= alpha < 1.0):
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     x = f.grid.axis()
-    factor = np.exp(2j * np.pi * _bracket(x) ** (2.0 - alpha))
+    factor = np.exp(2j * np.pi * bracket(x) ** (2.0 - alpha))
     return SampledFunction(f.grid, f.samples * factor)
 
 

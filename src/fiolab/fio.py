@@ -20,11 +20,13 @@ from .errors import DomainError, StructuralError, ValidationError
 from .grid import (
     Grid,
     SampledFunction,
+    bracket,
+    check_matrix_budget,
     fourier_transform,
-    inner,
     inverse_fourier_transform,
+    shifted_fft,
 )
-from .phase import PhaseSpec
+from .phase import PhaseSpec, build_builtin
 
 __all__ = [
     "SymbolSpec",
@@ -47,11 +49,6 @@ __all__ = [
 BANDLIMIT_TOL = 1e-8
 
 _ROW_CHUNK_ENTRIES = 1 << 22
-
-
-def _bracket(x):
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(1.0 + x * x)
 
 
 @dataclass(frozen=True)
@@ -100,10 +97,10 @@ def decaying_symbol(s1: float, s2: float) -> SymbolSpec:
         raise DomainError(f"decay rates must be finite, got {s1}, {s2}")
 
     def sigma1(x):
-        return _bracket(x) ** (-s1)
+        return bracket(x) ** (-s1)
 
     def sigma2(xi):
-        return _bracket(xi) ** (-s2)
+        return bracket(xi) ** (-s2)
 
     def evaluate(x, xi):
         return sigma1(x) * sigma2(xi)
@@ -120,13 +117,8 @@ BUILTIN_SYMBOLS = {
 
 
 def make_symbol(kind: str, **params) -> SymbolSpec:
-    try:
-        factory = BUILTIN_SYMBOLS[kind]
-    except KeyError:
-        raise DomainError(
-            f"unknown symbol kind {kind!r}; choose from {sorted(BUILTIN_SYMBOLS)}"
-        ) from None
-    return factory(**params)
+    """Look up a built-in symbol by name and build it with ``params``."""
+    return build_builtin(BUILTIN_SYMBOLS, kind, params, "symbol")
 
 
 def _spectrum(f: SampledFunction):
@@ -276,10 +268,12 @@ def kernel(symbol: SymbolSpec, phase: PhaseSpec, grid: Grid) -> np.ndarray:
 
     Row j is the second-slot Fourier transform of sigma exp(2 pi i Phi)
     at x_j: K[j, l] = sum_m sigma(x_j, xi_m) exp(2 pi i Phi(x_j, xi_m))
-    exp(-2 pi i xi_m y_l) d xi.
+    exp(-2 pi i xi_m y_l) d xi. Like ``stft``, it raises
+    :class:`ResourceError` when the n x n matrix exceeds the budget.
     """
     if grid.dim != 1:
         raise StructuralError("kernels are built over one-dimensional grids")
+    check_matrix_budget(grid.n, "kernel")
     x = grid.axis()
     dual = grid.dual()
     xi = dual.axis()
@@ -289,11 +283,7 @@ def kernel(symbol: SymbolSpec, phase: PhaseSpec, grid: Grid) -> np.ndarray:
     for start in range(0, n, chunk):
         rows = x[start : start + chunk]
         block = _phase_matrix_rows(symbol, phase, rows, xi)
-        work = np.fft.ifftshift(block, axes=1)
-        work = np.fft.fft(work, axis=1)
-        K[start : start + rows.size] = (
-            np.fft.fftshift(work, axes=1) * dual.spacing
-        )
+        K[start : start + rows.size] = shifted_fft(block, axes=(1,)) * dual.spacing
     return K
 
 

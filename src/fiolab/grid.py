@@ -20,20 +20,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, StructuralError, ValidationError
+from .errors import DomainError, ResourceError, StructuralError, ValidationError
 
 __all__ = [
     "Grid",
     "SampledFunction",
     "SampledFunction2D",
+    "bracket",
     "fourier_transform",
     "inverse_fourier_transform",
     "translate_modulate",
-    "dilate2",
     "inner",
     "sampled_to_csv",
     "sampled_from_csv",
 ]
+
+# largest n x n complex matrix a computation may form (1 GiB at complex128)
+MATRIX_BUDGET = 2**26
 
 
 def _is_pow2(n: int) -> bool:
@@ -47,7 +50,6 @@ class Grid:
     dim: int
     n: int
     spacing: float
-    offset: float = 0.0
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -56,8 +58,6 @@ class Grid:
             raise DomainError(f"grid n must be a power of two >= 2, got {self.n}")
         if not (np.isfinite(self.spacing) and self.spacing > 0):
             raise DomainError(f"grid spacing must be positive, got {self.spacing}")
-        if self.offset != 0.0:
-            raise DomainError("only origin-centered grids are supported (offset=0)")
 
     @property
     def half_length(self) -> float:
@@ -146,11 +146,30 @@ def inner(f: SampledFunction, g: SampledFunction) -> complex:
     return complex(np.vdot(g.samples, f.samples) * f.grid.cell_measure())
 
 
-def _shifted_fft(samples: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """DFT in grid order: exact exp(-2pi i x xi) sums on symmetric grids."""
-    work = np.fft.ifftshift(samples)
-    work = np.fft.ifftn(work) if inverse else np.fft.fftn(work)
-    return np.fft.fftshift(work)
+def bracket(x):
+    """Japanese bracket (1 + |x|^2)^(1/2), elementwise."""
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(1.0 + x * x)
+
+
+def check_matrix_budget(n: int, what: str, budget=None):
+    """Raise ResourceError, naming the largest admissible n, when an n x n
+    complex matrix would exceed ``budget`` (default MATRIX_BUDGET)."""
+    budget = MATRIX_BUDGET if budget is None else budget
+    if n**2 > budget:
+        max_n = 2 ** int(np.floor(np.log2(budget) / 2))
+        raise ResourceError(
+            f"{what} output n^2={n**2} exceeds budget {budget}; "
+            f"maximal admissible n is {max_n}"
+        )
+
+
+def shifted_fft(samples: np.ndarray, axes=None, inverse: bool = False) -> np.ndarray:
+    """DFT in grid order over ``axes`` (default all): exact exp(-2pi i x xi)
+    sums on symmetric grids."""
+    work = np.fft.ifftshift(samples, axes=axes)
+    work = np.fft.ifftn(work, axes=axes) if inverse else np.fft.fftn(work, axes=axes)
+    return np.fft.fftshift(work, axes=axes)
 
 
 def fourier_transform(f: SampledFunction) -> SampledFunction:
@@ -160,13 +179,13 @@ def fourier_transform(f: SampledFunction) -> SampledFunction:
     the discrete sum is exact for the cyclic model, so inversion and
     Parseval hold to round-off.
     """
-    out = _shifted_fft(f.samples) * f.grid.cell_measure()
+    out = shifted_fft(f.samples) * f.grid.cell_measure()
     return type(f)(f.grid.dual(), out)
 
 
 def inverse_fourier_transform(f: SampledFunction) -> SampledFunction:
     dual = f.grid.dual()
-    out = _shifted_fft(f.samples, inverse=True) * (f.grid.n**f.grid.dim) * f.grid.cell_measure()
+    out = shifted_fft(f.samples, inverse=True) * (f.grid.n**f.grid.dim) * f.grid.cell_measure()
     return type(f)(dual, out)
 
 
@@ -208,70 +227,69 @@ def translate_modulate(f: SampledFunction, u, omega) -> SampledFunction:
     return type(f)(f.grid, out)
 
 
-def _dilate_axis(values: np.ndarray, axis: int, lam: float, grid: Grid) -> np.ndarray:
-    """Band-limited resample of one axis at the points lam * x_j."""
-    n = grid.n
-    coeff = np.fft.fft(np.fft.ifftshift(values, axes=axis), axis=axis)
-    k = np.fft.fftfreq(n, d=1.0 / n)  # symmetric integer frequencies in cyclic order
-    x = lam * grid.axis()
-    # the trig interpolant uses frequencies k/(2L) = k/(n*dx)
-    ev = np.exp(2j * np.pi * np.outer(x, k / (n * grid.spacing)))
-    moved = np.moveaxis(coeff, axis, -1)
-    res = moved @ ev.T / n
-    return np.moveaxis(res, -1, axis)
-
-
-def dilate2(F: SampledFunction2D, lam1: float, lam2: float) -> SampledFunction2D:
-    """Sample ``F(lam1 * x, lam2 * xi)`` on F's own grid.
-
-    Uses separable trigonometric (band-limited) interpolation; lambdas
-    must lie in (0, 1] so no point leaves the box.
-    """
-    for lam in (lam1, lam2):
-        if not (0.0 < lam <= 1.0):
-            raise DomainError(f"dilation factor must be in (0, 1], got {lam}")
-    vals = _dilate_axis(F.samples, 0, lam1, F.grid)
-    vals = _dilate_axis(vals, 1, lam2, F.grid)
-    return SampledFunction2D(F.grid, vals)
-
-
 # ---------------------------------------------------------------------------
 # CSV serialization (binary-free interchange format)
 
 _FMT = "{:.17g}"
 
 
-def sampled_to_csv(f: SampledFunction) -> str:
-    lines = [f"# dim={f.dim} n={f.grid.n} spacing={_FMT.format(f.grid.spacing)}"]
-    idx_cols = ",".join(f"i{k}" for k in range(f.dim))
-    lines.append(f"{idx_cols},re,im")
-    flat = f.samples.reshape(-1)
-    for pos, val in enumerate(flat):
-        idx = np.unravel_index(pos, f.samples.shape)
+def table_to_csv(header: dict, columns: str, values: np.ndarray) -> str:
+    """A '# key=value' header line, a column line, then one
+    ``indices,re,im`` row per entry of ``values`` in C order."""
+    lines = ["# " + " ".join(f"{k}={_FMT.format(v)}" for k, v in header.items())]
+    lines.append(columns)
+    for idx in np.ndindex(values.shape):
+        v = values[idx]
         head = ",".join(str(i) for i in idx)
-        lines.append(f"{head},{_FMT.format(val.real)},{_FMT.format(val.imag)}")
+        lines.append(f"{head},{_FMT.format(v.real)},{_FMT.format(v.imag)}")
     return "\n".join(lines) + "\n"
 
 
-def sampled_from_csv(text: str) -> SampledFunction:
+def table_from_csv(text: str, keys: dict, shape) -> tuple:
+    """Inverse of :func:`table_to_csv`: ``(header, values)``.
+
+    ``keys`` maps each header key to its type, and ``shape(header)``
+    gives the array shape. Every index must appear exactly once.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
-        raise ValidationError("missing grid header line")
-    header = {}
-    for tok in lines[0].lstrip("#").split():
-        key, _, val = tok.partition("=")
-        header[key] = val
+        raise ValidationError("missing '# key=value' header line")
+    tokens = dict(tok.partition("=")[::2] for tok in lines[0].lstrip("#").split())
     try:
-        dim, n, spacing = int(header["dim"]), int(header["n"]), float(header["spacing"])
+        header = {key: kind(tokens[key]) for key, kind in keys.items()}
     except (KeyError, ValueError) as exc:
-        raise ValidationError(f"bad grid header: {lines[0]!r}") from exc
-    grid = Grid(dim, n, spacing)
-    samples = np.zeros(grid.shape(), dtype=complex)
+        raise ValidationError(f"bad header: {lines[0]!r}") from exc
+    values = np.zeros(shape(header), dtype=complex)
+    seen = np.zeros(values.shape, dtype=bool)
     for ln in lines[2:]:
         parts = ln.split(",")
-        if len(parts) != dim + 2:
-            raise ValidationError(f"bad row: {ln!r}")
-        idx = tuple(int(p) for p in parts[:dim])
-        samples[idx] = float(parts[dim]) + 1j * float(parts[dim + 1])
-    cls = SampledFunction2D if dim == 2 else SampledFunction
+        if len(parts) != values.ndim + 2:
+            raise ValidationError(f"expected {values.ndim + 2} fields in row {ln!r}")
+        try:
+            idx = tuple(int(p) for p in parts[:-2])
+            value = complex(float(parts[-2]), float(parts[-1]))
+        except ValueError:
+            raise ValidationError(f"non-numeric field in row {ln!r}") from None
+        if not all(0 <= i < m for i, m in zip(idx, values.shape)):
+            raise ValidationError(f"index out of range for shape {values.shape}: {ln!r}")
+        if seen[idx]:
+            raise ValidationError(f"duplicate row for index {idx}")
+        seen[idx] = True
+        values[idx] = value
+    if not seen.all():
+        raise ValidationError(f"{int((~seen).sum())} of {seen.size} rows are missing")
+    return header, values
+
+
+def sampled_to_csv(f: SampledFunction) -> str:
+    header = {"dim": f.dim, "n": f.grid.n, "spacing": f.grid.spacing}
+    columns = ",".join(f"i{k}" for k in range(f.dim)) + ",re,im"
+    return table_to_csv(header, columns, f.samples)
+
+
+def sampled_from_csv(text: str) -> SampledFunction:
+    keys = {"dim": int, "n": int, "spacing": float}
+    header, samples = table_from_csv(text, keys, lambda h: Grid(**h).shape())
+    grid = Grid(**header)
+    cls = SampledFunction2D if grid.dim == 2 else SampledFunction
     return cls(grid, samples)

@@ -11,13 +11,15 @@ values, an understated one grows with the box.
 
 from __future__ import annotations
 
+import inspect
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
-from .grid import Grid, SampledFunction2D
+from .errors import DomainError, ValidationError
+from .grid import Grid, SampledFunction2D, bracket, shifted_fft
 
 __all__ = [
     "MINUS_INF",
@@ -56,11 +58,6 @@ DEFAULT_BOXES = (8.0, 16.0, 32.0)
 STABILITY_FACTOR = 1.15
 # "gradients stay apart" is operationalized as margin >= this value
 SEPARATION_THRESHOLD = 0.5
-
-
-def _bracket(x):
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(1.0 + x * x)
 
 
 @dataclass(frozen=True)
@@ -141,15 +138,15 @@ def bracket_power(beta: float, scale: float = 1.0):
     """(f, f', f'') for f(u) = scale * <u>^beta."""
 
     def f(u):
-        return scale * _bracket(u) ** beta
+        return scale * bracket(u) ** beta
 
     def df(u):
         u = np.asarray(u, dtype=float)
-        return scale * beta * u * _bracket(u) ** (beta - 2.0)
+        return scale * beta * u * bracket(u) ** (beta - 2.0)
 
     def d2f(u):
         u = np.asarray(u, dtype=float)
-        b = _bracket(u)
+        b = bracket(u)
         return scale * (beta * b ** (beta - 2.0)
                         + beta * (beta - 2.0) * u * u * b ** (beta - 4.0))
 
@@ -304,15 +301,30 @@ BUILTIN_PHASES = {
 }
 
 
-def make_phase(kind: str, **params) -> PhaseSpec:
-    """Look up a built-in phase by name and build it with ``params``."""
+def build_builtin(table: dict, kind: str, params: dict, what: str):
+    """``table[kind](**params)`` once ``kind`` is known, ``params`` fit the
+    factory's signature and every parameter value is a number."""
     try:
-        factory = BUILTIN_PHASES[kind]
+        factory = table[kind]
     except KeyError:
         raise DomainError(
-            f"unknown phase kind {kind!r}; choose from {sorted(BUILTIN_PHASES)}"
+            f"unknown {what} kind {kind!r}; choose from {sorted(table)}"
         ) from None
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise ValidationError(
+            f"bad parameters {sorted(params)} for {what} {kind!r}: {exc}"
+        ) from None
+    for key, val in params.items():
+        if not isinstance(val, numbers.Real):
+            raise ValidationError(f"{what} parameter {key}={val!r} is not a number")
     return factory(**params)
+
+
+def make_phase(kind: str, **params) -> PhaseSpec:
+    """Look up a built-in phase by name and build it with ``params``."""
+    return build_builtin(BUILTIN_PHASES, kind, params, "phase")
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +408,7 @@ def growth_ratio_x(phase: PhaseSpec, alpha: float, box: float,
     G = np.asarray(phase.grad_x(X, xi[None, :]), dtype=float)
     G0 = np.asarray(phase.grad_x(np.zeros_like(X), xi[None, :]), dtype=float)
     diff = np.abs(G - G0)
-    ratio = diff / _bracket(X) ** (1.0 - alpha)
+    ratio = diff / bracket(X) ** (1.0 - alpha)
     return float(ratio.max())
 
 
@@ -434,7 +446,7 @@ def second_derivative_bounds(
     eta1d = _PARTITION.eta(off, 0)
     eta2d = eta1d[:, None] * eta1d[None, :]
     zeta = (np.arange(m) - m // 2) / (m * h)
-    w1d = _bracket(zeta) ** (1.0 + eps)
+    w1d = bracket(zeta) ** (1.0 + eps)
     w2d = w1d[:, None] * w1d[None, :]
 
     centers = np.arange(-L, L + 1, dtype=float)
@@ -444,9 +456,9 @@ def second_derivative_bounds(
 
     def weighted_block(block, x, xi):
         if block == "xx":
-            return np.asarray(phase.hess_xx(x, xi), dtype=float) * _bracket(x) ** (-t1)
+            return np.asarray(phase.hess_xx(x, xi), dtype=float) * bracket(x) ** (-t1)
         if block == "xixi":
-            return np.asarray(phase.hess_xixi(x, xi), dtype=float) * _bracket(xi) ** (-t2)
+            return np.asarray(phase.hess_xixi(x, xi), dtype=float) * bracket(xi) ** (-t2)
         return np.asarray(phase.hess_xxi(x, xi), dtype=float) + 0.0 * x + 0.0 * xi
 
     results = {}
@@ -458,10 +470,7 @@ def second_derivative_bounds(
             XI = kxi[sl][:, None, None] + off[None, None, :]
             piece = weighted_block(block, X, XI) * eta2d[None, :, :]
             piece = np.broadcast_to(piece, (piece.shape[0], m, m))
-            spec = np.fft.fftshift(
-                np.fft.fft2(np.fft.ifftshift(piece, axes=(-2, -1)), axes=(-2, -1)),
-                axes=(-2, -1),
-            ) * (h * h)
+            spec = shifted_fft(piece, axes=(-2, -1)) * (h * h)
             vals = np.abs(spec) * w2d[None, :, :]
             best = max(best, float(vals.max()))
         results[block] = best
@@ -525,7 +534,7 @@ def k_alpha(k, alpha: float):
     if not (0.0 <= alpha < 1.0):
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     k = np.asarray(k, dtype=float)
-    out = _bracket(k) ** (alpha / (1.0 - alpha)) * k
+    out = bracket(k) ** (alpha / (1.0 - alpha)) * k
     return float(out) if out.ndim == 0 else out
 
 
@@ -534,7 +543,7 @@ def mu_gradient(x, alpha: float):
     if not (0.0 <= alpha < 1.0):
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     x = np.asarray(x, dtype=float)
-    out = (2.0 - alpha) * _bracket(x) ** (-alpha) * x
+    out = (2.0 - alpha) * bracket(x) ** (-alpha) * x
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,10 +1,12 @@
 """Weighted mixed-norm spaces measured through the STFT.
 
-The norms here all follow one recipe: take the STFT of the input,
+The norms here all follow one recipe: take STFT magnitudes of the input,
 multiply by a polynomial weight, then reduce axis by axis with possibly
 different exponents. Modulation norms reduce position first, amalgam
-norms reduce frequency first, and the four-exponent plane norms allow a
-coordinate permutation before reducing.
+norms reduce frequency first. :func:`fold_norms` owns that recipe; the
+exact engine (:func:`stft_norms`, full rows from ``tf.stft_rows``) and
+the fast engine (``experiments.fast_modulation_norms``, truncated window
+segments) only produce blocks of magnitudes for it.
 
 Exponents live in [1, inf]; infinity is handled exactly (sup over the
 axis, no measure factor), never by a large-p surrogate.
@@ -17,24 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .grid import SampledFunction, SampledFunction2D
-from .tf import DEFAULT_WINDOW, STFT4_BUDGET, TFMatrix, make_window, stft4, stft_rows
+from .grid import SampledFunction, bracket
+from .tf import DEFAULT_WINDOW, make_window, stft_rows
 
 __all__ = [
     "INF",
     "Weight",
-    "bracket",
-    "weight_eval",
     "SpaceSpec",
-    "MixedSpec",
-    "PERMUTATIONS",
-    "nested_norm",
-    "mixed_norm",
+    "fold_norms",
     "modulation_norm",
     "amalgam_norm",
     "stft_norms",
-    "special_amalgam_norm",
-    "mixed_modulation_norm",
     "sequence_norm",
     "embedding_holds",
     "embedding_witness",
@@ -47,7 +42,7 @@ __all__ = [
 INF = float("inf")
 
 # rows of STFT data processed per chunk when streaming norms; keeps the
-# working set near 2^22 complex entries regardless of grid size
+# working set near 2^22 entries regardless of grid size
 _CHUNK_ENTRIES = 1 << 22
 
 
@@ -61,41 +56,19 @@ def _rec(p: float, name: str = "exponent") -> float:
     return 1.0 / p
 
 
-def bracket(x):
-    """Japanese bracket (1 + |x|^2)^(1/2), elementwise."""
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(1.0 + x * x)
-
-
 @dataclass(frozen=True)
 class Weight:
-    """Polynomial weight <z1>^s <z2>^t on a pair of coordinate blocks.
-
-    ``d`` is the dimension of each block; the two blocks are scalar for
-    functions of one variable and remain scalar per STFT axis in the
-    plane norms.
-    """
+    """Polynomial weight <x>^s <xi>^t on position and frequency."""
 
     s: float = 0.0
     t: float = 0.0
-    d: int = 1
 
     def __call__(self, z1, z2):
         return bracket(z1) ** self.s * bracket(z2) ** self.t
 
-    def submultiplicative_constant(self) -> float:
-        """C with v(z + w) <= C v_{|s|,|t|}(z) v(w) for all z, w."""
-        return 2.0 ** ((abs(self.s) + abs(self.t)) / 2.0)
-
     @property
     def trivial(self) -> bool:
         return self.s == 0.0 and self.t == 0.0
-
-
-def weight_eval(w: Weight, z) -> float:
-    """Evaluate the weight at a point z = (z1, z2) of paired blocks."""
-    z1, z2 = z
-    return float(w(np.linalg.norm(np.atleast_1d(z1)), np.linalg.norm(np.atleast_1d(z2))))
 
 
 @dataclass(frozen=True)
@@ -108,308 +81,107 @@ class SpaceSpec:
     window: str = DEFAULT_WINDOW
 
 
-@dataclass(frozen=True)
-class MixedSpec:
-    """Four-exponent plane norm with an optional coordinate permutation.
+def _reduce(vals, p, meas, axis=None):
+    """(sum |.|^p * meas)^(1/p) over ``axis``; the maximum at p = inf."""
+    if p == INF:
+        return vals.max(axis=axis)
+    return ((vals**p).sum(axis=axis) * meas) ** (1.0 / p)
 
-    ``exponents`` apply innermost to outermost over the permuted axes;
-    the weight is evaluated on the last two permuted coordinates.
+
+def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
+    """Weighted STFT norms of one function from blocks of its magnitudes.
+
+    ``rows(sl)`` returns |V(x[sl], xi)|: one row per position of
+    ``x[sl]``, one column per entry of ``xi``, in any column order. The
+    fold asks for blocks of about 2^22 entries, so memory stays bounded
+    however large the grid is. ``kinds`` gives "modulation" or
+    "amalgam" for each SpaceSpec, and ``dx``, ``dxi`` are the cell sizes
+    of the sums. Frequency is reduced in increasing-xi order whatever
+    the column order, so a producer that keeps FFT order gives the same
+    bytes as one that shifts every block.
     """
-
-    exponents: tuple
-    perm: str = "id"
-    weight: Weight = Weight()
-    window: str = DEFAULT_WINDOW
-
-
-# sigma for each permutation: G(w) = V(w[sigma[0]], ..., w[sigma[3]]),
-# realized as a pure transpose of the 4D STFT array.
-PERMUTATIONS = {
-    "id": (0, 1, 2, 3),
-    "c1": (1, 3, 0, 2),
-    "c2": (3, 1, 2, 0),
-    "c3": (1, 3, 2, 0),
-    "c4": (0, 2, 3, 1),
-}
-
-
-def nested_norm(arr: np.ndarray, exponents, measures) -> float:
-    """Iterated norm: reduce axis 0 first with exponents[0], and so on.
-
-    Finite exponents contribute (sum |.|^p * measure)^(1/p); infinity is
-    the maximum over the axis and ignores the measure.
-    """
-    arr = np.abs(np.asarray(arr, dtype=float))
-    if arr.ndim != len(exponents) or len(measures) != len(exponents):
-        raise StructuralError("need one exponent and one measure per axis")
-    for p, meas in zip(exponents, measures):
-        p = float(p)
-        if p == INF:
-            arr = arr.max(axis=0)
-        else:
-            if p < 1.0:
-                raise DomainError(f"exponent must lie in [1, inf], got {p}")
-            arr = (arr**p).sum(axis=0) * meas
-            arr = arr ** (1.0 / p)
-    return float(arr)
-
-
-def mixed_norm(tf: TFMatrix, p: float, q: float, weight: Weight = Weight()) -> float:
-    """Weighted nested norm of a time-frequency matrix, position first.
-
-    Computes (sum_xi (sum_x |V(x, xi)|^p w(x, xi)^p dx)^(q/p) dxi)^(1/q)
-    with sups replacing sums at infinite exponents.
-    """
-    _rec(p, "p")
-    _rec(q, "q")
-    mags = np.abs(tf.values)
-    if not weight.trivial:
-        x = tf.x_grid.axis()
-        xi = tf.xi_grid.axis()
-        mags = mags * weight(x[:, None], xi[None, :])
-    return nested_norm(mags, (p, q), (tf.x_grid.spacing, tf.xi_grid.spacing))
-
-
-def _active_shifts(f: SampledFunction, g: SampledFunction, shifts: np.ndarray):
-    """Keep only shifts whose translated window overlaps supp f.
-
-    Rows dropped here are zero up to underflow; keeping them changes the
-    norms by less than round-off but costs one FFT apiece.
-    """
-    fa = np.abs(f.samples)
-    ga = np.abs(g.samples)
-    f_ind = (fa > 1e-15 * fa.max()).astype(float)
-    g_ind = (ga > 1e-15 * ga.max()).astype(float)
-    n = f.grid.n
-    # circular cross-correlation of the two indicators
-    overlap = np.fft.ifft(np.fft.fft(f_ind) * np.conj(np.fft.fft(g_ind))).real
-    # overlap[r] counts t with f(t) != 0 and g(t - r) != 0; shift index j
-    # corresponds to r = j - n/2
-    counts = overlap[(shifts - n // 2) % n]
-    keep = shifts[counts > 0.5]
-    if keep.size == 0:
-        keep = shifts[:1]
-    return keep
-
-
-class _ModAccumulator:
-    """Inner position reduction, then outer frequency reduction."""
-
-    def __init__(self, p, q, n_xi):
-        self.p, self.q = float(p), float(q)
-        self.inner = np.zeros(n_xi)
-
-    def feed(self, wmags, dx):
-        if self.p == INF:
-            np.maximum(self.inner, wmags.max(axis=0), out=self.inner)
-        else:
-            self.inner += (wmags**self.p).sum(axis=0)
-
-    def value(self, dx, dxi):
-        vals = self.inner if self.p == INF else (self.inner * dx) ** (1.0 / self.p)
-        if self.q == INF:
-            return float(vals.max())
-        return float(((vals**self.q).sum() * dxi) ** (1.0 / self.q))
-
-
-class _AmalgamAccumulator:
-    """Inner frequency reduction per row, then outer position reduction."""
-
-    def __init__(self, p, q, n_xi):
-        self.p, self.q = float(p), float(q)
-        self.pieces = []
-
-    def feed(self, wmags, dxi):
-        if self.q == INF:
-            self.pieces.append(wmags.max(axis=1))
-        else:
-            self.pieces.append(((wmags**self.q).sum(axis=1) * dxi) ** (1.0 / self.q))
-
-    def value(self, dx, dxi):
-        vals = np.concatenate(self.pieces)
-        if self.p == INF:
-            return float(vals.max())
-        return float(((vals**self.p).sum() * dx) ** (1.0 / self.p))
-
-
-def stft_norms(
-    f: SampledFunction,
-    specs,
-    kinds,
-    x_stride: int = 1,
-    xi_stride: int = 1,
-    active_only: bool = False,
-) -> list:
-    """Evaluate several STFT norms of one function in a single pass.
-
-    ``specs`` is a sequence of SpaceSpec sharing one window; ``kinds``
-    gives "modulation" or "amalgam" for each. Rows of the STFT are
-    produced in chunks and folded into per-spec accumulators, so memory
-    stays bounded however large the grid is.
-    """
-    if f.dim != 1:
-        raise StructuralError("streamed norms are defined for 1D functions")
-    specs = list(specs)
-    kinds = list(kinds)
+    specs, kinds = list(specs), list(kinds)
     if len(specs) != len(kinds):
         raise StructuralError("need one kind per spec")
     if not specs:
         return []
-    window = specs[0].window
-    for spec in specs:
-        if spec.window != window:
-            raise StructuralError("all specs in one pass must share a window")
+    for spec, kind in zip(specs, kinds):
         _rec(spec.p, "p")
         _rec(spec.q, "q")
-    g = make_window(window, f.grid)
-    n = f.grid.n
-    if not (1 <= x_stride <= n and 1 <= xi_stride <= n):
-        raise DomainError("strides must lie in [1, n]")
-    shifts = np.arange(0, n, x_stride)
-    if active_only:
-        shifts = _active_shifts(f, g, shifts)
-    x_vals = (shifts - n // 2) * f.grid.spacing
-    xi_vals = f.grid.dual().axis()[::xi_stride]
-    dx = f.grid.spacing * x_stride
-    dxi = f.grid.dual().spacing * xi_stride
-
-    accs = []
-    for spec, kind in zip(specs, kinds):
-        if kind == "modulation":
-            accs.append(_ModAccumulator(spec.p, spec.q, xi_vals.size))
-        elif kind == "amalgam":
-            accs.append(_AmalgamAccumulator(spec.p, spec.q, xi_vals.size))
-        else:
+        if kind not in ("modulation", "amalgam"):
             raise DomainError(f"unknown norm kind {kind!r}")
+    pqs = [(float(spec.p), float(spec.q)) for spec in specs]
+    # per spec: a modulation norm's position reduction at each frequency,
+    # or an amalgam norm's frequency reductions at each position so far
+    accs = [np.zeros(xi.size) if kind == "modulation" else [] for kind in kinds]
+    order = np.argsort(xi)
 
-    # distinct weights evaluated once per chunk
-    weight_keys = []
-    for spec in specs:
-        key = (spec.weight.s, spec.weight.t)
-        if key not in weight_keys:
-            weight_keys.append(key)
-
-    chunk = max(1, _CHUNK_ENTRIES // max(xi_vals.size, 1))
-    for start in range(0, shifts.size, chunk):
+    xi_pows = {}
+    chunk = max(1, _CHUNK_ENTRIES // max(xi.size, 1))
+    for start in range(0, x.size, chunk):
         sl = slice(start, start + chunk)
-        rows = stft_rows(f, g, shifts[sl], xi_stride)
-        mags = np.abs(rows)
-        weighted = {}
-        for s, t in weight_keys:
-            if s == 0.0 and t == 0.0:
-                weighted[(s, t)] = mags
+        mags = rows(sl)
+        weighted = {(0.0, 0.0): mags}
+        for spec, kind, (p, q), acc in zip(specs, kinds, pqs, accs):
+            w = spec.weight
+            if (w.s, w.t) not in weighted:
+                if w.t not in xi_pows:
+                    xi_pows[w.t] = bracket(xi) ** w.t
+                wx = bracket(x[sl]) ** w.s
+                weighted[w.s, w.t] = mags * np.outer(wx, xi_pows[w.t])
+            wm = weighted[w.s, w.t]
+            if kind == "amalgam":
+                acc.append(_reduce(np.take(wm, order, axis=1), q, dxi, axis=1))
+            elif p == INF:
+                np.maximum(acc, wm.max(axis=0), out=acc)
             else:
-                wx = bracket(x_vals[sl]) ** s
-                wxi = bracket(xi_vals) ** t
-                weighted[(s, t)] = mags * wx[:, None] * wxi[None, :]
-        for spec, kind, acc in zip(specs, kinds, accs):
-            wm = weighted[(spec.weight.s, spec.weight.t)]
-            if kind == "modulation":
-                acc.feed(wm, dx)
-            else:
-                acc.feed(wm, dxi)
-    return [acc.value(dx, dxi) for acc in accs]
+                acc += (wm**p).sum(axis=0)
+        # the next block is produced only once this one is freed
+        del mags, weighted, wm
+
+    norms = []
+    for kind, (p, q), acc in zip(kinds, pqs, accs):
+        if kind == "amalgam":
+            norms.append(float(_reduce(np.concatenate(acc), p, dx)))
+        else:
+            inner = acc[order] if p == INF else (acc[order] * dx) ** (1.0 / p)
+            norms.append(float(_reduce(inner, q, dxi)))
+    return norms
 
 
-def modulation_norm(
-    f: SampledFunction,
-    spec: SpaceSpec,
-    x_stride: int = 1,
-    xi_stride: int = 1,
-    active_only: bool = False,
-    budget: int = STFT4_BUDGET,
-) -> float:
-    """Weighted STFT norm, position reduced first (inner p, outer q).
+def stft_norms(f: SampledFunction, specs, kinds) -> list:
+    """Evaluate several STFT norms of one function in a single pass.
 
-    For a plane function (dim 2) the exponents apply blockwise: p over
-    both position axes, q over both frequency axes, with the weight on
-    the two frequency coordinates.
+    ``specs`` is a sequence of SpaceSpec sharing one window; ``kinds``
+    gives "modulation" or "amalgam" for each. This is the exact engine:
+    full STFT rows at every grid shift, folded by :func:`fold_norms`.
     """
-    _rec(spec.p, "p")
-    _rec(spec.q, "q")
-    if f.dim == 2:
-        return _plane_modulation_norm(f, spec, budget)
-    return stft_norms(f, [spec], ["modulation"], x_stride, xi_stride, active_only)[0]
-
-
-def _plane_modulation_norm(F: SampledFunction2D, spec: SpaceSpec, budget: int):
-    mspec = MixedSpec(
-        exponents=(spec.p, spec.p, spec.q, spec.q),
-        perm="id",
-        weight=spec.weight,
-        window=spec.window,
-    )
-    return mixed_modulation_norm(F, mspec, budget=budget)
-
-
-def amalgam_norm(
-    f: SampledFunction,
-    spec: SpaceSpec,
-    x_stride: int = 1,
-    xi_stride: int = 1,
-    active_only: bool = False,
-) -> float:
-    """Weighted STFT norm, frequency reduced first (inner q, outer p)."""
-    _rec(spec.p, "p")
-    _rec(spec.q, "q")
     if f.dim != 1:
-        raise StructuralError("amalgam norm is defined for 1D functions here")
-    return stft_norms(f, [spec], ["amalgam"], x_stride, xi_stride, active_only)[0]
+        raise StructuralError("streamed norms are defined for 1D functions")
+    specs = list(specs)
+    if not specs:
+        return []
+    window = specs[0].window
+    if any(spec.window != window for spec in specs):
+        raise StructuralError("all specs in one pass must share a window")
+    g = make_window(window, f.grid)
+    shifts = np.arange(f.grid.n)
+
+    def rows(sl):
+        return np.abs(stft_rows(f, g, shifts[sl]))
+
+    x, dual = f.grid.axis(), f.grid.dual()
+    return fold_norms(rows, x, dual.axis(), f.grid.spacing, dual.spacing, specs, kinds)
 
 
-def mixed_modulation_norm(
-    F: SampledFunction2D,
-    mspec: MixedSpec,
-    budget: int = STFT4_BUDGET,
-) -> float:
-    """Four-exponent norm of a plane function after a coordinate swap."""
-    if len(mspec.exponents) != 4:
-        raise StructuralError("need exactly four exponents")
-    for e in mspec.exponents:
-        _rec(e, "exponent")
-    if mspec.perm not in PERMUTATIONS:
-        raise DomainError(
-            f"unknown permutation {mspec.perm!r}; choose from {sorted(PERMUTATIONS)}"
-        )
-    Psi = make_window(mspec.window, F.grid)
-    V = stft4(F, Psi, budget=budget)
-    sigma = PERMUTATIONS[mspec.perm]
-    axes = tuple(np.argsort(sigma))
-    G = np.abs(V.values.transpose(axes))
-
-    z_ax = V.z_grid.axis()
-    zeta_ax = V.zeta_grid.axis()
-    old_coords = (z_ax, z_ax, zeta_ax, zeta_ax)
-    dz = V.z_grid.spacing
-    dzeta = V.zeta_grid.spacing
-    old_meas = (dz, dz, dzeta, dzeta)
-    coords = [old_coords[a] for a in axes]
-    meas = [old_meas[a] for a in axes]
-
-    if not mspec.weight.trivial:
-        w = mspec.weight(
-            coords[2][None, None, :, None], coords[3][None, None, None, :]
-        )
-        G = G * w
-    return nested_norm(G, mspec.exponents, meas)
+def modulation_norm(f: SampledFunction, spec: SpaceSpec) -> float:
+    """Weighted STFT norm, position reduced first (inner p, outer q)."""
+    return stft_norms(f, [spec], ["modulation"])[0]
 
 
-def special_amalgam_norm(
-    F: SampledFunction2D,
-    eps: float,
-    window: str = DEFAULT_WINDOW,
-    budget: int = STFT4_BUDGET,
-) -> float:
-    """sup over (z, zeta) of |V F| <zeta1>^(1+eps) <zeta2>^(1+eps)."""
-    if not (eps >= 0):
-        raise DomainError(f"eps must be nonnegative, got {eps}")
-    mspec = MixedSpec(
-        exponents=(INF, INF, INF, INF),
-        perm="id",
-        weight=Weight(1.0 + eps, 1.0 + eps),
-        window=window,
-    )
-    return mixed_modulation_norm(F, mspec, budget=budget)
+def amalgam_norm(f: SampledFunction, spec: SpaceSpec) -> float:
+    """Weighted STFT norm, frequency reduced first (inner q, outer p)."""
+    return stft_norms(f, [spec], ["amalgam"])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +204,7 @@ def embedding_holds(q1, s1, q2, s2, d: int = 1) -> bool:
     max is positive.
     """
     r1, r2 = _rec(q1, "q1"), _rec(q2, "q2")
-    if d < 1 or d != int(d):
-        raise DomainError(f"dimension must be a positive integer, got {d}")
+    _check_dim(d)
     gap = r2 - r1
     if gap > 0:
         return s1 - s2 > d * gap

@@ -1,10 +1,9 @@
-"""Short-time Fourier transforms on grids, in 1D and on the 2D plane.
+"""Short-time Fourier transforms of functions of one variable.
 
-``stft`` computes V_g f(x, xi) = <f, M_xi T_x g> for a function of one
-variable: rows are window shifts over the primal grid, columns live on
-the dual grid. ``stft4`` is the same construction for a function of two
-variables (a time-frequency plane function), producing a 4-axis array
-indexed (z1, z2, zeta1, zeta2).
+``stft`` computes V_g f(x, xi) = <f, M_xi T_x g>: rows are window shifts
+over the primal grid, columns live on the dual grid. ``stft_rows``
+evaluates any subset of rows; it is the exact block producer behind the
+norms in :mod:`fiolab.spaces`.
 
 Everything is exact for the cyclic model: the fundamental identity
 V_g f(x, xi) = exp(-2pi i x xi) V_ghat fhat(xi, -x) and the orthogonality
@@ -16,54 +15,56 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ResourceError, StructuralError, ValidationError
+from .errors import StructuralError, ValidationError
 from .grid import (
     Grid,
     SampledFunction,
-    SampledFunction2D,
+    check_matrix_budget,
     fourier_transform,
+    shifted_fft,
+    table_from_csv,
+    table_to_csv,
 )
 
 __all__ = [
     "TFMatrix",
-    "TFMatrix4",
     "make_window",
     "stft",
-    "stft4",
     "fundamental_identity_residual",
     "tf_to_csv",
     "tf_from_csv",
-    "tf4_to_csv",
 ]
 
 DEFAULT_WINDOW = "gauss"
-STFT4_BUDGET = 2**26  # complex values (1 GiB at complex128)
+
+
+def window_width(window_id: str) -> float:
+    """Width of a named window: 1 for ``"gauss"``, s for ``"gauss:s"``."""
+    name, _, arg = window_id.partition(":")
+    if name != "gauss":
+        raise ValidationError(f"unknown window id {window_id!r}")
+    if not arg:
+        return 1.0
+    try:
+        sigma = float(arg)
+    except ValueError:
+        raise ValidationError(f"bad window width in {window_id!r}") from None
+    if not (sigma > 0):
+        raise ValidationError(f"window width must be positive, got {sigma}")
+    return sigma
 
 
 def make_window(window_id: str, grid: Grid) -> SampledFunction:
-    """Build a named analysis window on ``grid``.
+    """Build a named analysis window on a one-dimensional ``grid``.
 
     ``"gauss"`` is the L2-normalized Gaussian exp(-pi t^2); ``"gauss:s"``
     scales its width to ``s``. The normalization is the continuum one,
     so <g, g> = 1 to quadrature accuracy on any adequate grid.
     """
-    name, _, arg = window_id.partition(":")
-    if name != "gauss":
-        raise ValidationError(f"unknown window id {window_id!r}")
-    sigma = 1.0
-    if arg:
-        try:
-            sigma = float(arg)
-        except ValueError:
-            raise ValidationError(f"bad window width in {window_id!r}")
-        if not (sigma > 0):
-            raise ValidationError(f"window width must be positive, got {sigma}")
+    sigma = window_width(window_id)
     x = grid.axis()
     g1 = (2.0**0.25 / np.sqrt(sigma)) * np.exp(-np.pi * (x / sigma) ** 2)
-    if grid.dim == 1:
-        return SampledFunction(grid, g1.astype(complex))
-    vals = np.multiply.outer(g1, g1).astype(complex)
-    return SampledFunction2D(grid, vals)
+    return SampledFunction(grid, g1.astype(complex))
 
 
 class TFMatrix:
@@ -89,43 +90,17 @@ class TFMatrix:
         return f"<TFMatrix {self.values.shape}>"
 
 
-class TFMatrix4:
-    """4D STFT values of a 2D plane function, axes (z1, z2, zeta1, zeta2)."""
-
-    def __init__(self, z_grid: Grid, zeta_grid: Grid, values: np.ndarray):
-        if z_grid.dim != 2 or zeta_grid.dim != 2:
-            raise StructuralError("TFMatrix4 grids must be two-dimensional")
-        values = np.asarray(values, dtype=complex)
-        n, m = z_grid.n, zeta_grid.n
-        if values.shape != (n, n, m, m):
-            raise StructuralError(f"values shape {values.shape} does not match grids")
-        self.z_grid = z_grid
-        self.zeta_grid = zeta_grid
-        self.values = values
-
-    def __repr__(self):
-        return f"<TFMatrix4 {self.values.shape}>"
-
-
 def _check_window(g: SampledFunction):
     if not np.any(g.samples):
         raise ValidationError("window is identically zero")
-
-
-def _fft_rows(rows: np.ndarray, axes) -> np.ndarray:
-    """fftshift(fft(ifftshift(.))) over the given axes (exact grid DFT)."""
-    work = np.fft.ifftshift(rows, axes=axes)
-    work = np.fft.fftn(work, axes=axes)
-    return np.fft.fftshift(work, axes=axes)
 
 
 def stft_rows(
     f: SampledFunction,
     g: SampledFunction,
     shift_indices: np.ndarray,
-    xi_stride: int = 1,
 ) -> np.ndarray:
-    """STFT rows for selected x-shift indices, columns subsampled by stride.
+    """STFT rows for selected x-shift indices, columns on the dual grid.
 
     Index ``j`` corresponds to the grid point ``(j - n/2) * dx``. This is
     the evaluation core shared by :func:`stft` and the norm routines; the
@@ -140,68 +115,20 @@ def stft_rows(
     shift_indices = np.asarray(shift_indices, dtype=int)
     gather = (t_idx[None, :] - (shift_indices[:, None] - h)) % n
     prods = f.samples[None, :] * np.conj(g.samples[gather])
-    rows = _fft_rows(prods, axes=(1,)) * f.grid.spacing
-    if xi_stride != 1:
-        rows = rows[:, ::xi_stride]
-    return rows
+    return shifted_fft(prods, axes=(1,)) * f.grid.spacing
 
 
-def stft(
-    f: SampledFunction,
-    g: SampledFunction,
-    budget: int = STFT4_BUDGET,
-) -> TFMatrix:
+def stft(f: SampledFunction, g: SampledFunction, budget=None) -> TFMatrix:
     """Full STFT matrix of ``f`` with window ``g`` (both 1D, same grid).
 
     The matrix holds n^2 complex values; when that exceeds ``budget``
-    a :class:`ResourceError` names the largest admissible n. The
-    streaming norm routines have no such limit.
+    (default ``grid.MATRIX_BUDGET``) a :class:`ResourceError` names the
+    largest admissible n. The streaming norm routines have no such limit.
     """
     n = f.grid.n
-    if n**2 > budget:
-        max_n = 2 ** int(np.floor(np.log2(budget) / 2))
-        raise ResourceError(
-            f"stft output n^2={n**2} exceeds budget {budget}; "
-            f"maximal admissible n is {max_n}"
-        )
+    check_matrix_budget(n, "stft", budget)
     rows = stft_rows(f, g, np.arange(n))
     return TFMatrix(f.grid, f.grid.dual(), rows)
-
-
-def stft4(
-    F: SampledFunction2D,
-    Psi: SampledFunction2D,
-    budget: int = STFT4_BUDGET,
-) -> TFMatrix4:
-    """4D STFT of a plane function with a plane window.
-
-    Output value at (z1, z2, zeta1, zeta2) is
-    ``sum_{x,xi} F(x,xi) conj(Psi(x-z1, xi-z2)) exp(-2pi i (x zeta1 + xi zeta2)) dx dxi``.
-    Raises :class:`ResourceError` when the output would exceed ``budget``
-    complex values, naming the largest admissible n.
-    """
-    if F.grid != Psi.grid:
-        raise StructuralError("F and Psi must share a grid")
-    _check_window(Psi)
-    n = F.grid.n
-    if n**4 > budget:
-        max_n = 2 ** int(np.floor(np.log2(budget) / 4))
-        raise ResourceError(
-            f"stft4 output n^4={n**4} exceeds budget {budget}; "
-            f"maximal admissible n is {max_n}"
-        )
-    h = n // 2
-    t = np.arange(n)
-    meas = F.grid.cell_measure()
-    out = np.empty((n, n, n, n), dtype=complex)
-    idx2 = (t[None, None, :] - (t[:, None, None] - h)) % n  # (b, 1, t2)
-    for a in range(n):
-        # gather Psi((t1-a+h)%n, (t2-b+h)%n) for all b at once
-        idx1 = ((t - (a - h)) % n)[None, :, None]  # t1 axis
-        shifted = Psi.samples[idx1, idx2]  # (b, t1, t2)
-        prods = F.samples[None, :, :] * np.conj(shifted)
-        out[a] = _fft_rows(prods, axes=(1, 2)) * meas
-    return TFMatrix4(F.grid, F.grid.dual(), out)
 
 
 def fundamental_identity_residual(f: SampledFunction, g: SampledFunction) -> float:
@@ -220,61 +147,22 @@ def fundamental_identity_residual(f: SampledFunction, g: SampledFunction) -> flo
 # ---------------------------------------------------------------------------
 # CSV interchange
 
-_FMT = "{:.17g}"
-
 
 def tf_to_csv(m: TFMatrix) -> str:
-    head = (
-        f"# nx={m.x_grid.n} dx={_FMT.format(m.x_grid.spacing)} "
-        f"nxi={m.xi_grid.n} dxi={_FMT.format(m.xi_grid.spacing)}"
-    )
-    lines = [head, "x_index,xi_index,re,im"]
-    for j in range(m.values.shape[0]):
-        for k in range(m.values.shape[1]):
-            v = m.values[j, k]
-            lines.append(f"{j},{k},{_FMT.format(v.real)},{_FMT.format(v.imag)}")
-    return "\n".join(lines) + "\n"
+    header = {
+        "nx": m.x_grid.n,
+        "dx": m.x_grid.spacing,
+        "nxi": m.xi_grid.n,
+        "dxi": m.xi_grid.spacing,
+    }
+    return table_to_csv(header, "x_index,xi_index,re,im", m.values)
 
 
 def tf_from_csv(text: str) -> TFMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValidationError("missing TFMatrix header")
-    header = {}
-    for tok in lines[0].lstrip("#").split():
-        key, _, val = tok.partition("=")
-        header[key] = val
-    try:
-        nx, dx = int(header["nx"]), float(header["dx"])
-        nxi, dxi = int(header["nxi"]), float(header["dxi"])
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"bad TFMatrix header: {lines[0]!r}") from exc
-    vals = np.zeros((nx, nxi), dtype=complex)
-    for ln in lines[2:]:
-        j, k, re, im = ln.split(",")
-        vals[int(j), int(k)] = float(re) + 1j * float(im)
-    return TFMatrix(Grid(1, nx, dx), Grid(1, nxi, dxi), vals)
+    keys = {"nx": int, "dx": float, "nxi": int, "dxi": float}
 
+    def grids(h):
+        return Grid(1, h["nx"], h["dx"]), Grid(1, h["nxi"], h["dxi"])
 
-def tf4_to_csv(m: TFMatrix4, chunk: int = 65536):
-    """Yield CSV text chunks for a 4D STFT (streaming; these get large)."""
-    head = (
-        f"# n={m.z_grid.n} dz={_FMT.format(m.z_grid.spacing)} "
-        f"dzeta={_FMT.format(m.zeta_grid.spacing)}\n"
-        "z1,z2,zeta1,zeta2,re,im\n"
-    )
-    yield head
-    n = m.z_grid.n
-    buf = []
-    flat = m.values.reshape(-1)
-    for pos, v in enumerate(flat):
-        idx = np.unravel_index(pos, m.values.shape)
-        buf.append(
-            f"{idx[0]},{idx[1]},{idx[2]},{idx[3]},"
-            f"{_FMT.format(v.real)},{_FMT.format(v.imag)}\n"
-        )
-        if len(buf) >= chunk:
-            yield "".join(buf)
-            buf = []
-    if buf:
-        yield "".join(buf)
+    header, vals = table_from_csv(text, keys, lambda h: tuple(g.n for g in grids(h)))
+    return TFMatrix(*grids(header), vals)

@@ -6,7 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from fiolab import Grid, ValidationError, make_window, rows_from_csv, sampled_from_csv
+from fiolab import (
+    Grid,
+    SampledFunction,
+    ValidationError,
+    make_window,
+    rows_from_csv,
+    sampled_from_csv,
+    sampled_to_csv,
+)
 from fiolab.cli import main, parse_kv_spec
 
 
@@ -158,3 +166,35 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("M[p=2 q=2")
+
+
+def _bad_csv(path, row):
+    """An 8-point sample CSV with its first data row replaced by ``row``."""
+    f = SampledFunction(Grid(1, 8, 0.5), np.ones(8, dtype=complex))
+    lines = sampled_to_csv(f).splitlines()
+    path.write_text("\n".join(lines[:2] + row + lines[3:]) + "\n")
+    return str(path)
+
+
+# malformed inputs of every kind the CLI reads; each must end in exit 2
+BAD_ARGV = [
+    ["norm", "--input", ["0,abc,0"], "--space", "p=2"],
+    ["norm", "--input", ["99,1,0"], "--space", "p=2"],
+    ["norm", "--input", ["0,1,0", "0,1,0"], "--space", "p=2"],
+    ["norm", "--input", [], "--space", "p=2"],
+    ["apply", "--signal", "gauss", "--phase", "mild_growth:beta=1"],
+    ["apply", "--signal", "gauss", "--phase", "mild_growth:alpha=abc"],
+    ["norm", "--signal", "gauss", "--space", "p=abc"],
+    ["sweep", "--theorem", "thm1", "--ns", "4,x", "--out", "rows.csv"],
+    ["norm", "--signal", "train:count=abc", "--space", "p=2"],
+    ["norm", "--signal", "gauss", "--grid-n", "0", "--space", "p=2"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=lambda a: " ".join(map(str, a)))
+def test_malformed_input_is_exit_2(argv, tmp_path, capsys):
+    argv = [_bad_csv(tmp_path / "in.csv", a) if isinstance(a, list) else a for a in argv]
+    argv = [str(tmp_path / a) if a == "rows.csv" else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

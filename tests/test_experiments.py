@@ -17,7 +17,6 @@ from fiolab import (
     Weight,
     bracket_power,
     emit_report,
-    estimate_operator_ratio,
     fast_modulation_norms,
     modulation_norm,
     mollifier,
@@ -49,17 +48,6 @@ def test_fit_exponent_recovers_power_law():
         _fit_exponent((4.0,), (1.0,))
 
 
-def test_estimate_operator_ratio():
-    def op(v):
-        return 2.0 * v
-
-    family = [0.0, 1.0, 3.0]
-    got = estimate_operator_ratio(op, abs, abs, family)
-    assert got == pytest.approx(2.0)
-    with pytest.raises(ValidationError):
-        estimate_operator_ratio(op, abs, abs, [0.0])
-
-
 def test_fast_norms_track_exact_norms():
     grid = Grid(1, 512, 0.0625)
     f = _two_tone(grid)
@@ -83,6 +71,8 @@ def test_fast_norms_reject_foreign_windows():
     f = _two_tone(grid)
     with pytest.raises(ValidationError):
         fast_modulation_norms(f, [SpaceSpec(2.0, 2.0, Weight(), "hann")])
+    with pytest.raises(ValidationError, match="window width"):
+        fast_modulation_norms(f, [SpaceSpec(2.0, 2.0, Weight(), "gauss:abc")])
 
 
 def _sample_rows():
@@ -150,6 +140,8 @@ def test_csv_round_trip():
         rows_from_csv("p,q\n1,2\n")
     with pytest.raises(ValidationError, match="fields"):
         rows_from_csv(text.rsplit(",", 1)[0] + "\n")
+    with pytest.raises(ValidationError, match="non-numeric"):
+        rows_from_csv(text.replace(",2,2,", ",2,x,", 1))
 
 
 def test_report_svg_structure():
@@ -228,6 +220,25 @@ def test_thm1_sweep_bytes_serial_and_pooled(monkeypatch, pool_points):
     digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
     assert digest == THM1_SMALL_SHA256
     assert multiprocessing.active_children() == []
+
+
+# digests of the rows written before the exact and fast norm engines
+# shared one fold
+SWEEP_SHA256 = {
+    "thm2": "2aeb1f109a43c7ac6b2420508f81f8d55909cc83087ea9dc076e0657f8d9f2d5",
+    "thm3": "96fbc3506c1104bb48978b2254cb59eb57adfe2c83e2894778eccd8f5aabbfaf",
+}
+SWEEP_ARGS = {
+    "thm2": dict(Ns=(8, 16), max_tuples=10, seed=3),
+    "thm3": dict(Ns=(4, 8)),
+}
+
+
+@pytest.mark.parametrize("theorem", ["thm2", "thm3"])
+def test_sweep_bytes(theorem):
+    rows = threshold_sweep(theorem, **SWEEP_ARGS[theorem])
+    digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+    assert digest == SWEEP_SHA256[theorem]
 
 
 def _send_thm1_digest(conn):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import fiolab.grid
 from fiolab import (
     DomainError,
     Grid,
+    ResourceError,
     SampledFunction,
     SampledFunction2D,
     StructuralError,
@@ -57,6 +59,10 @@ def test_make_symbol():
     assert make_symbol("decaying", s1=1.0, s2=0.0).name.startswith("decaying")
     with pytest.raises(DomainError):
         make_symbol("oscillating")
+    with pytest.raises(ValidationError, match="s2"):
+        make_symbol("decaying", s1=1.0)
+    with pytest.raises(ValidationError, match="not a number"):
+        make_symbol("decaying", s1=1.0, s2="abc")
     with pytest.raises(DomainError):
         decaying_symbol(float("inf"), 0.0)
 
@@ -168,6 +174,14 @@ def test_kernel_of_identity_is_delta(small):
     K = kernel(constant_symbol(), bilinear(), grid)
     expected = np.eye(grid.n) / grid.spacing
     assert np.allclose(K, expected, atol=1e-8)
+
+
+def test_kernel_budget_guard(small, monkeypatch):
+    # the n x n kernel sits behind the budget stft uses
+    grid, _ = small
+    monkeypatch.setattr(fiolab.grid, "MATRIX_BUDGET", grid.n**2 - 1)
+    with pytest.raises(ResourceError, match="maximal admissible n is"):
+        kernel(constant_symbol(), bilinear(), grid)
 
 
 def test_shape_and_grid_errors(small):

@@ -11,7 +11,6 @@ from fiolab import (
     StructuralError,
     ValidationError,
     default_grid,
-    dilate2,
     fourier_transform,
     inner,
     inverse_fourier_transform,
@@ -30,8 +29,6 @@ def test_grid_validation():
         Grid(1, 100, 0.1)
     with pytest.raises(DomainError):
         Grid(1, 64, -0.1)
-    with pytest.raises(DomainError):
-        Grid(1, 64, 0.1, offset=1.0)
 
 
 def test_axis_is_symmetric_and_covers_half_open_box():
@@ -114,32 +111,6 @@ def test_translate_modulate_rejects_off_grid_points():
         translate_modulate(f, 0.25, 0.01)
 
 
-def test_dilate2_identity_and_domain():
-    g = Grid(2, 32, 0.5)
-    x = g.axis()
-    vals = np.exp(-np.pi * (np.add.outer(x**2, x**2)))
-    F = SampledFunction2D(g, vals.astype(complex))
-    same = dilate2(F, 1.0, 1.0)
-    assert np.allclose(same.samples, F.samples, atol=1e-10)
-    with pytest.raises(DomainError):
-        dilate2(F, 1.5, 1.0)
-    with pytest.raises(DomainError):
-        dilate2(F, 0.0, 1.0)
-
-
-def test_dilate2_halves_a_plane_wave_frequency():
-    # plane waves on the dual lattice are reproduced exactly by the
-    # trigonometric interpolant, so their dilates are known in closed form
-    g = Grid(2, 32, 0.5)
-    x = g.axis()
-    nu = 4.0 / (32 * 0.5)
-    wave = np.exp(2j * np.pi * nu * x)
-    F = SampledFunction2D(g, np.multiply.outer(wave, wave))
-    half = dilate2(F, 0.5, 1.0)
-    ref = np.multiply.outer(np.exp(2j * np.pi * 0.5 * nu * x), wave)
-    assert np.allclose(half.samples, ref, atol=1e-10)
-
-
 def test_sampled_csv_round_trip():
     g = Grid(1, 16, 0.125)
     rng = np.random.default_rng(2)
@@ -153,3 +124,26 @@ def test_sampled_csv_round_trip():
 def test_sampled_csv_rejects_missing_header():
     with pytest.raises(ValidationError):
         sampled_from_csv("i0,re,im\n0,1,0\n")
+
+
+def _malformed(row):
+    """A valid 8-point sample CSV with its first data row replaced."""
+    f = SampledFunction(Grid(1, 8, 0.5), np.ones(8, dtype=complex))
+    lines = sampled_to_csv(f).splitlines()
+    return "\n".join(lines[:2] + row + lines[3:]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "row,match",
+    [
+        (["0,abc,0"], "non-numeric"),
+        (["0,1"], "fields"),
+        (["99,1,0"], "out of range"),
+        (["-1,1,0"], "out of range"),
+        (["0,1,0", "0,1,0"], "duplicate"),
+        ([], "missing"),
+    ],
+)
+def test_sampled_csv_rejects_malformed_rows(row, match):
+    with pytest.raises(ValidationError, match=match):
+        sampled_from_csv(_malformed(row))

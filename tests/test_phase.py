@@ -8,6 +8,7 @@ from fiolab import (
     DomainError,
     GrowthParams,
     PartitionSpec,
+    ValidationError,
     bilinear,
     bracket_power,
     check_phase,
@@ -133,6 +134,10 @@ def test_make_phase_and_builtin_names():
     assert make_phase("bilinear").declared.regime == "low"
     with pytest.raises(DomainError):
         make_phase("cubic")
+    with pytest.raises(ValidationError, match="beta"):
+        make_phase("mild_growth", beta=1.0)
+    with pytest.raises(ValidationError, match="not a number"):
+        make_phase("mild_growth", alpha="abc")
     with pytest.raises(DomainError):
         mild_growth(1.0)
     with pytest.raises(DomainError):

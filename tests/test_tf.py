@@ -7,16 +7,13 @@ from fiolab import (
     Grid,
     ResourceError,
     SampledFunction,
-    SampledFunction2D,
     StructuralError,
     ValidationError,
     fundamental_identity_residual,
     make_window,
     stft,
-    stft4,
     tf_from_csv,
     tf_to_csv,
-    tf4_to_csv,
 )
 
 from conftest import bandlimited
@@ -91,25 +88,6 @@ def test_stft_rejects_mismatched_grids():
         stft(f, w)
 
 
-def test_stft4_budget_and_small_case():
-    g2 = Grid(2, 8, 0.5)
-    x = g2.axis()
-    vals = np.multiply.outer(np.exp(-np.pi * x**2), np.exp(-np.pi * x**2))
-    F = SampledFunction2D(g2, vals.astype(complex))
-    W = make_window("gauss", g2)
-    V = stft4(F, W)
-    assert V.values.shape == (8, 8, 8, 8)
-    # orthogonality in the plane: ||V||_2 = ||F||_2 ||W||_2
-    meas = g2.cell_measure() * g2.dual().cell_measure()
-    plane = np.sqrt(np.sum(np.abs(V.values) ** 2) * meas)
-    assert plane == pytest.approx(F.norm2() * W.norm2(), rel=1e-10)
-    big = Grid(2, 512, 0.25)
-    Fb = SampledFunction2D(big, np.zeros((512, 512), dtype=complex))
-    Wb = make_window("gauss", big)
-    with pytest.raises(ResourceError, match="maximal admissible n"):
-        stft4(Fb, Wb)
-
-
 def test_tf_csv_round_trip():
     g = Grid(1, 16, 0.5)
     rng = np.random.default_rng(6)
@@ -120,14 +98,3 @@ def test_tf_csv_round_trip():
     assert np.array_equal(back.values, V.values)
     with pytest.raises(ValidationError):
         tf_from_csv("x_index,xi_index,re,im\n0,0,1,0\n")
-
-
-def test_tf4_csv_streams_chunks():
-    g2 = Grid(2, 4, 0.5)
-    F = SampledFunction2D(g2, np.ones((4, 4), dtype=complex))
-    W = make_window("gauss", g2)
-    V = stft4(F, W)
-    text = "".join(tf4_to_csv(V))
-    # one header comment, one column line, then 4^4 data rows
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    assert len(lines) == 2 + 4**4
