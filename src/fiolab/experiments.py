@@ -21,11 +21,16 @@ Three probe families are used, one per operator regime:
   weighted chirp, so plain and pre-chirped local bumps measure both
   sides of the |1/p - 1/2| threshold exactly.
 
-Every tuple is measured with at least two probe families; each probe's
-ratios are fitted separately and the reported exponent is the largest
-fitted slope, matching the fact that operator norms dominate every
-probe. The ratio column of a report row holds the raw ratios of the
-dominant probe. A bounded tuple's ratios converge rather than decay
+Each regime has its own probe runner, which holds the measurement and
+returns, per tuple, one series (family parameters, ratios, grids,
+window) for each of at least two probe families. One driver,
+:func:`threshold_sweep`, fits every series separately and reports the
+largest fitted slope, matching the fact that operator norms dominate
+every probe; the first series reaching it is the dominant probe, whose
+raw ratios fill the ratio column of the tuple's report rows, and the
+regime's predicate gives the verdict.
+
+A bounded tuple's ratios converge rather than decay
 once every witness sum is summable, and a partial sum that converges
 at rate r keeps a residual log-log slope of roughly r per decade of
 family range; the default panels therefore keep bounded tuples far
@@ -35,9 +40,10 @@ enough from each threshold for that residual to sit well under the
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -50,7 +56,7 @@ from .extremal import (
     build_modulated_train,
     default_bump,
 )
-from .fio import apply_fio, apply_fio_family, decaying_symbol
+from .fio import apply_fio_family, decaying_symbol
 from .grid import Grid, SampledFunction, bracket, fourier_transform
 from .phase import (
     MINUS_INF,
@@ -102,7 +108,6 @@ def fast_modulation_norms(
     specs,
     xi_step: float = 0.2,
     x_step: float = 0.0,
-    tail: float = 1e-8,
 ):
     """Modulation norms of f for several spaces sharing one window.
 
@@ -111,7 +116,7 @@ def fast_modulation_norms(
     segment is zero padded to a power of two giving frequency steps of
     at most ``xi_step``, and window positions advance by ``x_step``
     (default: a third of the window width) across the regions where
-    |f| exceeds ``tail`` times its peak. Only magnitudes of the
+    |f| exceeds 1e-8 times its peak. Only magnitudes of the
     transform enter a norm, so the omitted global phase is irrelevant,
     and dropping segments where f vanishes changes nothing but
     round-off. Downsampling positions makes this an estimate whose
@@ -153,7 +158,7 @@ def fast_modulation_norms(
     step = x_step if x_step > 0 else sigma / 3.0
     stride = max(1, int(round(step / dx)))
 
-    nz = np.flatnonzero(mags > tail * peak)
+    nz = np.flatnonzero(mags > 1e-8 * peak)
     del mags
     cuts = np.flatnonzero(np.diff(nz) > 2 * pad)
     seg_lo = nz[np.concatenate(([0], cuts + 1))] - pad
@@ -717,7 +722,6 @@ def _sweep_thm1(tuples, Ns):
     task; sweeps whose largest grid reaches ``_THM1_POOL_POINTS`` points
     run the tasks on a process pool.
     """
-    window = _THM1_WINDOW
     grids = {}
     tasks = []
     for alpha in sorted({t.alpha for t in tuples}):
@@ -737,24 +741,18 @@ def _sweep_thm1(tuples, Ns):
         for task, ratios in zip(tasks, _run_steps(_thm1_step, tasks, pooled))
     }
 
-    results = []
-    for t in tuples:
-        key = ((t.s1, t.s2), (t.p, t.q))
-        r1 = [steps[t.alpha, N, False][key] for N in Ns]
-        r2 = [steps[t.alpha, N, True][key] for N in Ns]
-        s1 = _fit_exponent(Ns, r1)
-        s2 = _fit_exponent(Ns, r2)
-        results.append(
-            {
-                "tuple": t,
-                "params": list(Ns),
-                "ratios": r1 if s1 >= s2 else r2,
-                "grids": [grids[t.alpha, N].describe() for N in Ns],
-                "exponent": max(s1, s2),
-                "window": window,
-            }
-        )
-    return results
+    return {
+        t: [
+            (
+                Ns,
+                [steps[t.alpha, N, modulated][(t.s1, t.s2), (t.p, t.q)] for N in Ns],
+                [grids[t.alpha, N].describe() for N in Ns],
+                _THM1_WINDOW,
+            )
+            for modulated in (False, True)
+        ]
+        for t in tuples
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +781,35 @@ def _symbol_scalar(fhat, s2: float) -> float:
     return abs(complex(total * fhat.grid.cell_measure()))
 
 
+def _thm2_ratios(f, inputs, members, alpha, window):
+    """Each member tuple's operator ratios over ``inputs``, a list of
+    (transform, input norms) pairs whose first transform is f's.
+
+    The operator runs on f alone, in one family call over the symbols
+    of every s1 among ``members``; on each input its output norm scales
+    by the spectral pairing scalar of that input's transform.
+    """
+    s1s = sorted({t.s1 for t in members})
+    pqs = {s1: sorted({(t.p, t.q) for t in members if t.s1 == s1}) for s1 in s1s}
+    outs = apply_fio_family(
+        f,
+        [decaying_symbol(s1, 0.0) for s1 in s1s],
+        _chirp_phase(alpha),
+        lambda sym, g: _norm_map(g, pqs[sym.s1], window),
+    )
+    out = dict(zip(s1s, outs))
+    c_ref = _symbol_scalar(inputs[0][0], 0.0)
+    return {
+        t: [
+            out[t.s1][t.p, t.q]
+            * (_symbol_scalar(fhat, t.s2) / c_ref)
+            / norms_in[t.p, t.q]
+            for fhat, norms_in in inputs
+        ]
+        for t in members
+    }
+
+
 def _sweep_thm2(tuples, Ns):
     """Rank-one operators from phases that forget the frequency slot.
 
@@ -797,95 +824,38 @@ def _sweep_thm2(tuples, Ns):
     Rs = [2 * int(N) for N in Ns]
     pq_all = sorted({(t.p, t.q) for t in tuples})
 
-    trains = {}
-    train_hats = {}
-    in_a = {}
-    for N in Ns:
-        f = build_modulated_train(
-            CoefficientSeq.ones(0, int(N)), phi, train_grid
+    trains = [
+        build_modulated_train(CoefficientSeq.ones(0, int(N)), phi, train_grid)
+        for N in Ns
+    ]
+    train_inputs = [
+        (fourier_transform(f), _norm_map(f, pq_all, _THM2_TRAIN_WINDOW))
+        for f in trains
+    ]
+    grids_a = [train_grid.describe()] * len(Ns)
+
+    series = {}
+    for alpha in sorted({t.alpha for t in tuples}):
+        members = [t for t in tuples if t.alpha == alpha]
+        ratios_a = _thm2_ratios(
+            trains[0], train_inputs, members, alpha, _THM2_TRAIN_WINDOW
         )
-        trains[N] = f
-        train_hats[N] = fourier_transform(f)
-        in_a[N] = _norm_map(f, pq_all, _THM2_TRAIN_WINDOW)
-
-    box_grids = {}
-    box_inputs = {}
-    box_hats = {}
-    in_b = {}
-
-    data = {}
-    for alpha, s1 in sorted({(t.alpha, t.s1) for t in tuples}):
-        members = [t for t in tuples if (t.alpha, t.s1) == (alpha, s1)]
-        pqs = sorted({(t.p, t.q) for t in members})
-        phase = _chirp_phase(alpha)
-        symbol = decaying_symbol(s1, 0.0)
-
-        N0 = Ns[0]
-        out_a = _norm_map(
-            apply_fio(trains[N0], symbol, phase), pqs, _THM2_TRAIN_WINDOW
-        )
-        c_ref = _symbol_scalar(train_hats[N0], 0.0)
-        for t in members:
-            key = (t.p, t.q)
-            data[t] = {
-                "rA": [
-                    out_a[key]
-                    * (_symbol_scalar(train_hats[N], t.s2) / c_ref)
-                    / in_a[N][key]
-                    for N in Ns
-                ],
-                "rB": [],
-                "gridsB": [],
-            }
-
+        ratios_b = {t: [] for t in members}
+        grids_b = []
         for R in Rs:
-            bkey = (alpha, R)
-            if bkey not in box_grids:
-                g = _thm2_box_grid(alpha, R)
-                psi = build_modulated_train(CoefficientSeq.delta(0), phi, g)
-                box_grids[bkey] = g
-                box_inputs[bkey] = psi
-                box_hats[bkey] = fourier_transform(psi)
-                in_b[bkey] = _norm_map(psi, pq_all, _THM2_BOX_WINDOW)
-            out_b = _norm_map(
-                apply_fio(box_inputs[bkey], symbol, phase),
-                pqs,
-                _THM2_BOX_WINDOW,
-            )
-            c_ref_b = _symbol_scalar(box_hats[bkey], 0.0)
+            g = _thm2_box_grid(alpha, R)
+            psi = build_modulated_train(CoefficientSeq.delta(0), phi, g)
+            box = [(fourier_transform(psi), _norm_map(psi, pq_all, _THM2_BOX_WINDOW))]
+            ratios = _thm2_ratios(psi, box, members, alpha, _THM2_BOX_WINDOW)
             for t in members:
-                key = (t.p, t.q)
-                data[t]["rB"].append(
-                    out_b[key]
-                    * (_symbol_scalar(box_hats[bkey], t.s2) / c_ref_b)
-                    / in_b[bkey][key]
-                )
-                data[t]["gridsB"].append(box_grids[bkey].describe())
-
-    results = []
-    for t in tuples:
-        d = data[t]
-        slope_a = _fit_exponent(Ns, d["rA"])
-        slope_b = _fit_exponent(Rs, d["rB"])
-        if slope_a >= slope_b:
-            params, ratios = list(Ns), d["rA"]
-            grids = [train_grid.describe()] * len(Ns)
-            window = _THM2_TRAIN_WINDOW
-        else:
-            params, ratios = list(Rs), d["rB"]
-            grids = d["gridsB"]
-            window = _THM2_BOX_WINDOW
-        results.append(
-            {
-                "tuple": t,
-                "params": params,
-                "ratios": ratios,
-                "grids": grids,
-                "exponent": max(slope_a, slope_b),
-                "window": window,
-            }
-        )
-    return results
+                ratios_b[t] += ratios[t]
+            grids_b.append(g.describe())
+        for t in members:
+            series[t] = [
+                (Ns, ratios_a[t], grids_a, _THM2_TRAIN_WINDOW),
+                (Rs, ratios_b[t], grids_b, _THM2_BOX_WINDOW),
+            ]
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -927,9 +897,9 @@ def _sweep_thm3(tuples, Ns):
     plain modulation norms are exactly invariant under the discrete
     Fourier transform.
     """
-    window = _THM3_WINDOW
     sides = {t: _thm3_side(t) for t in tuples}
-    data = {t: {"r1": [], "r2": [], "grids": []} for t in tuples}
+    ratios = {}
+    grids = {}
     for growth in sorted({side[1] for side in sides.values()}):
         members = [t for t in tuples if sides[t][1] == growth]
         svals = sorted({sides[t][0] for t in members})
@@ -937,61 +907,59 @@ def _sweep_thm3(tuples, Ns):
         mu, dmu, _ = bracket_power(2.0 + growth)
         for k in Ns:
             kk = float(k)
-            grid = _thm3_grid(growth, kk)
+            grid = grids[growth, k] = _thm3_grid(growth, kk)
             y = grid.axis()
             tau = mu(kk + y) - float(mu(kk)) - float(dmu(kk)) * y
             chi = mollifier(y, 1.0)
             plain = SampledFunction(grid, chi.astype(complex))
             dechirped = SampledFunction(grid, np.exp(-1j * tau) * chi)
-            den1 = _norm_map(plain, pq_all, window)
-            den2 = _norm_map(dechirped, pq_all, window)
+            den1 = _norm_map(plain, pq_all, _THM3_WINDOW)
+            den2 = _norm_map(dechirped, pq_all, _THM3_WINDOW)
             for s in svals:
-                sub = [t for t in members if sides[t][0] == s]
-                pqs = sorted({(t.p, t.p) for t in sub})
+                pqs = sorted({(t.p, t.p) for t in members if sides[t][0] == s})
                 decay = bracket(kk + y) ** (-s)
                 v1 = SampledFunction(grid, decay * np.exp(1j * tau) * chi)
                 v2 = SampledFunction(grid, (decay * chi).astype(complex))
-                num1 = _norm_map(v1, pqs, window)
-                num2 = _norm_map(v2, pqs, window)
-                for t in sub:
-                    key = (t.p, t.p)
-                    data[t]["r1"].append(num1[key] / den1[key])
-                    data[t]["r2"].append(num2[key] / den2[key])
-            for t in members:
-                data[t]["grids"].append(grid.describe())
-    results = []
-    for t in tuples:
-        d = data[t]
-        s1 = _fit_exponent(Ns, d["r1"])
-        s2 = _fit_exponent(Ns, d["r2"])
-        ratios = d["r1"] if s1 >= s2 else d["r2"]
-        results.append(
-            {
-                "tuple": t,
-                "params": list(Ns),
-                "ratios": ratios,
-                "grids": d["grids"],
-                "exponent": max(s1, s2),
-                "window": window,
-            }
-        )
-    return results
+                num1 = _norm_map(v1, pqs, _THM3_WINDOW)
+                num2 = _norm_map(v2, pqs, _THM3_WINDOW)
+                for pq in pqs:
+                    ratios[(s, growth), pq, k] = (
+                        num1[pq] / den1[pq],
+                        num2[pq] / den2[pq],
+                    )
+    return {
+        t: [
+            (
+                Ns,
+                [ratios[sides[t], (t.p, t.p), k][probe] for k in Ns],
+                [grids[sides[t][1], k].describe() for k in Ns],
+                _THM3_WINDOW,
+            )
+            for probe in (0, 1)
+        ]
+        for t in tuples
+    }
 
 
 # ---------------------------------------------------------------------------
 # driver
 
+# theorem -> (probe runner, default panel, default family steps, predicate)
 _SWEEPS = {
-    "thm1": (_sweep_thm1, thm1_default_tuples),
-    "thm2": (_sweep_thm2, thm2_default_tuples),
-    "thm3": (_sweep_thm3, thm3_default_tuples),
+    "thm1": (_sweep_thm1, thm1_default_tuples, (4, 8, 16, 32), thm1_predicate),
+    "thm2": (_sweep_thm2, thm2_default_tuples, (8, 16, 32, 64), thm2_predicate),
+    "thm3": (_sweep_thm3, thm3_default_tuples, (4, 8, 16, 32), thm3_predicate),
 }
 
-_DEFAULT_STEPS = {
-    "thm1": (4, 8, 16, 32),
-    "thm2": (8, 16, 32, 64),
-    "thm3": (4, 8, 16, 32),
-}
+
+def _whole(value, what: str) -> int:
+    """``value`` as an int, or a ValidationError saying ``what`` it must be."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{what}, got {value!r}")
 
 
 def threshold_sweep(
@@ -1012,14 +980,15 @@ def threshold_sweep(
         raise ValidationError(
             f"unknown theorem {theorem!r}; choose from {sorted(_SWEEPS)}"
         )
-    runner, default_tuples = _SWEEPS[theorem]
+    runner, default_tuples, default_steps, predicate = _SWEEPS[theorem]
     tuples = list(tuples) if tuples is not None else default_tuples()
     if not tuples:
         raise ValidationError("need at least one tuple to sweep")
     if len(set(tuples)) != len(tuples):
         raise ValidationError("sweep tuples must be distinct")
     steps = tuple(
-        int(v) for v in (Ns if Ns is not None else _DEFAULT_STEPS[theorem])
+        _whole(v, "family steps must be whole numbers")
+        for v in (Ns if Ns is not None else default_steps)
     )
     if len(steps) < 2:
         raise ValidationError("need at least two family steps")
@@ -1027,45 +996,36 @@ def threshold_sweep(
         b <= a for a, b in zip(steps, steps[1:])
     ):
         raise ValidationError("family steps must be positive and increasing")
-    if max_tuples is not None and int(max_tuples) < len(tuples):
-        if int(max_tuples) < 1:
+    if max_tuples is not None:
+        count = _whole(max_tuples, "max_tuples must be a whole number")
+        if count < 1:
             raise ValidationError("max_tuples must keep at least one tuple")
         rng = np.random.default_rng(seed)
-        keep = sorted(rng.permutation(len(tuples))[: int(max_tuples)])
+        keep = sorted(rng.permutation(len(tuples))[:count])
         tuples = [tuples[i] for i in keep]
 
-    results = runner(tuples, steps)
-
+    # per tuple, one (family parameters, ratios, grids, window) per probe
+    series = runner(tuples, steps)
+    # a predicate's parameters are named after the tuple's fields
+    names = inspect.signature(predicate).parameters
     rows = []
-    for i, res in enumerate(results):
-        t = res["tuple"]
-        if theorem == "thm1":
-            ok = thm1_predicate(t.p, t.q, t.s1, t.s2, t.alpha, t.d)
-        elif theorem == "thm2":
-            ok = thm2_predicate(t.p, t.q, t.s1, t.s2, t.alpha, t.d)
-        else:
-            ok = thm3_predicate(t.p, t.s1, t.s2, t.t1, t.t2, t.d)
+    for i, t in enumerate(tuples):
+        slopes = [_fit_exponent(params, ratios) for params, ratios, _, _ in series[t]]
+        best = max(range(len(slopes)), key=slopes.__getitem__)
+        params, ratios, grids, window = series[t][best]
+        ok = predicate(**{name: getattr(t, name) for name in names})
         verdict = VERDICT_BOUNDED if ok else VERDICT_UNBOUNDED
-        for param, ratio, gdesc in zip(
-            res["params"], res["ratios"], res["grids"]
-        ):
+        for param, ratio, gdesc in zip(params, ratios, grids):
             rows.append(
                 ExperimentRow(
                     id=f"{theorem}-{i:03d}",
-                    p=t.p,
-                    q=t.q,
-                    s1=t.s1,
-                    s2=t.s2,
-                    alpha=t.alpha,
-                    t1=t.t1,
-                    t2=t.t2,
-                    d=t.d,
+                    **asdict(t),
                     N=float(param),
                     ratio=float(ratio),
                     verdict=verdict,
-                    exponent=float(res["exponent"]),
+                    exponent=slopes[best],
                     grid=gdesc,
-                    window=res["window"],
+                    window=window,
                 )
             )
     return rows

@@ -135,13 +135,13 @@ def _spectrum(f: SampledFunction):
     return fhat, float(np.linalg.norm(fhat.samples[outside])) / total
 
 
-def _checked_transform(f, tol=BANDLIMIT_TOL) -> SampledFunction:
+def _checked_transform(f) -> SampledFunction:
     """f's transform, after f's band limit is tested on it."""
     fhat, leak = _spectrum(f)
-    if leak >= tol:
+    if leak >= BANDLIMIT_TOL:
         raise ValidationError(
             f"input is not band-limited to half Nyquist: spectral leakage "
-            f"{leak:.3e} exceeds {tol:.0e}"
+            f"{leak:.3e} exceeds {BANDLIMIT_TOL:.0e}"
         )
     return fhat
 
@@ -151,8 +151,8 @@ def bandlimit_leakage(f: SampledFunction) -> float:
     return _spectrum(f)[1]
 
 
-def ensure_bandlimited(f: SampledFunction, tol: float = BANDLIMIT_TOL):
-    _checked_transform(f, tol)
+def ensure_bandlimited(f: SampledFunction):
+    _checked_transform(f)
 
 
 def _phase_matrix_rows(symbol, phase, x_rows, xi):
@@ -170,7 +170,6 @@ def apply_fio(
     symbol: SymbolSpec,
     phase: PhaseSpec,
     force_direct: bool = False,
-    check: bool = True,
 ) -> SampledFunction:
     """Apply the operator with the given symbol and phase to f.
 
@@ -183,7 +182,7 @@ def apply_fio(
     """
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
-    fhat = _checked_transform(f) if check else fourier_transform(f)
+    fhat = _checked_transform(f)
     return _apply_transformed(f.grid, fhat, symbol, phase, force_direct)
 
 
@@ -300,7 +299,6 @@ def weak_pairing(
     g: SampledFunction,
     symbol: SymbolSpec,
     phase: PhaseSpec,
-    check: bool = True,
 ) -> complex:
     """<Tf, g> computed as a double sum, never forming Tf.
 
@@ -310,7 +308,7 @@ def weak_pairing(
     """
     if f.grid != g.grid:
         raise StructuralError("weak pairing needs both functions on one grid")
-    fhat = _checked_transform(f) if check else fourier_transform(f)
+    fhat = _checked_transform(f)
     xi = fhat.grid.axis()
     x = f.grid.axis()
     coeffs = fhat.samples * fhat.grid.cell_measure()

@@ -152,14 +152,13 @@ def bracket(x):
     return np.sqrt(1.0 + x * x)
 
 
-def check_matrix_budget(n: int, what: str, budget=None):
+def check_matrix_budget(n: int, what: str):
     """Raise ResourceError, naming the largest admissible n, when an n x n
-    complex matrix would exceed ``budget`` (default MATRIX_BUDGET)."""
-    budget = MATRIX_BUDGET if budget is None else budget
-    if n**2 > budget:
-        max_n = 2 ** int(np.floor(np.log2(budget) / 2))
+    complex matrix would exceed MATRIX_BUDGET."""
+    if n**2 > MATRIX_BUDGET:
+        max_n = 2 ** int(np.floor(np.log2(MATRIX_BUDGET) / 2))
         raise ResourceError(
-            f"{what} output n^2={n**2} exceeds budget {budget}; "
+            f"{what} output n^2={n**2} exceeds budget {MATRIX_BUDGET}; "
             f"maximal admissible n is {max_n}"
         )
 

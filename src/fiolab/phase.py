@@ -333,6 +333,8 @@ def make_phase(kind: str, **params) -> PhaseSpec:
 
 def mollifier(x, radius: float = 1.0):
     """Smooth bump supported on |x| < radius with value 1 at the origin."""
+    if not (radius > 0):
+        raise DomainError(f"bump radius must be positive, got {radius}")
     v = np.asarray(x, dtype=float) / radius
     out = np.zeros_like(v)
     inside = np.abs(v) < 1.0
@@ -387,8 +389,7 @@ class PartitionSpec:
 # Condition measurements
 
 
-def growth_ratio_x(phase: PhaseSpec, alpha: float, box: float,
-                   samples_per_unit: int = 8) -> float:
+def growth_ratio_x(phase: PhaseSpec, alpha: float, box: float) -> float:
     """sup of |grad_x Phi(x, xi) - grad_x Phi(0, xi)| / <x>^(1-alpha) on the box.
 
     Finite for boxes of any size exactly when the position gradient
@@ -402,7 +403,7 @@ def growth_ratio_x(phase: PhaseSpec, alpha: float, box: float,
     L = float(box)
     if not (L > 0):
         raise DomainError(f"box must be positive, got {box}")
-    x = np.linspace(-L, L, 2 * int(L * samples_per_unit) + 1)
+    x = np.linspace(-L, L, 2 * int(L * 8) + 1)  # 8 samples per unit
     xi = np.array([-L, -L / 2.0, 0.0, L / 2.0, L])
     X = x[:, None]
     G = np.asarray(phase.grad_x(X, xi[None, :]), dtype=float)
@@ -421,8 +422,6 @@ def second_derivative_bounds(
     t2: float,
     eps: float,
     box: float,
-    cell_points: int = 32,
-    chunk: int = 2048,
 ):
     """Weighted second-derivative bounds (A, B, C) over the box.
 
@@ -440,7 +439,7 @@ def second_derivative_bounds(
     L = int(round(float(box)))
     if L < 1:
         raise DomainError(f"box must be at least 1, got {box}")
-    m = int(cell_points)
+    m, chunk = 32, 2048  # samples per cell side, cells per block
     h = 2.0 / m
     off = (np.arange(m) - m // 2) * h
     eta1d = _PARTITION.eta(off, 0)
@@ -618,15 +617,13 @@ def verify_growth(
     return rows
 
 
-def verify_separation(
-    phase: PhaseSpec,
-    kind: str,
-    box: float = 16.0,
-    threshold: float = SEPARATION_THRESHOLD,
-) -> ConditionVerdict:
-    margin = separation_margin(phase, kind, box)
+def verify_separation(phase: PhaseSpec, kind: str) -> ConditionVerdict:
+    margin = separation_margin(phase, kind, 16.0)
     return ConditionVerdict(
-        f"separation-{kind}", threshold, margin, margin >= threshold
+        f"separation-{kind}",
+        SEPARATION_THRESHOLD,
+        margin,
+        margin >= SEPARATION_THRESHOLD,
     )
 
 
@@ -635,11 +632,9 @@ def check_phase(
     params: Optional[GrowthParams] = None,
     boxes=DEFAULT_BOXES,
     eps: float = 0.5,
-    separation_box: float = 16.0,
-    separation_threshold: float = SEPARATION_THRESHOLD,
 ) -> list:
     """All condition verdicts for one phase: growth, Hessian, separation."""
     rows = verify_growth(phase, params, boxes, eps)
-    rows.append(verify_separation(phase, "x", separation_box, separation_threshold))
-    rows.append(verify_separation(phase, "xi", separation_box, separation_threshold))
+    rows.append(verify_separation(phase, "x"))
+    rows.append(verify_separation(phase, "xi"))
     return rows

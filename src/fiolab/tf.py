@@ -118,15 +118,15 @@ def stft_rows(
     return shifted_fft(prods, axes=(1,)) * f.grid.spacing
 
 
-def stft(f: SampledFunction, g: SampledFunction, budget=None) -> TFMatrix:
+def stft(f: SampledFunction, g: SampledFunction) -> TFMatrix:
     """Full STFT matrix of ``f`` with window ``g`` (both 1D, same grid).
 
-    The matrix holds n^2 complex values; when that exceeds ``budget``
-    (default ``grid.MATRIX_BUDGET``) a :class:`ResourceError` names the
-    largest admissible n. The streaming norm routines have no such limit.
+    The matrix holds n^2 complex values; when that exceeds
+    ``grid.MATRIX_BUDGET`` a :class:`ResourceError` names the largest
+    admissible n. The streaming norm routines have no such limit.
     """
     n = f.grid.n
-    check_matrix_budget(n, "stft", budget)
+    check_matrix_budget(n, "stft")
     rows = stft_rows(f, g, np.arange(n))
     return TFMatrix(f.grid, f.grid.dual(), rows)
 

@@ -188,6 +188,9 @@ BAD_ARGV = [
     ["sweep", "--theorem", "thm1", "--ns", "4,x", "--out", "rows.csv"],
     ["norm", "--signal", "train:count=abc", "--space", "p=2"],
     ["norm", "--signal", "gauss", "--grid-n", "0", "--space", "p=2"],
+    ["norm", "--signal", "bump:radius=0", "--space", "p=2"],
+    ["norm", "--signal", "bump:radius=-1", "--space", "p=2"],
+    ["norm", "--signal", "bump:radius=nan", "--space", "p=2"],
 ]
 
 

@@ -79,9 +79,6 @@ def test_bandlimit_leakage_and_gate(small):
         ensure_bandlimited(wave)
     with pytest.raises(ValidationError):
         apply_fio(wave, constant_symbol(), bilinear())
-    # the gate can be bypassed for deliberately rough inputs
-    out = apply_fio(wave, constant_symbol(), bilinear(), check=False)
-    assert np.allclose(out.samples, wave.samples, atol=1e-10)
     g2 = Grid(2, 8, 0.5)
     with pytest.raises(StructuralError):
         bandlimit_leakage(SampledFunction2D(g2, np.ones((8, 8), complex)))
