@@ -106,6 +106,8 @@ def _build_signal(spec_text: str, grid: Grid) -> SampledFunction:
     if kind == "bump":
         radius = pop("radius", 1.0)
         center = pop("center", 0.0)
+        if not np.isfinite(center):
+            raise ValidationError(f"bump parameter center must be finite, got {center}")
         freq = pop("freq", 0.0)
         _reject_extras(kind, params)
         x = grid.axis()

@@ -61,12 +61,12 @@ from .grid import Grid, SampledFunction, bracket, fourier_transform
 from .phase import (
     MINUS_INF,
     GrowthParams,
+    PhaseSpec,
     bracket_power,
     k_alpha,
     mild_growth,
     mollifier,
     nonseparated_x,
-    separable_phase,
 )
 from .spaces import (
     SpaceSpec,
@@ -618,7 +618,7 @@ def _chirp_phase(alpha: float):
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     if alpha < 1.0:
         return nonseparated_x(alpha)
-    return separable_phase(
+    return PhaseSpec(
         "nonseparated_x[alpha=1]",
         GrowthParams(alpha=1.0),
         mu_x_triple=bracket_power(1.0),

@@ -282,26 +282,23 @@ def dispersive_sup(
     phi_dd: Callable,
     g: Bump,
     lam: float,
-    grid: Optional[Grid] = None,
-    curvature_floor: float = 0.1,
 ) -> float:
     """sup over x of the inverse transform of g(xi) exp(i lam phi(xi)).
 
     The phase must be genuinely curved where g lives: |phi''| is
-    required to stay above ``curvature_floor`` on the support of g.
+    required to stay above 0.1 on the support of g.
     At lam = 0 this is the sup norm of the inverse transform of g; for
     large lam stationary phase spreads the mass and the sup decays
     like lam^(-1/2).
     """
-    grid = grid if grid is not None else default_dispersive_grid()
-    dual = grid.dual()
+    dual = default_dispersive_grid().dual()
     xi = dual.axis()
     inside = np.abs(xi) <= g.radius
     curv = np.abs(np.asarray(phi_dd(xi[inside]), dtype=float))
-    if curv.size and float(curv.min()) < curvature_floor:
+    if curv.size and float(curv.min()) < 0.1:
         raise ValidationError(
             f"phase curvature {float(curv.min()):.3g} drops below "
-            f"{curvature_floor:g} on the bump support"
+            "0.1 on the bump support"
         )
     ghat = np.asarray(g(xi), dtype=float) * np.exp(
         1j * float(lam) * np.asarray(phi(xi), dtype=float)

@@ -3,8 +3,9 @@
 An operator here is determined by a symbol sigma(x, xi) and a phase
 Phi(x, xi): it maps f to the Riemann sum over the dual grid of
 sigma * fhat * exp(2 pi i Phi). Three independent realizations are
-provided: the direct quadrature, a fast path for separable data, and
-an integral kernel obtained by transforming the symbol-phase matrix in
+provided: the direct quadrature, a fast path through the separable
+parts of symbol and phase when the phase's coupling is 0 or 1, and an
+integral kernel obtained by transforming the symbol-phase matrix in
 its second slot. They agree to round-off on band-limited inputs, which
 is the working correctness check for everything built on top.
 """
@@ -12,7 +13,7 @@ is the working correctness check for everything built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -53,23 +54,28 @@ _ROW_CHUNK_ENTRIES = 1 << 22
 
 @dataclass(frozen=True)
 class SymbolSpec:
-    """Symbol sigma(x, xi) with optional separable factorization.
+    """Symbol sigma(x, xi) = sigma1(x) * sigma2(xi) = <x>^(-s1) <xi>^(-s2).
 
-    When sigma(x, xi) = sigma1(x) * sigma2(xi) the two factors are set
-    and fast operator paths may use them; (s1, s2) record the declared
-    polynomial decay rates in x and xi.
+    The decay rates (s1, s2) are the data; the two factors and their
+    product are methods, and fast operator paths use the factors.
     """
 
     name: str
-    eval: Callable
-    sigma1: Optional[Callable] = None
-    sigma2: Optional[Callable] = None
     s1: float = 0.0
     s2: float = 0.0
 
-    @property
-    def separable(self) -> bool:
-        return self.sigma1 is not None and self.sigma2 is not None
+    def __post_init__(self):
+        if not (np.isfinite(self.s1) and np.isfinite(self.s2)):
+            raise DomainError(f"decay rates must be finite, got {self.s1}, {self.s2}")
+
+    def sigma1(self, x):
+        return bracket(x) ** (-self.s1)
+
+    def sigma2(self, xi):
+        return bracket(xi) ** (-self.s2)
+
+    def eval(self, x, xi):
+        return self.sigma1(x) * self.sigma2(xi)
 
     def describe(self) -> str:
         return self.name
@@ -77,37 +83,14 @@ class SymbolSpec:
 
 def constant_symbol() -> SymbolSpec:
     """sigma identically 1."""
-
-    def one(u):
-        return np.ones_like(np.asarray(u, dtype=float))
-
-    def evaluate(x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return np.ones(np.broadcast(x, xi).shape)
-
-    return SymbolSpec("constant", evaluate, one, one, 0.0, 0.0)
+    return SymbolSpec("constant")
 
 
 def decaying_symbol(s1: float, s2: float) -> SymbolSpec:
     """sigma(x, xi) = <x>^(-s1) <xi>^(-s2)."""
     s1 = float(s1)
     s2 = float(s2)
-    if not (np.isfinite(s1) and np.isfinite(s2)):
-        raise DomainError(f"decay rates must be finite, got {s1}, {s2}")
-
-    def sigma1(x):
-        return bracket(x) ** (-s1)
-
-    def sigma2(xi):
-        return bracket(xi) ** (-s2)
-
-    def evaluate(x, xi):
-        return sigma1(x) * sigma2(xi)
-
-    return SymbolSpec(
-        f"decaying[s1={s1:g},s2={s2:g}]", evaluate, sigma1, sigma2, s1, s2
-    )
+    return SymbolSpec(f"decaying[s1={s1:g},s2={s2:g}]", s1, s2)
 
 
 BUILTIN_SYMBOLS = {
@@ -155,14 +138,16 @@ def ensure_bandlimited(f: SampledFunction):
     _checked_transform(f)
 
 
-def _phase_matrix_rows(symbol, phase, x_rows, xi):
-    """sigma * exp(2 pi i Phi) on a block of x rows against all xi."""
-    X = x_rows[:, None]
-    XI = xi[None, :]
-    sig = np.asarray(symbol.eval(X, XI), dtype=float)
-    ph = np.asarray(phase.eval(X, XI), dtype=float)
-    block = sig * np.exp(2j * np.pi * ph)
-    return np.broadcast_to(block, (x_rows.size, xi.size))
+def _phase_matrix_blocks(symbol, phase, x, xi):
+    """(rows, sigma * exp(2 pi i Phi)) over blocks of the x rows, each
+    block against all xi; ``rows`` is the block's slice of x."""
+    chunk = max(1, _ROW_CHUNK_ENTRIES // x.size)
+    for start in range(0, x.size, chunk):
+        X = x[start : start + chunk, None]
+        XI = xi[None, :]
+        sig = np.asarray(symbol.eval(X, XI), dtype=float)
+        ph = np.asarray(phase.eval(X, XI), dtype=float)
+        yield slice(start, start + X.size), sig * np.exp(2j * np.pi * ph)
 
 
 def apply_fio(
@@ -176,9 +161,9 @@ def apply_fio(
     The returned samples are Tf(x_j) = sum_m sigma(x_j, xi_m)
     fhat(xi_m) exp(2 pi i Phi(x_j, xi_m)) d xi. Inputs must be
     band-limited to half Nyquist so that the cyclic quadrature matches
-    the line integral it stands for. Separable symbol and phase take a
-    fast path through one inverse transform; ``force_direct`` keeps the
-    O(n^2) quadrature for cross-checks.
+    the line integral it stands for. Phases with coupling 0 or 1 take a
+    fast path through at most one inverse transform; ``force_direct``
+    keeps the O(n^2) quadrature for cross-checks.
     """
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
@@ -211,13 +196,7 @@ def _apply_transformed(grid, fhat, symbol, phase, force_direct=False):
     xi = fhat.grid.axis()
     x = grid.axis()
 
-    use_fast = (
-        not force_direct
-        and symbol.separable
-        and phase.separable
-        and phase.coupling in (0.0, 1.0)
-    )
-    if use_fast:
+    if not force_direct and phase.coupling in (0, 1):
         weighted = (
             np.asarray(symbol.sigma2(xi), dtype=float)
             * np.exp(2j * np.pi * np.asarray(phase.mu_xi(xi), dtype=float))
@@ -236,14 +215,10 @@ def _apply_transformed(grid, fhat, symbol, phase, force_direct=False):
             out = front * constant
         return SampledFunction(grid, out)
 
-    n = grid.n
-    chunk = max(1, _ROW_CHUNK_ENTRIES // n)
-    out = np.empty(n, dtype=complex)
+    out = np.empty(grid.n, dtype=complex)
     coeffs = fhat.samples * fhat.grid.cell_measure()
-    for start in range(0, n, chunk):
-        rows = x[start : start + chunk]
-        block = _phase_matrix_rows(symbol, phase, rows, xi)
-        out[start : start + rows.size] = block @ coeffs
+    for rows, block in _phase_matrix_blocks(symbol, phase, x, xi):
+        out[rows] = block @ coeffs
     return SampledFunction(grid, out)
 
 
@@ -276,13 +251,9 @@ def kernel(symbol: SymbolSpec, phase: PhaseSpec, grid: Grid) -> np.ndarray:
     x = grid.axis()
     dual = grid.dual()
     xi = dual.axis()
-    n = grid.n
-    chunk = max(1, _ROW_CHUNK_ENTRIES // n)
-    K = np.empty((n, n), dtype=complex)
-    for start in range(0, n, chunk):
-        rows = x[start : start + chunk]
-        block = _phase_matrix_rows(symbol, phase, rows, xi)
-        K[start : start + rows.size] = shifted_fft(block, axes=(1,)) * dual.spacing
+    K = np.empty((grid.n, grid.n), dtype=complex)
+    for rows, block in _phase_matrix_blocks(symbol, phase, x, xi):
+        K[rows] = shifted_fft(block, axes=(1,)) * dual.spacing
     return K
 
 
@@ -313,11 +284,7 @@ def weak_pairing(
     x = f.grid.axis()
     coeffs = fhat.samples * fhat.grid.cell_measure()
     gbar = np.conj(g.samples) * f.grid.cell_measure()
-    n = f.grid.n
-    chunk = max(1, _ROW_CHUNK_ENTRIES // n)
     total = 0.0 + 0.0j
-    for start in range(0, n, chunk):
-        rows = x[start : start + chunk]
-        block = _phase_matrix_rows(symbol, phase, rows, xi)
-        total += gbar[start : start + rows.size] @ (block @ coeffs)
+    for rows, block in _phase_matrix_blocks(symbol, phase, x, xi):
+        total += gbar[rows] @ (block @ coeffs)
     return complex(total)

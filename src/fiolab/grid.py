@@ -82,9 +82,9 @@ class Grid:
         return f"d={self.dim} n={self.n} L={self.half_length:g}"
 
 
-def default_grid(dim: int = 1, n: int = 512, half_length: float = 16.0) -> Grid:
+def default_grid() -> Grid:
     """The default desk grid: n=512 points on [-16, 16)."""
-    return Grid(dim, n, 2.0 * half_length / n)
+    return Grid(1, 512, 2.0 * 16.0 / 512)
 
 
 class SampledFunction:

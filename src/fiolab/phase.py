@@ -1,11 +1,15 @@
 """Phase functions and numerical verifiers for their growth geometry.
 
-A phase is a real function of (x, xi) with analytic first and second
-derivatives. The verifiers measure three things on nested boxes: how
-fast the position gradient grows, whether weighted second derivatives
-stay bounded, and whether lattice-separated points keep their phase
-gradients apart. Declared growth parameters are checked by comparing
-these measurements across boxes; a sound declaration gives box-stable
+A phase is mu_x(x) + mu_xi(xi) + coupling * x * xi, stored as its two
+one-variable parts, each with analytic first and second derivatives,
+and the coupling constant; the phase, its gradient and its Hessian are
+derived from those. The verifiers measure three things on nested
+boxes: how fast the position gradient grows, whether weighted second
+derivatives stay bounded, and whether lattice-separated points keep
+their phase gradients apart. Each Hessian block is a product of one
+function of x and one of xi, so its local spectrum is a product of two
+1-D spectra. Declared growth parameters are checked by comparing these
+measurements across boxes; a sound declaration gives box-stable
 values, an understated one grows with the box.
 """
 
@@ -14,7 +18,7 @@ from __future__ import annotations
 import inspect
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +31,6 @@ __all__ = [
     "PhaseSpec",
     "PartitionSpec",
     "mollifier",
-    "separable_phase",
     "bilinear",
     "mild_growth",
     "nonseparated_x",
@@ -80,8 +83,8 @@ class GrowthParams:
                 f"alpha must lie in [0, 1] or be the -inf sentinel, got {self.alpha}"
             )
         for name, val in (("t1", self.t1), ("t2", self.t2)):
-            if not (val >= 0):
-                raise DomainError(f"{name} must be nonnegative, got {val}")
+            if not (0 <= val < np.inf):
+                raise DomainError(f"{name} must be nonnegative and finite, got {val}")
 
     @property
     def regime(self) -> str:
@@ -98,40 +101,63 @@ class GrowthParams:
         )
 
 
+def _zero(u):
+    return np.zeros_like(np.asarray(u, dtype=float))
+
+
 @dataclass(frozen=True)
 class PhaseSpec:
-    """A phase with analytic derivatives and a declared growth class.
+    """The phase mu_x(x) + mu_xi(xi) + coupling * x * xi and its declared
+    growth class.
 
-    All callables are vectorized over numpy arrays and broadcast their
-    two arguments. When the phase splits as mu_x(x) + mu_xi(xi) +
-    coupling * x * xi the three split fields are set and operator
-    application may use the split directly; ``coupling`` is None for
-    phases without that structure.
+    Each part is a triple (f, f', f'') of vectorized functions of one
+    variable; a missing part is zero. The phase, its gradient and its
+    Hessian are methods derived from the parts, broadcasting their two
+    arguments.
     """
 
     name: str
-    eval: Callable
-    grad_x: Callable
-    grad_xi: Callable
-    hess_xx: Callable
-    hess_xxi: Callable
-    hess_xixi: Callable
     declared: GrowthParams
-    mu_x: Optional[Callable] = None
-    mu_xi: Optional[Callable] = None
-    coupling: Optional[float] = None
+    mu_x_triple: tuple = (_zero, _zero, _zero)
+    mu_xi_triple: tuple = (_zero, _zero, _zero)
+    coupling: float = 0.0
 
-    @property
-    def separable(self) -> bool:
-        return self.coupling is not None
+    def mu_x(self, x):
+        return self.mu_x_triple[0](x)
+
+    def mu_xi(self, xi):
+        return self.mu_xi_triple[0](xi)
+
+    def eval(self, x, xi):
+        x = np.asarray(x, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        return self.mu_x(x) + self.mu_xi(xi) + self.coupling * x * xi
+
+    def grad_x(self, x, xi):
+        x = np.asarray(x, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        return self.mu_x_triple[1](x) + self.coupling * xi + 0.0 * x
+
+    def grad_xi(self, x, xi):
+        x = np.asarray(x, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        return self.mu_xi_triple[1](xi) + self.coupling * x + 0.0 * xi
+
+    def hess_xx(self, x, xi):
+        x = np.asarray(x, dtype=float)
+        return self.mu_x_triple[2](x) + 0.0 * np.asarray(xi, dtype=float)
+
+    def hess_xxi(self, x, xi):
+        x = np.asarray(x, dtype=float)
+        xi = np.asarray(xi, dtype=float)
+        return self.coupling + 0.0 * x + 0.0 * xi
+
+    def hess_xixi(self, x, xi):
+        xi = np.asarray(xi, dtype=float)
+        return self.mu_xi_triple[2](xi) + 0.0 * np.asarray(x, dtype=float)
 
     def describe(self) -> str:
         return self.name
-
-
-def _zero_triple():
-    zero = lambda u: np.zeros_like(np.asarray(u, dtype=float))
-    return zero, zero, zero
 
 
 def bracket_power(beta: float, scale: float = 1.0):
@@ -153,71 +179,16 @@ def bracket_power(beta: float, scale: float = 1.0):
     return f, df, d2f
 
 
-def separable_phase(
-    name: str,
-    declared: GrowthParams,
-    mu_x_triple=None,
-    mu_xi_triple=None,
-    coupling: float = 0.0,
-) -> PhaseSpec:
-    """Phase mu_x(x) + mu_xi(xi) + coupling * x * xi with derived calculus."""
-    mx, dmx, d2mx = mu_x_triple if mu_x_triple is not None else _zero_triple()
-    mxi, dmxi, d2mxi = mu_xi_triple if mu_xi_triple is not None else _zero_triple()
-    c = float(coupling)
-
-    def evaluate(x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return mx(x) + mxi(xi) + c * x * xi
-
-    def grad_x(x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return dmx(x) + c * xi + 0.0 * x
-
-    def grad_xi(x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return dmxi(xi) + c * x + 0.0 * xi
-
-    def hess_xx(x, xi):
-        x = np.asarray(x, dtype=float)
-        return d2mx(x) + 0.0 * np.asarray(xi, dtype=float)
-
-    def hess_xxi(x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return c + 0.0 * x + 0.0 * xi
-
-    def hess_xixi(x, xi):
-        xi = np.asarray(xi, dtype=float)
-        return d2mxi(xi) + 0.0 * np.asarray(x, dtype=float)
-
-    return PhaseSpec(
-        name=name,
-        eval=evaluate,
-        grad_x=grad_x,
-        grad_xi=grad_xi,
-        hess_xx=hess_xx,
-        hess_xxi=hess_xxi,
-        hess_xixi=hess_xixi,
-        declared=declared,
-        mu_x=mx,
-        mu_xi=mxi,
-        coupling=c,
-    )
-
-
 def bilinear() -> PhaseSpec:
     """Phase x * xi; the operator it induces is the identity."""
-    return separable_phase("bilinear", GrowthParams(alpha=1.0), coupling=1.0)
+    return PhaseSpec("bilinear", GrowthParams(alpha=1.0), coupling=1.0)
 
 
 def mild_growth(alpha: float) -> PhaseSpec:
     """Phase <x>^(2-alpha) + x*xi: sublinear gradient growth, separated."""
     if not (0.0 <= alpha < 1.0):
         raise DomainError(f"mild growth needs alpha in [0, 1), got {alpha}")
-    return separable_phase(
+    return PhaseSpec(
         f"mild_growth[alpha={alpha:g}]",
         GrowthParams(alpha=alpha),
         mu_x_triple=bracket_power(2.0 - alpha),
@@ -229,7 +200,7 @@ def nonseparated_x(alpha: float) -> PhaseSpec:
     """Phase <x>^(2-alpha) alone: the frequency gradient forgets x."""
     if not (0.0 <= alpha < 1.0):
         raise DomainError(f"nonseparated_x needs alpha in [0, 1), got {alpha}")
-    return separable_phase(
+    return PhaseSpec(
         f"nonseparated_x[alpha={alpha:g}]",
         GrowthParams(alpha=alpha),
         mu_x_triple=bracket_power(2.0 - alpha),
@@ -270,7 +241,7 @@ def nonseparated_xi(radius: float = 1.0) -> PhaseSpec:
         ) / (radius * radius)
         return out
 
-    return separable_phase(
+    return PhaseSpec(
         f"nonseparated_xi[radius={radius:g}]",
         GrowthParams(alpha=1.0),
         mu_xi_triple=(f, df, d2f),
@@ -280,10 +251,12 @@ def nonseparated_xi(radius: float = 1.0) -> PhaseSpec:
 
 def high_growth(t1: float, t2: float) -> PhaseSpec:
     """Phase (<x>^(2+t1) + <xi>^(2+t2))/(2 pi) + x*xi."""
-    if not (t1 >= 0 and t2 >= 0):
-        raise DomainError(f"growth exponents must be nonnegative, got {t1}, {t2}")
+    if not (0 <= t1 < np.inf and 0 <= t2 < np.inf):
+        raise DomainError(
+            f"growth exponents must be nonnegative and finite, got {t1}, {t2}"
+        )
     scale = 1.0 / (2.0 * np.pi)
-    return separable_phase(
+    return PhaseSpec(
         f"high_growth[t1={t1:g},t2={t2:g}]",
         GrowthParams(alpha=MINUS_INF, t1=t1, t2=t2),
         mu_x_triple=bracket_power(2.0 + t1, scale),
@@ -333,8 +306,8 @@ def make_phase(kind: str, **params) -> PhaseSpec:
 
 def mollifier(x, radius: float = 1.0):
     """Smooth bump supported on |x| < radius with value 1 at the origin."""
-    if not (radius > 0):
-        raise DomainError(f"bump radius must be positive, got {radius}")
+    if not (0 < radius < np.inf):
+        raise DomainError(f"bump radius must be positive and finite, got {radius}")
     v = np.asarray(x, dtype=float) / radius
     out = np.zeros_like(v)
     inside = np.abs(v) < 1.0
@@ -401,8 +374,8 @@ def growth_ratio_x(phase: PhaseSpec, alpha: float, box: float) -> float:
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     L = float(box)
-    if not (L > 0):
-        raise DomainError(f"box must be positive, got {box}")
+    if not (0 < L < np.inf):
+        raise DomainError(f"box must be positive and finite, got {box}")
     x = np.linspace(-L, L, 2 * int(L * 8) + 1)  # 8 samples per unit
     xi = np.array([-L, -L / 2.0, 0.0, L / 2.0, L])
     X = x[:, None]
@@ -429,51 +402,39 @@ def second_derivative_bounds(
     the xixi-block, C the unweighted mixed block. Each is the maximum
     over unit cells of the frequency-weighted sup of the local spectrum
     of the partition-localized block, the sampled stand-in for a sup of
-    windowed norms over the plane.
+    windowed norms over the plane. On the cell at (k, l) the xx-block
+    localizes to mu_x''(k+y) <k+y>^(-t1) eta(y) times eta(y'); the
+    local spectrum of such a product is the product of the two 1-D
+    spectra, and so is its weighted sup. The xixi-block is the mirror
+    image and the mixed block is coupling * eta(y) eta(y').
     """
-    if not (eps >= 0):
-        raise DomainError(f"eps must be nonnegative, got {eps}")
+    if not (0 <= eps < np.inf):
+        raise DomainError(f"eps must be nonnegative and finite, got {eps}")
     for name, val in (("t1", t1), ("t2", t2)):
-        if not (val >= 0):
-            raise DomainError(f"{name} must be nonnegative, got {val}")
+        if not (0 <= val < np.inf):
+            raise DomainError(f"{name} must be nonnegative and finite, got {val}")
+    if not np.isfinite(box):
+        raise DomainError(f"box must be finite, got {box}")
     L = int(round(float(box)))
     if L < 1:
         raise DomainError(f"box must be at least 1, got {box}")
-    m, chunk = 32, 2048  # samples per cell side, cells per block
+    m = 32  # samples per cell side
     h = 2.0 / m
     off = (np.arange(m) - m // 2) * h
-    eta1d = _PARTITION.eta(off, 0)
-    eta2d = eta1d[:, None] * eta1d[None, :]
+    eta = _PARTITION.eta(off, 0)
     zeta = (np.arange(m) - m // 2) / (m * h)
-    w1d = bracket(zeta) ** (1.0 + eps)
-    w2d = w1d[:, None] * w1d[None, :]
+    weight = bracket(zeta) ** (1.0 + eps)
 
-    centers = np.arange(-L, L + 1, dtype=float)
-    KX, KXI = np.meshgrid(centers, centers, indexing="ij")
-    kx = KX.ravel()
-    kxi = KXI.ravel()
+    def weighted_sup(rows):
+        """Largest weighted 1-D local spectrum of eta times each row."""
+        spec = shifted_fft(rows * eta, axes=(-1,)) * h
+        return float((np.abs(spec) * weight).max())
 
-    def weighted_block(block, x, xi):
-        if block == "xx":
-            return np.asarray(phase.hess_xx(x, xi), dtype=float) * bracket(x) ** (-t1)
-        if block == "xixi":
-            return np.asarray(phase.hess_xixi(x, xi), dtype=float) * bracket(xi) ** (-t2)
-        return np.asarray(phase.hess_xxi(x, xi), dtype=float) + 0.0 * x + 0.0 * xi
-
-    results = {}
-    for block in ("xx", "xixi", "xxi"):
-        best = 0.0
-        for start in range(0, kx.size, chunk):
-            sl = slice(start, start + chunk)
-            X = kx[sl][:, None, None] + off[None, :, None]
-            XI = kxi[sl][:, None, None] + off[None, None, :]
-            piece = weighted_block(block, X, XI) * eta2d[None, :, :]
-            piece = np.broadcast_to(piece, (piece.shape[0], m, m))
-            spec = shifted_fft(piece, axes=(-2, -1)) * (h * h)
-            vals = np.abs(spec) * w2d[None, :, :]
-            best = max(best, float(vals.max()))
-        results[block] = best
-    return results["xx"], results["xixi"], results["xxi"]
+    e = weighted_sup(np.ones(m))
+    u = np.arange(-L, L + 1, dtype=float)[:, None] + off[None, :]
+    xx = np.asarray(phase.mu_x_triple[2](u), dtype=float) * bracket(u) ** (-t1)
+    xixi = np.asarray(phase.mu_xi_triple[2](u), dtype=float) * bracket(u) ** (-t2)
+    return weighted_sup(xx) * e, weighted_sup(xixi) * e, abs(phase.coupling) * e * e
 
 
 def separation_margin(phase: PhaseSpec, kind: str, box: float) -> float:
@@ -486,8 +447,8 @@ def separation_margin(phase: PhaseSpec, kind: str, box: float) -> float:
     if kind not in ("x", "xi"):
         raise DomainError(f"separation type must be 'x' or 'xi', got {kind!r}")
     L = float(box)
-    if not (L >= 1):
-        raise DomainError(f"box must be at least 1, got {box}")
+    if not (1 <= L < np.inf):
+        raise DomainError(f"box must be finite and at least 1, got {box}")
     pts = np.arange(-int(L), int(L) + 1, dtype=float)
     shared = np.array([-L / 2.0, 0.0, L / 2.0])
     margin = np.inf
@@ -629,12 +590,11 @@ def verify_separation(phase: PhaseSpec, kind: str) -> ConditionVerdict:
 
 def check_phase(
     phase: PhaseSpec,
-    params: Optional[GrowthParams] = None,
     boxes=DEFAULT_BOXES,
     eps: float = 0.5,
 ) -> list:
     """All condition verdicts for one phase: growth, Hessian, separation."""
-    rows = verify_growth(phase, params, boxes, eps)
+    rows = verify_growth(phase, boxes=boxes, eps=eps)
     rows.append(verify_separation(phase, "x"))
     rows.append(verify_separation(phase, "xi"))
     return rows

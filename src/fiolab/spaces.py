@@ -63,6 +63,10 @@ class Weight:
     s: float = 0.0
     t: float = 0.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.s) and np.isfinite(self.t)):
+            raise DomainError(f"weight exponents must be finite, got {self.s}, {self.t}")
+
     def __call__(self, z1, z2):
         return bracket(z1) ** self.s * bracket(z2) ** self.t
 

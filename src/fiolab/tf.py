@@ -49,8 +49,8 @@ def window_width(window_id: str) -> float:
         sigma = float(arg)
     except ValueError:
         raise ValidationError(f"bad window width in {window_id!r}") from None
-    if not (sigma > 0):
-        raise ValidationError(f"window width must be positive, got {sigma}")
+    if not (0 < sigma < np.inf):
+        raise ValidationError(f"window width must be positive and finite, got {sigma}")
     return sigma
 
 

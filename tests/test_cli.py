@@ -1,5 +1,6 @@
 """Exit codes and text output of the command line front end."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -191,6 +192,14 @@ BAD_ARGV = [
     ["norm", "--signal", "bump:radius=0", "--space", "p=2"],
     ["norm", "--signal", "bump:radius=-1", "--space", "p=2"],
     ["norm", "--signal", "bump:radius=nan", "--space", "p=2"],
+    ["norm", "--signal", "bump:radius=inf", "--space", "p=2"],
+    ["norm", "--signal", "bump:center=nan", "--space", "p=2"],
+    ["norm", "--signal", "bump:center=inf", "--space", "p=2"],
+    ["norm", "--signal", "gauss:sigma=inf", "--space", "p=2"],
+    ["norm", "--signal", "gauss", "--space", "p=2,s=nan"],
+    ["norm", "--signal", "gauss", "--space", "p=2,t=inf"],
+    ["check", "--phase", "high_growth:t1=inf,t2=0"],
+    ["check", "--phase", "bilinear", "--eps", "inf"],
 ]
 
 
@@ -201,3 +210,57 @@ def test_malformed_input_is_exit_2(argv, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# sha256 prefixes of stdout recorded before phases and symbols were
+# stored as their separable parts: (fast, --direct) per (symbol, phase)
+# on gauss:sigma=2 at n = 256, and (exit code, digest) per checked phase
+APPLY_PINS = {
+    ("constant", "bilinear"):
+        ("2e4c3cf34d3c89f2", "9b3577d277b1513e"),
+    ("decaying:s1=1,s2=0.5", "bilinear"):
+        ("84e902bbe9d521c8", "81b89462f0245734"),
+    ("constant", "mild_growth:alpha=0.5"):
+        ("0fae6a5053a3770e", "5ad9a7e33ddce91a"),
+    ("decaying:s1=1,s2=0.5", "mild_growth:alpha=0.5"):
+        ("81d1aee59dd9532e", "1a04ce549756ce2c"),
+    ("constant", "nonseparated_x:alpha=0.5"):
+        ("3fb10c0d1c3d6099", "e0462e77d6582941"),
+    ("decaying:s1=1,s2=0.5", "nonseparated_x:alpha=0.5"):
+        ("7c4203ee8fafc793", "650e1a41a1c6902f"),
+    ("constant", "nonseparated_xi:radius=1"):
+        ("1cc32c33d7bae686", "1cc32c33d7bae686"),
+    ("decaying:s1=1,s2=0.5", "nonseparated_xi:radius=1"):
+        ("73defc19a291da7f", "3a1626ea74b8d45c"),
+    ("constant", "high_growth:t1=1,t2=1"):
+        ("8f0afd32dbf28f57", "577eac7a38deeda6"),
+    ("decaying:s1=1,s2=0.5", "high_growth:t1=1,t2=1"):
+        ("dbc975f39652c83e", "99c84225e77ee640"),
+}
+CHECK_PINS = {
+    "bilinear": (0, "b910f5ac50a531b2"),
+    "mild_growth:alpha=0.5": (0, "f89580a7fb2900d3"),
+    "mild_growth:alpha=0": (0, "e4d211b13934a4d3"),
+    "high_growth:t1=1,t2=1": (0, "7e49f9cdecd60217"),
+    "nonseparated_x:alpha=0.5": (2, "e768513d597de54d"),
+    "nonseparated_xi:radius=1": (2, "44d62d88ee26235e"),
+}
+
+
+def _stdout_digest(capsys) -> str:
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["fast", "direct"])
+@pytest.mark.parametrize("symbol, phase", list(APPLY_PINS))
+def test_apply_output_bytes_are_pinned(symbol, phase, direct, capsys):
+    argv = ["apply", "--signal", "gauss:sigma=2", "--grid-n", "256",
+            "--symbol", symbol, "--phase", phase]
+    assert main(argv + ["--direct"] * direct) == 0
+    assert _stdout_digest(capsys) == APPLY_PINS[symbol, phase][direct]
+
+
+@pytest.mark.parametrize("phase", list(CHECK_PINS))
+def test_check_output_bytes_are_pinned(phase, capsys):
+    code = main(["check", "--phase", phase, "--eps", "0.5"])
+    assert (code, _stdout_digest(capsys)) == CHECK_PINS[phase]

@@ -28,7 +28,7 @@ from fiolab import (
     make_symbol,
     mild_growth,
     nonseparated_xi,
-    separable_phase,
+    PhaseSpec,
     weak_pairing,
 )
 from fiolab.phase import GrowthParams
@@ -46,7 +46,6 @@ def small():
 def test_symbol_values():
     sym = constant_symbol()
     assert np.all(sym.eval(np.zeros(3), np.arange(3.0)) == 1.0)
-    assert sym.separable
     dec = decaying_symbol(0.5, 1.5)
     x = np.array([0.0, 3.0])
     xi = np.array([4.0, 0.0])
@@ -120,7 +119,7 @@ def test_frequency_only_phase_gives_constant_output(small):
 def test_frequency_chirp_matches_multiplier(small):
     grid, f = small
     trip = bracket_power(0.5)
-    ph = separable_phase(
+    ph = PhaseSpec(
         "freq_chirp", GrowthParams(alpha=1.0), mu_xi_triple=trip, coupling=1.0
     )
     out = apply_fio(f, constant_symbol(), ph)

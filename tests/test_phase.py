@@ -21,12 +21,13 @@ from fiolab import (
     nonseparated_x,
     nonseparated_xi,
     sep_deviation,
-    separable_phase,
+    PhaseSpec,
     separation_margin,
     taylor_remainder,
     verify_growth,
     verify_separation,
 )
+from fiolab.grid import bracket, shifted_fft
 from fiolab.phase import (
     DEFAULT_BOXES,
     MINUS_INF,
@@ -130,7 +131,7 @@ def test_partition_sums_to_one():
 def test_make_phase_and_builtin_names():
     ph = make_phase("mild_growth", alpha=0.5)
     assert "mild_growth" in ph.describe()
-    assert ph.separable and ph.coupling == 1.0
+    assert ph.coupling == 1.0
     assert make_phase("bilinear").declared.regime == "low"
     with pytest.raises(DomainError):
         make_phase("cubic")
@@ -201,6 +202,63 @@ def test_second_derivative_bounds_validation():
         second_derivative_bounds(ph, -1.0, 0.0, 0.5, 8.0)
     with pytest.raises(DomainError):
         second_derivative_bounds(ph, 0.0, 0.0, 0.5, 0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            second_derivative_bounds(ph, 0.0, 0.0, 0.5, bad)
+        with pytest.raises(DomainError):
+            second_derivative_bounds(ph, 0.0, 0.0, bad, 8.0)
+        with pytest.raises(DomainError):
+            second_derivative_bounds(ph, bad, 0.0, 0.5, 8.0)
+    with pytest.raises(DomainError):
+        growth_ratio_x(ph, 1.0, float("inf"))
+    with pytest.raises(DomainError):
+        separation_margin(ph, "x", float("inf"))
+
+
+def _bounds_2d_reference(phase, t1, t2, eps, box):
+    """second_derivative_bounds taken cell by cell over the plane: the
+    2-D local spectrum of each partition-localized Hessian block."""
+    m = 32
+    h = 2.0 / m
+    off = (np.arange(m) - m // 2) * h
+    eta = PartitionSpec().eta(off, 0)
+    zeta = (np.arange(m) - m // 2) / (m * h)
+    weight = bracket(zeta) ** (1.0 + eps)
+    blocks = (
+        lambda x, xi: phase.hess_xx(x, xi) * bracket(x) ** (-t1),
+        lambda x, xi: phase.hess_xixi(x, xi) * bracket(xi) ** (-t2),
+        phase.hess_xxi,
+    )
+    cells = range(-int(box), int(box) + 1)
+    bounds = []
+    for block in blocks:
+        best = 0.0
+        for k in cells:
+            for l in cells:
+                piece = block(k + off[:, None], l + off[None, :]) * np.outer(eta, eta)
+                spec = shifted_fft(piece) * (h * h)
+                best = max(best, float((np.abs(spec) * np.outer(weight, weight)).max()))
+        bounds.append(best)
+    return bounds
+
+
+@pytest.mark.parametrize("box", [1.0, 2.0, 4.0])
+def test_second_derivative_bounds_match_2d_reference(box):
+    cases = [
+        bilinear(),
+        mild_growth(0.0),
+        mild_growth(0.5),
+        nonseparated_x(0.5),
+        nonseparated_xi(1.0),
+        high_growth(1.0, 1.0),
+        high_growth(0.5, 2.0),
+    ]
+    for ph in cases:
+        for t1, t2 in ((0.0, 0.0), (1.0, 0.5)):
+            for eps in (0.0, 0.5):
+                got = second_derivative_bounds(ph, t1, t2, eps, box)
+                want = _bounds_2d_reference(ph, t1, t2, eps, box)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_verify_growth_accepts_builtins():
