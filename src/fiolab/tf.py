@@ -30,6 +30,7 @@ __all__ = [
     "TFMatrix",
     "make_window",
     "stft",
+    "stft_rows",
     "fundamental_identity_residual",
     "tf_to_csv",
     "tf_from_csv",

@@ -1,4 +1,7 @@
-"""Shared fixtures: a varied sample corpus and band-limited generators."""
+"""Shared fixtures: a varied sample corpus, band-limited generators and
+the full default thm1 and thm2 sweeps."""
+
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from fiolab import (
     SampledFunction,
     inverse_fourier_transform,
     mollifier,
+    threshold_sweep,
 )
 
 
@@ -69,3 +73,15 @@ def grid256():
 @pytest.fixture(scope="session")
 def corpus256(grid256):
     return build_corpus(grid256)
+
+
+@pytest.fixture(scope="session")
+def default_sweeps():
+    """theorem -> (rows, seconds) of the full default thm1 and thm2
+    sweeps, run once per session for every test that reads them."""
+    out = {}
+    for theorem in ("thm1", "thm2"):
+        t0 = time.perf_counter()
+        rows = threshold_sweep(theorem)
+        out[theorem] = (rows, time.perf_counter() - t0)
+    return out

@@ -40,7 +40,6 @@ from fiolab import (
     nonseparated_xi,
     sequence_norm,
     stft,
-    threshold_sweep,
     thm3_predicate,
     verify_growth,
     weak_pairing,
@@ -258,12 +257,13 @@ def _sweep_stats(rows):
     )
 
 
-def test_criterion_6_threshold_separation():
-    t0 = time.perf_counter()
+def test_criterion_6_threshold_separation(default_sweeps):
+    elapsed = 0.0
     details = []
     ok = True
     for theorem in ("thm1", "thm2"):
-        rows = threshold_sweep(theorem)
+        rows, seconds = default_sweeps[theorem]
+        elapsed += seconds
         count, med_bnd, med_unb, frac_flat = _sweep_stats(rows)
         details.append(
             f"{theorem}: {count} tuples, medians {med_bnd:+.3f}/"
@@ -275,7 +275,6 @@ def test_criterion_6_threshold_separation():
         assert count >= 40
         assert med_unb - med_bnd >= 0.1
         assert frac_flat >= 0.8
-    elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1800
     _report(
         6,
