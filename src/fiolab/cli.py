@@ -65,7 +65,7 @@ def _number(text, what: str, cast=float):
     """``cast(text)``, or a ValidationError naming ``what``."""
     try:
         return cast(text)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} must be a number, got {text!r}") from None
 
 
@@ -118,14 +118,18 @@ def _build_signal(spec_text: str, grid: Grid) -> SampledFunction:
     if kind == "train":
         alpha = pop("alpha", 0.0)
         start = pop("start", 4, int)
-        count = pop("count", 8, int)
+        count = _train_length(pop("count", 8, int), grid)
         radius = pop("radius", 0.2)
         _reject_extras(kind, params)
+        if abs(start) + count > 2**53:
+            raise ValidationError(
+                f"train indices must stay within 2**53 in magnitude, got start={start}"
+            )
         a = CoefficientSeq.ones(start, count)
         h = Bump(radius, lambda u: mollifier(u, radius))
         return build_F(a, alpha, grid, h)
     if kind == "mtrain":
-        count = pop("count", 8, int)
+        count = _train_length(pop("count", 8, int), grid)
         radius = pop("radius", 0.3)
         _reject_extras(kind, params)
         a = CoefficientSeq.ones(0, count)
@@ -135,6 +139,16 @@ def _build_signal(spec_text: str, grid: Grid) -> SampledFunction:
         f"unknown signal kind {kind!r}; choose from bump, gauss, "
         f"mtrain, train"
     )
+
+
+def _train_length(count: int, grid: Grid) -> int:
+    """``count`` bumps, at most one per grid point: a longer train cannot
+    be resolved, and its index list alone could exhaust memory."""
+    if not 1 <= count <= grid.n:
+        raise ValidationError(
+            f"train count must lie in [1, {grid.n}] on this grid, got {count}"
+        )
+    return count
 
 
 def _reject_extras(kind: str, params: dict):

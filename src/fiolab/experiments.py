@@ -142,9 +142,15 @@ def fast_modulation_norms(
     block by block with their columns in FFT order, which the fold
     reduces in increasing-frequency order. Each block is one
     preallocated float array, filled by FFTs of sub-batches of about
-    2^20 entries, so only one sub-batch's gathered segments and spectra
-    are alive besides it; the FFT works row by row, so the batch size
-    does not change a byte.
+    2^20 entries. The segments are rows of a sliding-window view over
+    the span the windows cover: a slice of ``f.samples``, or one
+    wrapped copy of the span when a window crosses the grid's seam.
+    Runs of equally spaced rows are multiplied by the window straight
+    into one zero-padded sub-batch buffer, so no index array, gather or
+    padding copy is made, and only that buffer and one sub-batch's
+    spectra are alive besides the block. The FFT works row by row and
+    sees the same values as a padded gather would, so neither the batch
+    size nor the buffer changes a byte.
     """
     specs = list(specs)
     if not specs:
@@ -154,6 +160,12 @@ def fast_modulation_norms(
         raise ValidationError("all spaces must share one window")
     if f.dim != 1:
         raise ValidationError("fast norms handle one-dimensional samples")
+    if xi_step is not None and not 0.0 < xi_step < INF:
+        raise ValidationError(f"xi_step must be positive and finite, got {xi_step}")
+    if not 0.0 <= x_step < INF:
+        raise ValidationError(
+            f"x_step must be positive and finite, or 0 for the default, got {x_step}"
+        )
     sigma = window_width(window)
     grid = f.grid
     n, dx = grid.n, grid.spacing
@@ -186,8 +198,8 @@ def fast_modulation_norms(
         ]
     )
 
-    span = m if xi_step is None else max(m, 1.0 / (xi_step * dx))
-    m2 = 1 << int(math.ceil(math.log2(span)))
+    cols = m if xi_step is None else max(m, 1.0 / (xi_step * dx))
+    m2 = 1 << int(math.ceil(math.log2(cols)))
     off = np.arange(m) - m // 2
     gw = (2.0**0.25 / math.sqrt(sigma)) * np.exp(
         -np.pi * (off * dx / sigma) ** 2
@@ -195,15 +207,30 @@ def fast_modulation_norms(
     xi = (np.arange(m2) - m2 // 2) / (m2 * dx)
     dxi = 1.0 / (m2 * dx)
 
+    # the samples under every window, one window per row of the view:
+    # the window at shift j covers span[j - shifts[0] :][:m]
+    lo, hi = int(shifts[0]) - m // 2, int(shifts[-1]) - m // 2 + m
+    if lo >= 0 and hi <= n:
+        span = f.samples[lo:hi]
+    else:
+        span = f.samples.take(np.arange(lo, hi), mode="wrap")
+    windows = np.lib.stride_tricks.sliding_window_view(span, m)
+    starts = shifts - shifts[0]
     batch = max(1, _FFT_BATCH_ENTRIES // m2)
 
     def rows(sl):
-        picked = shifts[sl]
+        picked = starts[sl]
         wm = np.empty((picked.size, m2))
-        for lo in range(0, picked.size, batch):
-            seg = f.samples[(picked[lo : lo + batch, None] + off) % n]
-            seg *= gw
-            np.abs(np.fft.fft(seg, n=m2, axis=1), out=wm[lo : lo + batch])
+        buf = np.zeros((min(batch, picked.size), m2), dtype=complex)
+        for b0 in range(0, picked.size, batch):
+            run = picked[b0 : b0 + batch]
+            # runs of equally spaced windows are strided views of the span
+            cuts = np.flatnonzero(np.diff(run) != stride) + 1
+            for r0, r1 in zip([0, *cuts], [*cuts, run.size]):
+                src = windows[run[r0] : run[r1 - 1] + 1 : stride]
+                np.multiply(src, gw, out=buf[r0:r1, :m])
+            spec = np.fft.fft(buf[: run.size], axis=1)
+            np.abs(spec, out=wm[b0 : b0 + run.size])
         wm *= dx
         return wm
 
@@ -266,6 +293,10 @@ class ExperimentRow:
     def __post_init__(self):
         if self.verdict not in (VERDICT_BOUNDED, VERDICT_UNBOUNDED):
             raise ValidationError(f"unknown verdict {self.verdict!r}")
+        if not 0.0 < self.N < INF:
+            raise ValidationError(
+                f"family parameter N must be positive and finite, got {self.N}"
+            )
         for name in ("id", "verdict", "grid", "window"):
             val = getattr(self, name)
             if "," in val or "\n" in val:
@@ -605,12 +636,12 @@ _THM3_WINDOW = "gauss"
 _SPECTRAL_MARGIN = 200.0
 _TRAIN_BUMP_RADIUS = 0.25
 
-# a thm1 sweep whose largest grid has at least this many points runs
-# its family steps on _POOL_WORKERS processes. On a 2-CPU host, forking
-# made a three-tuple sweep with grids up to 2^16 points 0.07 s slower
+# a sweep whose largest grid has at least this many points runs its
+# family steps on _POOL_WORKERS processes. On a 2-CPU host, forking made
+# a three-tuple thm1 sweep with grids up to 2^16 points 0.07 s slower
 # (0.58 s serial) and one with grids up to 2^17 points 0.25 s faster
 # (1.23 s serial)
-_THM1_POOL_POINTS = 1 << 17
+_POOL_POINTS = 1 << 17
 _POOL_WORKERS = 2
 
 
@@ -701,7 +732,9 @@ def _run_steps(step, tasks, pooled):
     """``[step(*task) for task in tasks]``, on two worker processes when
     ``pooled`` and the platform, the CPU affinity and the calling process
     allow it: a daemonic process, such as a ``multiprocessing.Pool``
-    worker, may not have children and runs the steps itself.
+    worker, may not have children and runs the steps itself. All three
+    sweeps run their family steps through it, by way of
+    :func:`_run_keyed`.
 
     Tasks are handed out in list order, so callers list the longest
     first. Workers are forked rather than spawned: a spawned worker
@@ -738,6 +771,16 @@ def _run_steps(step, tasks, pooled):
             raise
 
 
+def _run_keyed(step, tasks):
+    """``{key: step(*args)}`` for the (key, grid, args) entries of
+    ``tasks``, largest grid first, on the pool when the largest grid has
+    at least ``_POOL_POINTS`` points."""
+    tasks = sorted(tasks, key=lambda task: -task[1].n)
+    pooled = tasks[0][1].n >= _POOL_POINTS
+    results = _run_steps(step, [args for _, _, args in tasks], pooled)
+    return {key: out for (key, _, _), out in zip(tasks, results)}
+
+
 def _sweep_thm1(tuples, Ns):
     """Trains of bumps against the mild-growth operator.
 
@@ -745,8 +788,7 @@ def _sweep_thm1(tuples, Ns):
     1/q - 1/p - s1/(1-alpha); the gradient-modulated train, which the
     operator refocuses onto a single frequency cell, measures
     1/p - 1/q - s1/(1-alpha) - s2. Each (alpha, N, input) step is one
-    task; sweeps whose largest grid reaches ``_THM1_POOL_POINTS`` points
-    run the tasks on a process pool.
+    task for :func:`_run_keyed`.
     """
     grids = {}
     tasks = []
@@ -759,13 +801,9 @@ def _sweep_thm1(tuples, Ns):
         for N in Ns:
             grid = grids[alpha, N] = _thm1_grid(alpha, int(N))
             for modulated in (False, True):
-                tasks.append((grid, alpha, N, modulated, pair_pqs))
-    tasks.sort(key=lambda task: -task[0].n)
-    pooled = tasks[0][0].n >= _THM1_POOL_POINTS
-    steps = {
-        task[1:4]: ratios
-        for task, ratios in zip(tasks, _run_steps(_thm1_step, tasks, pooled))
-    }
+                args = (grid, alpha, N, modulated, pair_pqs)
+                tasks.append(((alpha, N, modulated), grid, args))
+    steps = _run_keyed(_thm1_step, tasks)
 
     return {
         t: [
@@ -836,6 +874,22 @@ def _thm2_ratios(f, inputs, members, alpha, window):
     }
 
 
+def _thm2_step(members, alpha, grid, pq_all, trains=None):
+    """Ratios of the tuples ``members`` at ``alpha`` on one thm2 probe.
+
+    With ``trains``, a (first train, [(transform, input norms), ...])
+    pair of the modulation stacks on ``grid``, the ratios cover every
+    train. Without, the step builds the spectral bump on the box
+    ``grid``, its transform and its norms for ``pq_all``, and the
+    ratios hold that one box.
+    """
+    if trains is not None:
+        return _thm2_ratios(*trains, members, alpha, _THM2_TRAIN_WINDOW)
+    psi = build_modulated_train(CoefficientSeq.delta(0), _spectral_bump(), grid)
+    box = [(fourier_transform(psi), _norm_map(psi, pq_all, _THM2_BOX_WINDOW))]
+    return _thm2_ratios(psi, box, members, alpha, _THM2_BOX_WINDOW)
+
+
 def _sweep_thm2(tuples, Ns):
     """Rank-one operators from phases that forget the frequency slot.
 
@@ -844,6 +898,10 @@ def _sweep_thm2(tuples, Ns):
     threshold while a fixed input on growing boxes exposes the position
     threshold; output norms on each probe scale exactly with the
     spectral pairing scalar, which saves recomputing the chirp norm.
+
+    The stacks, their transforms and their norms are built once, here.
+    The operator work is one :func:`_thm2_step` task per alpha on the
+    stacks and one per (alpha, box scale R), run by :func:`_run_keyed`.
     """
     train_grid = _thm2_train_grid()
     phi = _spectral_bump()
@@ -860,28 +918,32 @@ def _sweep_thm2(tuples, Ns):
     ]
     grids_a = [train_grid.describe()] * len(Ns)
 
-    series = {}
-    for alpha in sorted({t.alpha for t in tuples}):
-        members = [t for t in tuples if t.alpha == alpha]
-        ratios_a = _thm2_ratios(
-            trains[0], train_inputs, members, alpha, _THM2_TRAIN_WINDOW
-        )
-        ratios_b = {t: [] for t in members}
-        grids_b = []
-        for R in Rs:
-            g = _thm2_box_grid(alpha, R)
-            psi = build_modulated_train(CoefficientSeq.delta(0), phi, g)
-            box = [(fourier_transform(psi), _norm_map(psi, pq_all, _THM2_BOX_WINDOW))]
-            ratios = _thm2_ratios(psi, box, members, alpha, _THM2_BOX_WINDOW)
-            for t in members:
-                ratios_b[t] += ratios[t]
-            grids_b.append(g.describe())
-        for t in members:
-            series[t] = [
-                (Ns, ratios_a[t], grids_a, _THM2_TRAIN_WINDOW),
-                (Rs, ratios_b[t], grids_b, _THM2_BOX_WINDOW),
-            ]
-    return series
+    alphas = sorted({t.alpha for t in tuples})
+    members = {a: [t for t in tuples if t.alpha == a] for a in alphas}
+    box_grids = {(a, R): _thm2_box_grid(a, R) for a in alphas for R in Rs}
+    first = (trains[0], train_inputs)
+    tasks = [
+        ((a, None), train_grid, (members[a], a, train_grid, pq_all, first))
+        for a in alphas
+    ]
+    tasks += [
+        ((a, R), grid, (members[a], a, grid, pq_all))
+        for (a, R), grid in box_grids.items()
+    ]
+    steps = _run_keyed(_thm2_step, tasks)
+
+    return {
+        t: [
+            (Ns, steps[t.alpha, None][t], grids_a, _THM2_TRAIN_WINDOW),
+            (
+                Rs,
+                [steps[t.alpha, R][t][0] for R in Rs],
+                [box_grids[t.alpha, R].describe() for R in Rs],
+                _THM2_BOX_WINDOW,
+            ),
+        ]
+        for t in tuples
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +972,33 @@ def _thm3_side(t: SweepTuple):
     return (t.s1, t.t1)
 
 
+def _thm3_step(growth, k, grid, s_pqs):
+    """Ratios of one high-growth family step, growth rate ``growth`` at
+    x = k on ``grid``: {(s, (p, p)): (plain ratio, pre-chirped ratio)}
+    for each decay rate s and its exponent pairs in ``s_pqs``."""
+    kk = float(k)
+    mu, dmu, _ = bracket_power(2.0 + growth)
+    y = grid.axis()
+    tau = mu(kk + y) - float(mu(kk)) - float(dmu(kk)) * y
+    chi = mollifier(y, 1.0)
+    pq_all = sorted({pq for _, pqs in s_pqs for pq in pqs})
+    plain = SampledFunction(grid, chi.astype(complex))
+    dechirped = SampledFunction(grid, np.exp(-1j * tau) * chi)
+    den1 = _norm_map(plain, pq_all, _THM3_WINDOW)
+    den2 = _norm_map(dechirped, pq_all, _THM3_WINDOW)
+    chirp = np.exp(1j * tau)
+    ratios = {}
+    for s, pqs in s_pqs:
+        decay = bracket(kk + y) ** (-s)
+        v1 = SampledFunction(grid, decay * chirp * chi)
+        v2 = SampledFunction(grid, (decay * chi).astype(complex))
+        num1 = _norm_map(v1, pqs, _THM3_WINDOW)
+        num2 = _norm_map(v2, pqs, _THM3_WINDOW)
+        for pq in pqs:
+            ratios[s, pq] = (num1[pq] / den1[pq], num2[pq] / den2[pq])
+    return ratios
+
+
 def _sweep_thm3(tuples, Ns):
     """Local chirp probes for the high-growth multiplication operators.
 
@@ -921,43 +1010,27 @@ def _sweep_thm3(tuples, Ns):
     fitted slope equals t |1/p - 1/2| - s, the predicate margin. The
     frequency-sided tuples reduce to the same computation because the
     plain modulation norms are exactly invariant under the discrete
-    Fourier transform.
+    Fourier transform. Each (growth, k) step is one :func:`_thm3_step`
+    task, run by :func:`_run_keyed`.
     """
     sides = {t: _thm3_side(t) for t in tuples}
-    ratios = {}
     grids = {}
+    tasks = []
     for growth in sorted({side[1] for side in sides.values()}):
         members = [t for t in tuples if sides[t][1] == growth]
-        svals = sorted({sides[t][0] for t in members})
-        pq_all = sorted({(t.p, t.p) for t in members})
-        mu, dmu, _ = bracket_power(2.0 + growth)
+        s_pqs = [
+            (s, sorted({(t.p, t.p) for t in members if sides[t][0] == s}))
+            for s in sorted({sides[t][0] for t in members})
+        ]
         for k in Ns:
-            kk = float(k)
-            grid = grids[growth, k] = _thm3_grid(growth, kk)
-            y = grid.axis()
-            tau = mu(kk + y) - float(mu(kk)) - float(dmu(kk)) * y
-            chi = mollifier(y, 1.0)
-            plain = SampledFunction(grid, chi.astype(complex))
-            dechirped = SampledFunction(grid, np.exp(-1j * tau) * chi)
-            den1 = _norm_map(plain, pq_all, _THM3_WINDOW)
-            den2 = _norm_map(dechirped, pq_all, _THM3_WINDOW)
-            for s in svals:
-                pqs = sorted({(t.p, t.p) for t in members if sides[t][0] == s})
-                decay = bracket(kk + y) ** (-s)
-                v1 = SampledFunction(grid, decay * np.exp(1j * tau) * chi)
-                v2 = SampledFunction(grid, (decay * chi).astype(complex))
-                num1 = _norm_map(v1, pqs, _THM3_WINDOW)
-                num2 = _norm_map(v2, pqs, _THM3_WINDOW)
-                for pq in pqs:
-                    ratios[(s, growth), pq, k] = (
-                        num1[pq] / den1[pq],
-                        num2[pq] / den2[pq],
-                    )
+            grid = grids[growth, k] = _thm3_grid(growth, float(k))
+            tasks.append(((growth, k), grid, (growth, k, grid, s_pqs)))
+    steps = _run_keyed(_thm3_step, tasks)
     return {
         t: [
             (
                 Ns,
-                [ratios[sides[t], (t.p, t.p), k][probe] for k in Ns],
+                [steps[sides[t][1], k][sides[t][0], (t.p, t.p)][probe] for k in Ns],
                 [grids[sides[t][1], k].describe() for k in Ns],
                 _THM3_WINDOW,
             )
@@ -1022,6 +1095,8 @@ def threshold_sweep(
         b <= a for a, b in zip(steps, steps[1:])
     ):
         raise ValidationError("family steps must be positive and increasing")
+    if _whole(seed, "seed must be a whole number") < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     if max_tuples is not None:
         count = _whole(max_tuples, "max_tuples must be a whole number")
         if count < 1:

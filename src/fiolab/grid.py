@@ -16,6 +16,7 @@ Conventions, used everywhere downstream:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,7 +249,8 @@ def table_from_csv(text: str, keys: dict, shape) -> tuple:
     """Inverse of :func:`table_to_csv`: ``(header, values)``.
 
     ``keys`` maps each header key to its type, and ``shape(header)``
-    gives the array shape. Every index must appear exactly once.
+    gives the array shape, which must hold at most ``MATRIX_BUDGET``
+    entries. Every index must appear exactly once.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
@@ -258,7 +260,12 @@ def table_from_csv(text: str, keys: dict, shape) -> tuple:
         header = {key: kind(tokens[key]) for key, kind in keys.items()}
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"bad header: {lines[0]!r}") from exc
-    values = np.zeros(shape(header), dtype=complex)
+    dims = shape(header)
+    if math.prod(dims) > MATRIX_BUDGET:
+        raise ResourceError(
+            f"a table of shape {dims} exceeds the budget of {MATRIX_BUDGET} entries"
+        )
+    values = np.zeros(dims, dtype=complex)
     seen = np.zeros(values.shape, dtype=bool)
     for ln in lines[2:]:
         parts = ln.split(",")

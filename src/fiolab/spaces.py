@@ -138,6 +138,9 @@ def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
                 acc.append(_reduce(np.take(wm, order, axis=1), q, dxi, axis=1))
             elif p == INF:
                 np.maximum(acc, wm.max(axis=0), out=acc)
+            elif p == 1.0:
+                # wm**1.0 is wm, but numpy computes a full pow for it
+                acc += wm.sum(axis=0)
             else:
                 acc += (wm**p).sum(axis=0)
         # the next block is produced only once this one is freed

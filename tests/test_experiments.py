@@ -109,6 +109,91 @@ def test_fast_norms_memory_stays_within_three_blocks():
     assert peak <= 3 * (1 << 22) * 8
 
 
+# fast_modulation_norms at p in {1, 4/3, 2, inf}, q = 2, window gauss:0.5,
+# as float.hex, recorded when each window segment was still gathered
+# through an index array taken mod n; the sliding-window producer must
+# reproduce them bit for bit, the wrap branch included
+FAST_NORM_PINS = {
+    "inside": [
+        "0x1.340c0a876873ap+0",
+        "0x1.09ede88a4de54p+0",
+        "0x1.e15b71310570cp-1",
+        "0x1.0b260174be33ep+0",
+    ],
+    "separated": [
+        "0x1.38654028cfe88p+0",
+        "0x1.079fe50349effp+0",
+        "0x1.d3af5de65687fp-1",
+        "0x1.f6c1f73eaddccp-1",
+    ],
+    "seam": [
+        "0x1.4007f91b4321bp+4",
+        "0x1.0fb56064e4adap+3",
+        "0x1.e15b70fb99d9ap+1",
+        "0x1.ffea86027c6f7p-1",
+    ],
+}
+
+
+def _pin_input(name):
+    grid = Grid(1, 4096, 1.0 / 64.0)
+    x = grid.axis()
+
+    def g(c, f=0.0, s=1.0):
+        return np.exp(-np.pi * ((x - c) / s) ** 2 + 2j * np.pi * f * x)
+
+    samples = {
+        # support well inside the grid, one segment
+        "inside": g(0.0) + 0.5 * g(1.5, 3.0),
+        # two segments, 25 length units apart
+        "separated": g(-15.0, 2.0) + 0.3j * g(14.0, -4.0, 2.0),
+        # above the support threshold up to both grid edges, so the
+        # edge windows wrap around the seam
+        "seam": g(0.0, 1.0, 20.0),
+    }
+    return SampledFunction(grid, samples[name])
+
+
+@pytest.mark.parametrize("name", sorted(FAST_NORM_PINS))
+def test_fast_norms_are_pinned(name):
+    f = _pin_input(name)
+    mags = np.abs(f.samples)
+    on = mags > 1e-8 * mags.max()
+    if name == "seam":
+        assert on[0] and on[-1]
+    else:
+        assert not on[0] and not on[-1]
+    ps = (1.0, 4.0 / 3.0, 2.0, INF)
+    specs = [SpaceSpec(p, 2.0, Weight(), "gauss:0.5") for p in ps]
+    got = [v.hex() for v in fast_modulation_norms(f, specs)]
+    assert got == FAST_NORM_PINS[name]
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        dict(xi_step=0.0),
+        dict(xi_step=-1.0),
+        dict(xi_step=float("nan")),
+        dict(xi_step=INF),
+        dict(x_step=-1.0),
+        dict(x_step=float("nan")),
+        dict(x_step=INF),
+    ],
+    ids=lambda kw: "%s=%g" % next(iter(kw.items())),
+)
+def test_fast_norms_reject_bad_steps(steps):
+    grid = Grid(1, 512, 0.0625)
+    x = grid.axis()
+    f = SampledFunction(grid, np.exp(-np.pi * x * x))
+    specs = [SpaceSpec(2.0, 2.0, Weight(), "gauss")]
+    with pytest.raises(ValidationError, match="_step"):
+        fast_modulation_norms(f, specs, **steps)
+    # zero still means the default position step
+    default = fast_modulation_norms(f, specs)
+    assert fast_modulation_norms(f, specs, x_step=0.0) == default
+
+
 def test_fast_norms_reject_foreign_windows():
     grid = Grid(1, 256, 0.0625)
     f = _two_tone(grid)
@@ -265,7 +350,7 @@ THM1_SMALL_SHA256 = "e227b76158b16f19800788ceeb4eabe35f2a08e10426c3d41d15cc99656
 
 @pytest.mark.parametrize("pool_points", [1 << 40, 1])
 def test_thm1_sweep_bytes_serial_and_pooled(monkeypatch, pool_points):
-    monkeypatch.setattr(experiments, "_THM1_POOL_POINTS", pool_points)
+    monkeypatch.setattr(experiments, "_POOL_POINTS", pool_points)
     rows = threshold_sweep("thm1", tuples=THM1_SMALL, Ns=(4, 8))
     digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
     assert digest == THM1_SMALL_SHA256
@@ -285,11 +370,14 @@ SWEEP_ARGS = {
 }
 
 
+@pytest.mark.parametrize("pool_points", [1 << 40, 1], ids=["serial", "pooled"])
 @pytest.mark.parametrize("theorem", ["thm2", "thm3"])
-def test_sweep_bytes(theorem):
+def test_sweep_bytes(monkeypatch, theorem, pool_points):
+    monkeypatch.setattr(experiments, "_POOL_POINTS", pool_points)
     rows = threshold_sweep(theorem, **SWEEP_ARGS[theorem])
     digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
     assert digest == SWEEP_SHA256[theorem]
+    assert multiprocessing.active_children() == []
 
 
 def _send_thm1_digest(conn):
@@ -303,7 +391,7 @@ def _send_thm1_digest(conn):
 def test_thm1_sweep_in_a_daemonic_process(monkeypatch):
     # a daemonic process may not have children, so a pooled-size sweep
     # made inside one (say, a multiprocessing.Pool task) runs serially
-    monkeypatch.setattr(experiments, "_THM1_POOL_POINTS", 1)
+    monkeypatch.setattr(experiments, "_POOL_POINTS", 1)
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     proc = ctx.Process(target=_send_thm1_digest, args=(send,), daemon=True)
@@ -319,7 +407,7 @@ def test_thm1_sweep_in_a_daemonic_process(monkeypatch):
 def test_thm1_worker_errors_reach_the_caller(monkeypatch, tmp_path):
     # without spectral headroom the trains leak past half Nyquist, so
     # the operator's input check fails inside a worker
-    monkeypatch.setattr(experiments, "_THM1_POOL_POINTS", 1)
+    monkeypatch.setattr(experiments, "_POOL_POINTS", 1)
     monkeypatch.setattr(experiments, "_SPECTRAL_MARGIN", 0.0)
     with pytest.raises(ValidationError, match="band-limited"):
         threshold_sweep("thm1", tuples=THM1_SMALL, Ns=(4, 8))

@@ -5,6 +5,7 @@ import pytest
 
 import fiolab.grid
 from fiolab import (
+    BANDLIMIT_TOL,
     DomainError,
     Grid,
     ResourceError,
@@ -24,6 +25,7 @@ from fiolab import (
     ensure_bandlimited,
     fourier_transform,
     inner,
+    inverse_fourier_transform,
     kernel,
     make_symbol,
     mild_growth,
@@ -81,6 +83,57 @@ def test_bandlimit_leakage_and_gate(small):
     g2 = Grid(2, 8, 0.5)
     with pytest.raises(StructuralError):
         bandlimit_leakage(SampledFunction2D(g2, np.ones((8, 8), complex)))
+
+
+def _masked_leakage(f):
+    """Band-limit leakage by the first formula: the norm of a masked copy
+    of the spectrum over the norm of the whole spectrum."""
+    fhat = fourier_transform(f)
+    xi = fhat.grid.axis()
+    outside = np.abs(xi) > 1.0 / (2.0 * f.grid.spacing) / 2.0
+    total = np.linalg.norm(fhat.samples)
+    if total == 0.0:
+        return 0.0
+    return float(np.linalg.norm(fhat.samples[outside])) / total
+
+
+def _leakage_cases():
+    rng = np.random.default_rng(5)
+    cases = []
+    for n, dx in ((64, 0.25), (512, 0.0625), (4096, 0.01)):
+        grid = Grid(1, n, dx)
+        x = grid.axis()
+        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cases.append(SampledFunction(grid, noise))
+        cases.append(bandlimited(grid, rng))
+        cases.append(SampledFunction(grid, np.zeros(n, complex)))
+        # a plane wave at 0.375 of the sampling rate: all energy outside
+        cases.append(SampledFunction(grid, np.exp(2j * np.pi * 0.375 / dx * x)))
+        # energy on the two half-Nyquist bins, which count as inside, and
+        # amplitude fractions either side of the tolerance on the bins
+        # just past them
+        dual = grid.dual()
+        for frac in (0.0, 0.5 * BANDLIMIT_TOL, 2.0 * BANDLIMIT_TOL):
+            coef = np.zeros(n, complex)
+            coef[n // 4] = coef[3 * n // 4] = 1.0
+            coef[n // 4 - 1] = coef[3 * n // 4 + 1] = frac
+            f = inverse_fourier_transform(SampledFunction(dual, coef))
+            cases.append(f)
+    return cases
+
+
+def test_bandlimit_leakage_matches_the_masked_norm():
+    for f in _leakage_cases():
+        old = _masked_leakage(f)
+        new = bandlimit_leakage(f)
+        assert new == pytest.approx(old, rel=1e-12, abs=0.0)
+        if old >= BANDLIMIT_TOL:
+            with pytest.raises(ValidationError, match="band-limited"):
+                ensure_bandlimited(f)
+        else:
+            ensure_bandlimited(f)
+    zero = SampledFunction(Grid(1, 64, 0.25), np.zeros(64, complex))
+    assert bandlimit_leakage(zero) == 0.0
 
 
 def test_identity_phase_is_identity(small):

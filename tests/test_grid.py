@@ -6,6 +6,7 @@ import pytest
 from fiolab import (
     DomainError,
     Grid,
+    ResourceError,
     SampledFunction,
     SampledFunction2D,
     StructuralError,
@@ -147,3 +148,11 @@ def _malformed(row):
 def test_sampled_csv_rejects_malformed_rows(row, match):
     with pytest.raises(ValidationError, match=match):
         sampled_from_csv(_malformed(row))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1 << 40), (2, 1 << 20)])
+def test_sampled_csv_header_within_budget(dim, n):
+    # the header alone would ask for 16 TiB, before any row is read
+    text = f"# dim={dim} n={n} spacing=0.5\ni0,re,im\n0,1,0\n"
+    with pytest.raises(ResourceError, match="budget"):
+        sampled_from_csv(text)
