@@ -30,7 +30,7 @@ from .extremal import Bump, CoefficientSeq, build_F, build_modulated_train
 from .fio import apply_fio, make_symbol
 from .grid import Grid, SampledFunction, sampled_from_csv, sampled_to_csv
 from .phase import check_phase, make_phase, mollifier
-from .spaces import SpaceSpec, Weight, modulation_norm
+from .spaces import SpaceSpec, Weight, stft_norms
 from .tf import make_window, stft, tf_to_csv
 
 __all__ = ["main"]
@@ -69,6 +69,15 @@ def _number(text, what: str, cast=float):
         raise ValidationError(f"{what} must be a number, got {text!r}") from None
 
 
+def _integer(text, what: str) -> int:
+    """``text`` as an integer, or a ValidationError naming ``what``; a
+    fractional value is refused rather than truncated."""
+    value = _number(text, what)
+    if not value.is_integer():
+        raise ValidationError(f"{what} must be an integer, got {text!r}")
+    return int(value)
+
+
 def _parse_space(text: str, window: str) -> SpaceSpec:
     params = {}
     for item in text.split(","):
@@ -96,8 +105,8 @@ def _space_label(spec: SpaceSpec) -> str:
 def _build_signal(spec_text: str, grid: Grid) -> SampledFunction:
     kind, params = parse_kv_spec(spec_text)
 
-    def pop(key, default, cast=float):
-        return _number(params.pop(key, default), f"{kind} parameter {key}", cast)
+    def pop(key, default, read=_number):
+        return read(params.pop(key, default), f"{kind} parameter {key}")
 
     if kind == "gauss":
         sigma = pop("sigma", 1.0)
@@ -117,8 +126,8 @@ def _build_signal(spec_text: str, grid: Grid) -> SampledFunction:
         return SampledFunction(grid, samples)
     if kind == "train":
         alpha = pop("alpha", 0.0)
-        start = pop("start", 4, int)
-        count = _train_length(pop("count", 8, int), grid)
+        start = pop("start", 4, _integer)
+        count = _train_length(pop("count", 8, _integer), grid)
         radius = pop("radius", 0.2)
         _reject_extras(kind, params)
         if abs(start) + count > 2**53:
@@ -129,7 +138,7 @@ def _build_signal(spec_text: str, grid: Grid) -> SampledFunction:
         h = Bump(radius, lambda u: mollifier(u, radius))
         return build_F(a, alpha, grid, h)
     if kind == "mtrain":
-        count = _train_length(pop("count", 8, int), grid)
+        count = _train_length(pop("count", 8, _integer), grid)
         radius = pop("radius", 0.3)
         _reject_extras(kind, params)
         a = CoefficientSeq.ones(0, count)
@@ -189,14 +198,13 @@ def _cmd_stft(args) -> int:
 
 def _cmd_norm(args) -> int:
     f = _load_input(args)
-    lines = []
-    for text in args.space:
-        spec = _parse_space(text, args.window)
-        value = modulation_norm(f, spec)
-        lines.append(
-            f"{_space_label(spec)},{spec.window},"
-            f"{f.grid.describe()},{value:.12g}"
-        )
+    # the spaces share --window, so one exact pass serves them all
+    specs = [_parse_space(text, args.window) for text in args.space]
+    values = stft_norms(f, specs, ["modulation"] * len(specs))
+    lines = [
+        f"{_space_label(spec)},{spec.window},{f.grid.describe()},{value:.12g}"
+        for spec, value in zip(specs, values)
+    ]
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ResourceError, ValidationError
 from .extremal import (
     Bump,
     CoefficientSeq,
@@ -57,7 +57,7 @@ from .extremal import (
     default_bump,
 )
 from .fio import apply_fio_family, decaying_symbol
-from .grid import Grid, SampledFunction, bracket, fourier_transform
+from .grid import MATRIX_BUDGET, Grid, SampledFunction, bracket, fourier_transform
 from .phase import (
     MINUS_INF,
     GrowthParams,
@@ -69,6 +69,7 @@ from .phase import (
     nonseparated_x,
 )
 from .spaces import (
+    FFT_BATCH_ENTRIES,
     SpaceSpec,
     Weight,
     fold_norms,
@@ -102,14 +103,6 @@ INF = float("inf")
 # ---------------------------------------------------------------------------
 # fast windowed norms
 
-# entries per FFT sub-batch of one fold block. Gathering, windowing and
-# transforming a whole 2^22-entry block at once kept several block-sized
-# arrays alive: on the thm2 box input at R = 128 (2^20 points, three
-# gauss:0.5 specs) the tracemalloc peak of one call was 147.6 MB, and
-# 67.1 MB with batches of 2^20 entries
-_FFT_BATCH_ENTRIES = 1 << 20
-
-
 def fast_modulation_norms(
     f: SampledFunction,
     specs,
@@ -126,9 +119,10 @@ def fast_modulation_norms(
     width-sigma window. ``xi_step=None`` (the default) adds no further
     padding; an explicit ``xi_step`` pads to the next power of two at or
     above max(m, 1/(xi_step dx)), giving frequency steps of at most
-    ``xi_step``. Window positions advance by ``x_step``
-    (default: a third of the window width) across the regions where
-    |f| exceeds 1e-8 times its peak. Only magnitudes of the
+    ``xi_step``; a step that would pad beyond ``grid.MATRIX_BUDGET``
+    columns raises :class:`ResourceError`. Window positions advance by
+    ``x_step`` (default: a third of the window width) across the regions
+    where |f| exceeds 1e-8 times its peak. Only magnitudes of the
     transform enter a norm, so the omitted global phase is irrelevant,
     and dropping segments where f vanishes changes nothing but
     round-off. Downsampling positions makes this an estimate whose
@@ -169,13 +163,21 @@ def fast_modulation_norms(
     sigma = window_width(window)
     grid = f.grid
     n, dx = grid.n, grid.spacing
+    w_half = sigma * math.sqrt(40.0 / math.pi)
+    m = 2 * int(math.ceil(w_half / dx)) + 1
+    cols = m if xi_step is None else max(m, 1.0 / (xi_step * dx))
+    # m2 exceeds the budget exactly when cols does, and cols may be inf
+    if cols > MATRIX_BUDGET:
+        raise ResourceError(
+            f"xi_step {xi_step:g} pads each window to more than "
+            f"{MATRIX_BUDGET} frequency columns"
+        )
+    m2 = 1 << int(math.ceil(math.log2(cols)))
     mags = np.abs(f.samples)
     peak = float(mags.max())
     if peak == 0.0:
         return [0.0] * len(specs)
 
-    w_half = sigma * math.sqrt(40.0 / math.pi)
-    m = 2 * int(math.ceil(w_half / dx)) + 1
     if m >= n:
         # window wider than the grid: the segment picture degenerates,
         # and grids this small are cheap to do exactly
@@ -198,8 +200,6 @@ def fast_modulation_norms(
         ]
     )
 
-    cols = m if xi_step is None else max(m, 1.0 / (xi_step * dx))
-    m2 = 1 << int(math.ceil(math.log2(cols)))
     off = np.arange(m) - m // 2
     gw = (2.0**0.25 / math.sqrt(sigma)) * np.exp(
         -np.pi * (off * dx / sigma) ** 2
@@ -216,7 +216,7 @@ def fast_modulation_norms(
         span = f.samples.take(np.arange(lo, hi), mode="wrap")
     windows = np.lib.stride_tricks.sliding_window_view(span, m)
     starts = shifts - shifts[0]
-    batch = max(1, _FFT_BATCH_ENTRIES // m2)
+    batch = max(1, FFT_BATCH_ENTRIES // m2)
 
     def rows(sl):
         picked = starts[sl]

@@ -25,7 +25,6 @@ from .grid import (
     check_matrix_budget,
     fourier_transform,
     inverse_fourier_transform,
-    shifted_fft,
 )
 from .phase import PhaseSpec, build_builtin
 
@@ -259,10 +258,14 @@ def kernel(symbol: SymbolSpec, phase: PhaseSpec, grid: Grid) -> np.ndarray:
     check_matrix_budget(grid.n, "kernel")
     x = grid.axis()
     dual = grid.dual()
-    xi = dual.axis()
+    # the blocks are built with xi in FFT order and transformed in
+    # place, so the only copy is the shift of each block into K
+    xi = np.fft.ifftshift(dual.axis())
     K = np.empty((grid.n, grid.n), dtype=complex)
     for rows, block in _phase_matrix_blocks(symbol, phase, x, xi):
-        K[rows] = shifted_fft(block, axes=(1,)) * dual.spacing
+        np.fft.fft(block, axis=1, out=block)
+        block *= dual.spacing
+        K[rows] = np.fft.fftshift(block, axes=1)
     return K
 
 

@@ -2,8 +2,9 @@
 
 ``stft`` computes V_g f(x, xi) = <f, M_xi T_x g>: rows are window shifts
 over the primal grid, columns live on the dual grid. ``stft_rows``
-evaluates any subset of rows; it is the exact block producer behind the
-norms in :mod:`fiolab.spaces`.
+evaluates one contiguous range of rows with the columns left in FFT
+order; it is the exact block producer behind the norms in
+:mod:`fiolab.spaces`.
 
 Everything is exact for the cyclic model: the fundamental identity
 V_g f(x, xi) = exp(-2pi i x xi) V_ghat fhat(xi, -x) and the orthogonality
@@ -21,7 +22,6 @@ from .grid import (
     SampledFunction,
     check_matrix_budget,
     fourier_transform,
-    shifted_fft,
     table_from_csv,
     table_to_csv,
 )
@@ -96,39 +96,49 @@ def _check_window(g: SampledFunction):
         raise ValidationError("window is identically zero")
 
 
-def stft_rows(
-    f: SampledFunction,
-    g: SampledFunction,
-    shift_indices: np.ndarray,
-) -> np.ndarray:
-    """STFT rows for selected x-shift indices, columns on the dual grid.
+def stft_rows(f: SampledFunction, g: SampledFunction, rows: slice) -> np.ndarray:
+    """STFT rows for one contiguous range of x shifts, columns in FFT order.
 
-    Index ``j`` corresponds to the grid point ``(j - n/2) * dx``. This is
-    the evaluation core shared by :func:`stft` and the norm routines; the
-    full matrix is ``stft_rows(f, g, arange(n))``.
+    Row ``j`` of ``rows`` is the shift to the grid point ``(j - n/2) * dx``;
+    column ``k`` is the frequency ``np.fft.ifftshift(xi)[k]`` of the dual
+    grid, so ``fftshift`` over axis 1 gives grid order. This is the exact
+    block producer behind :func:`stft` and the norms in
+    :mod:`fiolab.spaces`. Each row is ``ifftshift(f)`` times one row of a
+    strided view over the conjugated, doubled window, multiplied straight
+    into the output, which is then transformed in place: no index array,
+    gather or shifted copy is made.
     """
     if f.grid != g.grid or f.dim != 1:
         raise StructuralError("stft needs two 1D functions on a common grid")
     _check_window(g)
     n = f.grid.n
-    h = n // 2
-    t_idx = np.arange(n)
-    shift_indices = np.asarray(shift_indices, dtype=int)
-    gather = (t_idx[None, :] - (shift_indices[:, None] - h)) % n
-    prods = f.samples[None, :] * np.conj(g.samples[gather])
-    return shifted_fft(prods, axes=(1,)) * f.grid.spacing
+    start, stop, step = rows.indices(n)
+    if step != 1:
+        raise StructuralError("stft rows must be a contiguous range of shifts")
+    stop = max(start, stop)
+    # row r of the view is conj(g) rotated left by r; shift j needs r = n - j
+    gbar = np.conj(g.samples)
+    wins = np.lib.stride_tricks.sliding_window_view(np.concatenate((gbar, gbar)), n)
+    picked = wins[n - stop + 1 : n - start + 1][::-1]
+    out = np.empty((stop - start, n), dtype=complex)
+    np.multiply(np.fft.ifftshift(f.samples), picked, out=out)
+    np.fft.fft(out, axis=1, out=out)
+    out *= f.grid.spacing
+    return out
 
 
 def stft(f: SampledFunction, g: SampledFunction) -> TFMatrix:
     """Full STFT matrix of ``f`` with window ``g`` (both 1D, same grid).
 
-    The matrix holds n^2 complex values; when that exceeds
-    ``grid.MATRIX_BUDGET`` a :class:`ResourceError` names the largest
-    admissible n. The streaming norm routines have no such limit.
+    The rows of :func:`stft_rows` over every shift, with one ``fftshift``
+    putting the frequencies in grid order. The matrix holds n^2 complex
+    values; when that exceeds ``grid.MATRIX_BUDGET`` a
+    :class:`ResourceError` names the largest admissible n. The streaming
+    norm routines have no such limit.
     """
     n = f.grid.n
     check_matrix_budget(n, "stft")
-    rows = stft_rows(f, g, np.arange(n))
+    rows = np.fft.fftshift(stft_rows(f, g, slice(0, n)), axes=1)
     return TFMatrix(f.grid, f.grid.dual(), rows)
 
 

@@ -32,6 +32,24 @@ def bandlimited(grid, rng, frac=0.25):
     return SampledFunction(grid, samples)
 
 
+def pin_signal(n, dx):
+    """Three modulated gaussians spread over an n-point grid of spacing
+    dx, in closed form, for the exact-engine byte pins."""
+    grid = Grid(1, n, dx)
+    x = grid.axis()
+    half, nyquist = n * dx / 2.0, 1.0 / (2.0 * dx)
+
+    def g(c, freq=0.0, s=1.0):
+        return np.exp(-np.pi * ((x - c) / s) ** 2 + 2j * np.pi * freq * x)
+
+    return SampledFunction(
+        grid,
+        g(0.0)
+        + 0.5 * g(half / 2, 0.3 * nyquist)
+        + 0.3j * g(-half / 3, -0.2 * nyquist, half / 8),
+    )
+
+
 def build_corpus(grid):
     """Twenty unit-norm functions of assorted shapes on one grid."""
     rng = np.random.default_rng(11)

@@ -16,6 +16,7 @@ from fiolab import (
     sampled_from_csv,
     sampled_to_csv,
 )
+from fiolab import spaces
 from fiolab.cli import main, parse_kv_spec
 
 
@@ -42,6 +43,38 @@ def test_norm_command_stdout(capsys):
     assert lines[0].startswith("M[p=2 q=2 s=0 t=0],gauss,d=1 n=256 L=8,")
     for ln in lines:
         assert float(ln.rsplit(",", 1)[1]) > 0
+
+
+def test_norm_spaces_share_one_pass(capsys, monkeypatch):
+    # three spaces print what three one-space runs print, from the rows
+    # of a single exact pass
+    calls = []
+    real = spaces.stft_rows
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(spaces, "stft_rows", counted)
+    base = ["norm", "--signal", "train:count=3", "--grid-n", "512", "--grid-L", "16"]
+    texts = ["p=2", "p=1,q=4,s=0.5", "p=inf,q=1,t=1"]
+    single = []
+    for text in texts:
+        assert main(base + ["--space", text]) == 0
+        single.append(capsys.readouterr().out)
+    per_space = len(calls) // len(texts)
+    calls.clear()
+    assert main(base + sum((["--space", t] for t in texts), [])) == 0
+    assert capsys.readouterr().out == "".join(single)
+    assert len(calls) == per_space
+
+
+def test_integral_float_train_fields_are_accepted(capsys):
+    outs = []
+    for signal in ("train:start=4,count=2", "train:start=4.0,count=2.0"):
+        assert main(["norm", "--signal", signal, "--space", "p=2"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_norm_requires_an_input(capsys):
@@ -188,6 +221,9 @@ BAD_ARGV = [
     ["norm", "--signal", "gauss", "--space", "p=abc"],
     ["sweep", "--theorem", "thm1", "--ns", "4,x", "--out", "rows.csv"],
     ["norm", "--signal", "train:count=abc", "--space", "p=2"],
+    ["norm", "--signal", "train:start=4.5,count=2.7", "--space", "p=2"],
+    ["norm", "--signal", "train:count=2.7", "--space", "p=2"],
+    ["norm", "--signal", "mtrain:count=2.5", "--space", "p=2"],
     ["norm", "--signal", "gauss", "--grid-n", "0", "--space", "p=2"],
     ["norm", "--signal", "bump:radius=0", "--space", "p=2"],
     ["norm", "--signal", "bump:radius=-1", "--space", "p=2"],

@@ -12,6 +12,7 @@ from fiolab import (
     ExperimentRow,
     Grid,
     INF,
+    ResourceError,
     SampledFunction,
     SpaceSpec,
     SweepTuple,
@@ -33,6 +34,7 @@ from fiolab import (
     thm3_predicate,
 )
 from fiolab import cli, experiments
+from fiolab.grid import MATRIX_BUDGET
 from fiolab.experiments import (
     VERDICT_BOUNDED,
     VERDICT_UNBOUNDED,
@@ -192,6 +194,18 @@ def test_fast_norms_reject_bad_steps(steps):
     # zero still means the default position step
     default = fast_modulation_norms(f, specs)
     assert fast_modulation_norms(f, specs, x_step=0.0) == default
+
+
+def test_fast_norms_refuse_an_impossible_xi_step():
+    # the padded width is checked before anything is allocated, both
+    # where it overflows to inf and where it is merely too large
+    grid = Grid(1, 512, 0.0625)
+    x = grid.axis()
+    f = SampledFunction(grid, np.exp(-np.pi * x * x))
+    specs = [SpaceSpec(2.0, 2.0, Weight(), "gauss")]
+    for xi_step in (1e-300, 0.5 / (MATRIX_BUDGET * grid.spacing)):
+        with pytest.raises(ResourceError, match="xi_step"):
+            fast_modulation_norms(f, specs, xi_step=xi_step)
 
 
 def test_fast_norms_reject_foreign_windows():

@@ -1,5 +1,7 @@
 """Weighted mixed norms, sequence spaces, embeddings, and predicates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from fiolab import (
     translate_modulate,
 )
 
-from conftest import bandlimited
+from conftest import bandlimited, pin_signal
 
 
 def _reference_nested(mags, p, q, dx, dxi):
@@ -142,6 +144,117 @@ def test_fold_reduces_frequency_in_increasing_order(sample_pair):
 
     got = fold_norms(rows, g.axis(), xi[perm], dx, dxi, specs, kinds)
     assert got == stft_norms(f, specs, kinds)
+
+
+# stft_norms as float.hex, recorded when every row was gathered through
+# an n^2 index array taken mod n and shifted into grid order; keyed by
+# (n, spacing, window), the modulation then the amalgam norms of
+# PIN_SPECS. At n = 4096 the rows span four fold blocks, so blocks start
+# away from shift 0.
+PIN_SPECS = [
+    SpaceSpec(1.0, 4.0 / 3.0),
+    SpaceSpec(4.0 / 3.0, INF, Weight(0.5, 0.0)),
+    SpaceSpec(2.0, 1.0, Weight(0.0, 1.0)),
+    SpaceSpec(INF, 2.0, Weight(1.0, 0.5)),
+]
+EXACT_NORM_PINS = {
+    (64, "32/n", "gauss"): [
+        "0x1.56c99d669dd99p+1", "0x1.44bbb4e0866bbp+1",
+        "0x1.7ef5b83de25bdp+0", "0x1.dc1ac5f90e8bbp+1",
+        "0x1.5b5d7b37cdd36p+1", "0x1.626c0c2d3a23cp+1",
+        "0x1.741891737413bp+0", "0x1.dc1ac5f90e8bbp+1",
+    ],
+    (64, "32/n", "gauss:0.5"): [
+        "0x1.7d91a675b7b85p+1", "0x1.1a96512e351a5p+1",
+        "0x1.f0441beca426cp+0", "0x1.4841aafde2798p+2",
+        "0x1.7dcb6990687ecp+1", "0x1.1ecb6ed492674p+1",
+        "0x1.f00c66d6b2962p+0", "0x1.4841aafde2798p+2",
+    ],
+    (64, "0.3", "gauss"): [
+        "0x1.3ba224a4cea18p+1", "0x1.c6c39bc4185d7p+0",
+        "0x1.b563d27489989p+0", "0x1.297b871ffecdap+1",
+        "0x1.4512626804d8bp+1", "0x1.0ca2b3b936985p+1",
+        "0x1.95cb3c90c6866p+0", "0x1.1dee6aa7e8962p+1",
+    ],
+    (64, "0.3", "gauss:0.5"): [
+        "0x1.41ad58aeb5a19p+1", "0x1.760a0fd280facp+0",
+        "0x1.146d8387bc83fp+1", "0x1.56137c9a90a78p+1",
+        "0x1.4467ebe6db004p+1", "0x1.8fb055e3745e3p+0",
+        "0x1.0fd89efa2f531p+1", "0x1.56137c9a90a78p+1",
+    ],
+    (1024, "32/n", "gauss"): [
+        "0x1.13120a56b75e3p+1", "0x1.639e23a0fa8e7p+0",
+        "0x1.714272c166ba8p+2", "0x1.03057c2cdc82ap+3",
+        "0x1.62f45c7a40cacp+1", "0x1.626881f54b8eep+1",
+        "0x1.c63ce6c0c8bcbp+1", "0x1.e18519c2e5617p+2",
+    ],
+    (1024, "32/n", "gauss:0.5"): [
+        "0x1.1cef779ff66fdp+1", "0x1.0abe690e542cdp+0",
+        "0x1.e244f863618c2p+2", "0x1.2092b5de08b2ep+3",
+        "0x1.6cc7ee9cd6634p+1", "0x1.055a844d98cb1p+1",
+        "0x1.281d0506280a3p+2", "0x1.0e8f343fe8068p+3",
+    ],
+    (1024, "0.3", "gauss"): [
+        "0x1.fee6b0fd18488p+2", "0x1.5a94727978af4p+4",
+        "0x1.3291520eea873p+1", "0x1.27b037fad2003p+5",
+        "0x1.07680c3e0f4e0p+3", "0x1.7207e846c4594p+4",
+        "0x1.0f37d5dd625c5p+1", "0x1.17f1ba016936ep+5",
+    ],
+    (1024, "0.3", "gauss:0.5"): [
+        "0x1.2d94ad2683259p+3", "0x1.fc20830d2357ep+3",
+        "0x1.94bc5520c61cfp+1", "0x1.4ee83df4412bap+5",
+        "0x1.2f3935d7a5bafp+3", "0x1.07ac0b93e12fap+4",
+        "0x1.8bf5a081d2014p+1", "0x1.4ee83df4412bap+5",
+    ],
+    (4096, "32/n", "gauss"): [
+        "0x1.130ac9f8e05f7p+1", "0x1.639e23a0fa8e6p+0",
+        "0x1.28ab918a01f21p+4", "0x1.fdf32c6e4f1b2p+3",
+        "0x1.62f45d13813e6p+1", "0x1.626882514e8bcp+1",
+        "0x1.9be653548dc85p+3", "0x1.dcc455597336ep+3",
+    ],
+    (4096, "32/n", "gauss:0.5"): [
+        "0x1.19cdac17aedfcp+1", "0x1.0abe69061900ap+0",
+        "0x1.821e3a22a14e8p+4", "0x1.1bff08ca6033cp+4",
+        "0x1.6cc7f40a9406ap+1", "0x1.055a844a9b873p+1",
+        "0x1.07a9d2930d9f3p+4", "0x1.0bdd632606a62p+4",
+    ],
+    (4096, "0.3", "gauss"): [
+        "0x1.a5a6eab554929p+4", "0x1.ddf804e1ff295p+6",
+        "0x1.d59de844baa62p+1", "0x1.27b2a43cc7a53p+7",
+        "0x1.aacbf2dc9f2d3p+4", "0x1.e642abe1d6784p+6",
+        "0x1.a7f7635705872p+1", "0x1.17ec07fefc47cp+7",
+    ],
+    (4096, "0.3", "gauss:0.5"): [
+        "0x1.faf4a42cd3c8ep+4", "0x1.550c92dfcc8e7p+6",
+        "0x1.490e3c96c81dfp+2", "0x1.4ee16c2e4acfdp+7",
+        "0x1.fbe74390b9741p+4", "0x1.58988588cd780p+6",
+        "0x1.452e87abd07c0p+2", "0x1.4ee16c2e4acfdp+7",
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(EXACT_NORM_PINS), ids=lambda k: "-".join(map(str, k)))
+def test_exact_norms_are_pinned(key):
+    n, spacing, window = key
+    f = pin_signal(n, 32.0 / n if spacing == "32/n" else float(spacing))
+    specs = [SpaceSpec(s.p, s.q, s.weight, window) for s in PIN_SPECS] * 2
+    kinds = ["modulation"] * len(PIN_SPECS) + ["amalgam"] * len(PIN_SPECS)
+    got = [v.hex() for v in stft_norms(f, specs, kinds)]
+    assert got == EXACT_NORM_PINS[key]
+
+
+def test_modulation_norm_memory_is_bounded():
+    # a block of float magnitudes plus one power of it; a whole block of
+    # complex rows alongside would pass 3 n^2 doubles
+    n = 2048
+    f = pin_signal(n, 32.0 / n)
+    tracemalloc.start()
+    try:
+        modulation_norm(f, SpaceSpec(2.0, 2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * n * 8
 
 
 def test_amalgam_is_fourier_image_of_modulation():

@@ -1,5 +1,7 @@
 """Short-time transforms: oracles, identities, budgets, CSV interchange."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from fiolab import (
     tf_to_csv,
 )
 
-from conftest import bandlimited
+from fiolab.tf import stft_rows
+
+from conftest import bandlimited, pin_signal
 
 
 def test_make_window_normalization_and_errors():
@@ -98,3 +102,38 @@ def test_tf_csv_round_trip():
     assert np.array_equal(back.values, V.values)
     with pytest.raises(ValidationError):
         tf_from_csv("x_index,xi_index,re,im\n0,0,1,0\n")
+
+
+# sha256 of tf_to_csv(stft(f, g)) and fundamental_identity_residual(f, g)
+# as float.hex for the pin signal at n = 256, recorded when stft gathered
+# every row through an n^2 index array taken mod n
+STFT_PINS = {
+    (0.125, "gauss"): (
+        "c2a2899fa2993c515b9d94d90efefd5f06c89a4ac38c117b65dbed0760b90075",
+        "0x1.1cd29fde580f2p-48",
+    ),
+    (0.3, "gauss:0.5"): (
+        "3459257efa671bb514344327741c9f360f6e13e95b2b4597b81f045861633f54",
+        "0x1.10d6ba4d2ce41p-47",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(STFT_PINS), ids=lambda k: "%g-%s" % k)
+def test_stft_bytes_are_pinned(key):
+    dx, window = key
+    f = pin_signal(256, dx)
+    w = make_window(window, f.grid)
+    digest = hashlib.sha256(tf_to_csv(stft(f, w)).encode()).hexdigest()
+    assert (digest, fundamental_identity_residual(f, w).hex()) == STFT_PINS[key]
+
+
+def test_stft_rows_are_contiguous_ranges_in_fft_order():
+    f = pin_signal(64, 0.5)
+    w = make_window("gauss", f.grid)
+    full = stft(f, w).values
+    rows = stft_rows(f, w, slice(5, 23))
+    assert np.array_equal(np.fft.fftshift(rows, axes=1), full[5:23])
+    assert stft_rows(f, w, slice(64, 70)).shape == (0, 64)
+    with pytest.raises(StructuralError):
+        stft_rows(f, w, slice(0, 64, 2))
