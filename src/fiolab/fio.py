@@ -8,6 +8,11 @@ parts of symbol and phase when the phase's coupling is 0 or 1, and an
 integral kernel obtained by transforming the symbol-phase matrix in
 its second slot. They agree to round-off on band-limited inputs, which
 is the working correctness check for everything built on top.
+
+The direct quadrature, the kernel and the weak pairing read the matrix
+sigma * exp(2 pi i Phi) one block of x rows at a time, built in place in
+one reused buffer of about a megabyte, so none of them holds an n x n
+temporary; only the kernel's own output is n x n.
 """
 
 from __future__ import annotations
@@ -48,7 +53,10 @@ __all__ = [
 # inputs must keep essentially all energy below half the Nyquist frequency
 BANDLIMIT_TOL = 1e-8
 
-_ROW_CHUNK_ENTRIES = 1 << 22
+# complex entries per block of the phase matrix: 1 MiB, which stays in a
+# 2 MiB L2 cache; blocks of 2^14 to 2^17 entries timed alike, and 2^22
+# (one block for every grid up to n = 2048) was slower
+_ROW_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -148,14 +156,26 @@ def ensure_bandlimited(f: SampledFunction):
 
 def _phase_matrix_blocks(symbol, phase, x, xi):
     """(rows, sigma * exp(2 pi i Phi)) over blocks of the x rows, each
-    block against all xi; ``rows`` is the block's slice of x."""
-    chunk = max(1, _ROW_CHUNK_ENTRIES // x.size)
+    block against all xi; ``rows`` is the block's slice of x.
+
+    Every block is built in place in one buffer allocated per call, so
+    each yielded block is overwritten by the next. The direct quadrature,
+    ``kernel`` and ``weak_pairing`` each consume a block (a matrix-vector
+    product, or an in-place transform copied into K) before asking for
+    the next one.
+    """
+    chunk = max(1, _ROW_CHUNK_ENTRIES // xi.size)
+    buf = np.empty((min(chunk, x.size), xi.size), dtype=complex)
+    XI = xi[None, :]
     for start in range(0, x.size, chunk):
         X = x[start : start + chunk, None]
-        XI = xi[None, :]
         sig = np.asarray(symbol.eval(X, XI), dtype=float)
         ph = np.asarray(phase.eval(X, XI), dtype=float)
-        yield slice(start, start + X.size), sig * np.exp(2j * np.pi * ph)
+        block = buf[: X.size]
+        np.multiply(2j * np.pi, ph, out=block)
+        np.exp(block, out=block)
+        np.multiply(sig, block, out=block)
+        yield slice(start, start + X.size), block
 
 
 def apply_fio(
@@ -259,13 +279,15 @@ def kernel(symbol: SymbolSpec, phase: PhaseSpec, grid: Grid) -> np.ndarray:
     x = grid.axis()
     dual = grid.dual()
     # the blocks are built with xi in FFT order and transformed in
-    # place, so the only copy is the shift of each block into K
+    # place; n is even, so scaling each half into the other half of K
+    # is the fftshift
     xi = np.fft.ifftshift(dual.axis())
+    half = grid.n // 2
     K = np.empty((grid.n, grid.n), dtype=complex)
     for rows, block in _phase_matrix_blocks(symbol, phase, x, xi):
         np.fft.fft(block, axis=1, out=block)
-        block *= dual.spacing
-        K[rows] = np.fft.fftshift(block, axes=1)
+        np.multiply(block[:, half:], dual.spacing, out=K[rows, :half])
+        np.multiply(block[:, :half], dual.spacing, out=K[rows, half:])
     return K
 
 
@@ -285,9 +307,12 @@ def weak_pairing(
 ) -> complex:
     """<Tf, g> computed as a double sum, never forming Tf.
 
-    Pairs sigma exp(2 pi i Phi) against conj(g) tensor fhat directly;
-    agreement with inner(apply_fio(f), g) is a three-way consistency
-    check on the quadrature, the kernel, and this pairing.
+    Pairs sigma exp(2 pi i Phi) against conj(g) tensor fhat directly,
+    one block of x rows at a time: only a block's share of Tf exists at
+    once, and the total is the sum of the blocks' partial pairings, so
+    its last bits depend on the block size. Agreement with
+    inner(apply_fio(f), g) is a three-way consistency check on the
+    quadrature, the kernel, and this pairing.
     """
     if f.grid != g.grid:
         raise StructuralError("weak pairing needs both functions on one grid")

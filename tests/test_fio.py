@@ -1,5 +1,8 @@
 """Operator quadrature, kernels, and weak pairings."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from fiolab import (
     inner,
     inverse_fourier_transform,
     kernel,
+    make_phase,
     make_symbol,
     mild_growth,
     nonseparated_xi,
@@ -246,3 +250,119 @@ def test_shape_and_grid_errors(small):
         apply_fio(F, constant_symbol(), bilinear())
     with pytest.raises(StructuralError):
         kernel(constant_symbol(), bilinear(), g2)
+
+
+# the five built-in phases and the two symbol kinds of the CLI pins; at
+# n = 512 and 1024 the phase matrix spans 4 and 16 blocks, so these pins
+# see the block boundaries that a single-block grid cannot
+BLOCK_SYMBOLS = {
+    "constant": {},
+    "decaying": {"s1": 1.0, "s2": 0.5},
+}
+BLOCK_PHASES = {
+    "bilinear": {},
+    "mild_growth": {"alpha": 0.5},
+    "nonseparated_x": {"alpha": 0.5},
+    "nonseparated_xi": {"radius": 1.0},
+    "high_growth": {"t1": 1.0, "t2": 1.0},
+}
+# (n, symbol, phase) -> sha256 prefixes of the direct quadrature's and
+# the kernel's bytes, recorded when each grid up to n = 2048 was one block
+DIRECT_KERNEL_PINS = {
+    (512, "constant", "bilinear"): ("710506c75126e72a", "2aed4df4c451d3eb"),
+    (512, "constant", "mild_growth"): ("058aa2dc16b2c58d", "f8dbaee697461d88"),
+    (512, "constant", "nonseparated_x"): ("f4a2bd29fa0903de", "5933d9ce46f5b888"),
+    (512, "constant", "nonseparated_xi"): ("cddac08fc16c491b", "e59051f4e2d95320"),
+    (512, "constant", "high_growth"): ("a955269c00602f22", "d9b3a6cf264122d8"),
+    (512, "decaying", "bilinear"): ("d6053ad83aa98e2f", "ee3d4393b86fa5fe"),
+    (512, "decaying", "mild_growth"): ("800fa32dfba2847f", "860a4089b48c6738"),
+    (512, "decaying", "nonseparated_x"): ("b0af8c9ed8b8ad9b", "7a9edd026a731f68"),
+    (512, "decaying", "nonseparated_xi"): ("82072bc5bfa61a9e", "99246db02d27060f"),
+    (512, "decaying", "high_growth"): ("53e02aaa9c014314", "2ec44512bc260407"),
+    (1024, "constant", "bilinear"): ("7ad97d6a4449b64b", "475472e0a0f23c61"),
+    (1024, "constant", "mild_growth"): ("33c7de3b8198c451", "9418fd1d41ade66b"),
+    (1024, "constant", "nonseparated_x"): ("77aa83a5e664fd20", "909c8860c902d1df"),
+    (1024, "constant", "nonseparated_xi"): ("9a4373c6ce38fe9a", "8607ee5bbc83890e"),
+    (1024, "constant", "high_growth"): ("f099dc24c2003352", "ee2746f57de064dc"),
+    (1024, "decaying", "bilinear"): ("0826537fadc6e0b9", "7178752f51f49e55"),
+    (1024, "decaying", "mild_growth"): ("e4489d93359d2896", "d21ce7e893b3c197"),
+    (1024, "decaying", "nonseparated_x"): ("5ae110c0823afa0c", "44821787a5cf6a5f"),
+    (1024, "decaying", "nonseparated_xi"): ("e072cadc26755298", "b0f359d607e765cf"),
+    (1024, "decaying", "high_growth"): ("1c0604f7e7aa7df8", "13ad7e7eb4a21a23"),
+}
+
+
+def block_signal(n):
+    """Gaussians on an n-point grid of span 32, in closed form, whose
+    spectra sit far inside half Nyquist."""
+    grid = Grid(1, n, 32.0 / n)
+    x = grid.axis()
+    return SampledFunction(
+        grid,
+        np.exp(-np.pi * x**2) * (1.0 + 0.5 * np.exp(2j * np.pi * x))
+        + 0.3j * np.exp(-np.pi * ((x - 4.0) / 2.0) ** 2),
+    )
+
+
+def _block_case(key):
+    n, sym, ph = key
+    return (
+        block_signal(n),
+        make_symbol(sym, **BLOCK_SYMBOLS[sym]),
+        make_phase(ph, **BLOCK_PHASES[ph]),
+    )
+
+
+def _sha(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "key", sorted(DIRECT_KERNEL_PINS), ids=lambda k: "-".join(map(str, k))
+)
+def test_direct_and_kernel_bytes_are_pinned(key):
+    f, symbol, phase = _block_case(key)
+    direct = apply_fio(f, symbol, phase, force_direct=True).samples
+    got = (_sha(direct), _sha(kernel(symbol, phase, f.grid)))
+    assert got == DIRECT_KERNEL_PINS[key]
+
+
+@pytest.mark.parametrize(
+    "key", sorted(DIRECT_KERNEL_PINS), ids=lambda k: "-".join(map(str, k))
+)
+def test_pairing_matches_direct_across_blocks(key):
+    # the pairing sums one partial per block, so it may differ from the
+    # direct quadrature's inner product in its last bits only
+    f, symbol, phase = _block_case(key)
+    x = f.grid.axis()
+    g = SampledFunction(
+        f.grid, np.exp(-np.pi * ((x + 3.0) / 3.0) ** 2 + 2j * np.pi * 0.25 * x)
+    )
+    paired = weak_pairing(f, g, symbol, phase)
+    direct = inner(apply_fio(f, symbol, phase, force_direct=True), g)
+    assert paired == pytest.approx(direct, rel=1e-13, abs=0.0)
+
+
+MEMORY_CASES = {
+    "direct": lambda f, sym, ph: apply_fio(f, sym, ph, force_direct=True),
+    "pairing": lambda f, sym, ph: weak_pairing(f, f, sym, ph),
+    "kernel": lambda f, sym, ph: kernel(sym, ph, f.grid),
+}
+
+
+@pytest.mark.parametrize("path", list(MEMORY_CASES))
+def test_phase_matrix_memory_is_bounded(path):
+    # the phase matrix is built one cache-sized block at a time: the
+    # direct quadrature and the pairing hold no n x n array, and the
+    # kernel holds only its output
+    n = 2048
+    f = block_signal(n)
+    run = MEMORY_CASES[path]
+    tracemalloc.start()
+    try:
+        run(f, decaying_symbol(1.0, 0.5), mild_growth(0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = n * n * 16 if path == "kernel" else 0
+    assert peak <= output + (8 << 20)
