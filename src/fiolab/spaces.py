@@ -103,6 +103,15 @@ def _reduce(vals, p, meas, axis=None):
     return ((vals**p).sum(axis=axis) * meas) ** (1.0 / p)
 
 
+def _weigh(mags, wx, xi_pow, out):
+    """``out = mags * np.outer(wx, xi_pow)``, the outer product formed a
+    few rows at a time; ``out`` may be ``mags`` itself."""
+    step = max(1, FFT_BATCH_ENTRIES // max(xi_pow.size, 1))
+    for r in range(0, mags.shape[0], step):
+        np.multiply(mags[r : r + step], np.outer(wx[r : r + step], xi_pow), out=out[r : r + step])
+    return out
+
+
 def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
     """Weighted STFT norms of one function from blocks of its magnitudes.
 
@@ -114,6 +123,13 @@ def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
     of the sums. Frequency is reduced in increasing-xi order whatever
     the column order, so a producer that keeps FFT order gives the same
     bytes as one that shifts every block.
+
+    The fold owns each block ``rows`` returns. A writable C-contiguous
+    block, as both norm engines produce, is overwritten once no later
+    spec reads it: the last weighting is built in the block itself and
+    the last power of a weighting is taken in place. A single-spec fold
+    so holds one block-sized array whatever its weight and exponents,
+    and the bytes are those of the out-of-place forms.
     """
     specs, kinds = list(specs), list(kinds)
     if len(specs) != len(kinds):
@@ -131,26 +147,42 @@ def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
     accs = [np.zeros(xi.size) if kind == "modulation" else [] for kind in kinds]
     order = np.argsort(xi)
 
+    # the last spec to read each weighting; the plain magnitudes are read
+    # by their own specs and to build every other weighting, at its first
+    keys = [(spec.weight.s, spec.weight.t) for spec in specs]
+    last = {key: i for i, key in enumerate(keys)}
+    first = {key: keys.index(key) for key in last}
+    plain = (0.0, 0.0)
+    mags_last = max([last.get(plain, -1)] + [i for k, i in first.items() if k != plain])
+
     xi_pows = {}
     chunk = max(1, _CHUNK_ENTRIES // max(xi.size, 1))
     for start in range(0, x.size, chunk):
         sl = slice(start, start + chunk)
         mags = rows(sl)
-        weighted = {(0.0, 0.0): mags}
-        for spec, kind, (p, q), acc in zip(specs, kinds, pqs, accs):
+        # another layout would change the summation order of a reduction
+        reuse = mags.flags.c_contiguous and mags.flags.writeable
+        weighted = {plain: mags}
+        for i, (spec, kind, (p, q), acc, key) in enumerate(zip(specs, kinds, pqs, accs, keys)):
             w = spec.weight
-            if (w.s, w.t) not in weighted:
+            if key not in weighted:
                 if w.t not in xi_pows:
                     xi_pows[w.t] = bracket(xi) ** w.t
                 wx = bracket(x[sl]) ** w.s
-                weighted[w.s, w.t] = mags * np.outer(wx, xi_pows[w.t])
-            wm = weighted[w.s, w.t]
+                out = mags if reuse and i == mags_last else np.empty(mags.shape)
+                weighted[key] = _weigh(mags, wx, xi_pows[w.t], out)
+            wm = weighted[key]
+            # no later spec reads wm: its power may overwrite it
+            spent = i == last[key] and (wm is not mags or reuse and i >= mags_last)
             if kind == "amalgam":
                 acc.append(_reduce(np.take(wm, order, axis=1), q, dxi, axis=1))
             elif p == INF:
                 np.maximum(acc, wm.max(axis=0), out=acc)
             elif p == 1.0:
                 # wm**1.0 is wm, but numpy computes a full pow for it
+                acc += wm.sum(axis=0)
+            elif spent:
+                wm **= p
                 acc += wm.sum(axis=0)
             else:
                 acc += (wm**p).sum(axis=0)

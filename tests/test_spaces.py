@@ -257,6 +257,68 @@ def test_modulation_norm_memory_is_bounded():
     assert peak <= 3 * n * n * 8
 
 
+# the norms the desk CLI asks for, plus a weight on both variables
+ONE_BLOCK_SPECS = [
+    SpaceSpec(2.0, 2.0),
+    SpaceSpec(1.0, 2.0),
+    SpaceSpec(2.0, INF, Weight(1.0, 0.0)),
+    SpaceSpec(INF, 1.0, Weight(0.0, 0.5)),
+    SpaceSpec(4.0 / 3.0, 2.0, Weight(0.5, 0.5)),
+]
+
+
+def _spec_id(s):
+    return f"p{s.p:g}-q{s.q:g}-s{s.weight.s:g}-t{s.weight.t:g}"
+
+
+@pytest.mark.parametrize("spec", ONE_BLOCK_SPECS, ids=_spec_id)
+def test_single_spec_norm_holds_one_block(spec):
+    # the block of magnitudes, weighted and raised to p in place, plus one
+    # sub-batch of complex STFT rows (1.5 blocks); weighing or powering
+    # into a second block would pass 2
+    n = 2048
+    f = pin_signal(n, 32.0 / n)
+    tracemalloc.start()
+    try:
+        modulation_norm(f, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * n * n * 8
+
+
+@pytest.mark.parametrize("spec", ONE_BLOCK_SPECS, ids=_spec_id)
+def test_in_place_fold_keeps_the_bytes(spec):
+    # of two equal specs the first is reduced from a copy and the second
+    # in place, as a lone spec is; a plain p = 2 spec ahead of a weighted
+    # one must leave it the magnitudes unpowered
+    f = pin_signal(4096, 32.0 / 4096)
+    kinds = ["modulation", "modulation"]
+    pair = stft_norms(f, [spec, spec], kinds)
+    behind = stft_norms(f, [SpaceSpec(2.0, 2.0), spec], kinds)[1]
+    assert pair[0].hex() == pair[1].hex() == behind.hex() == modulation_norm(f, spec).hex()
+
+
+@pytest.mark.parametrize("key", [(1024, "0.3", "gauss"), (4096, "32/n", "gauss:0.5")])
+def test_norms_keep_their_pins_in_any_spec_order(key):
+    # which block the fold overwrites depends on the order of the specs;
+    # the bytes of each norm do not
+    n, spacing, window = key
+    f = pin_signal(n, 32.0 / n if spacing == "32/n" else float(spacing))
+    pins = EXACT_NORM_PINS[key]
+    pairs = [
+        (SpaceSpec(s.p, s.q, s.weight, window), kind, pins[half + i])
+        for kind, half in (("modulation", 0), ("amalgam", 4))
+        for i, s in enumerate(PIN_SPECS)
+    ]
+    rng = np.random.default_rng(5)
+    orders = [[i] for i in range(4)] + [rng.permutation(8) for _ in range(2)]
+    for order in orders:
+        specs, kinds, want = zip(*(pairs[i] for i in order))
+        got = [v.hex() for v in stft_norms(f, list(specs), list(kinds))]
+        assert got == list(want)
+
+
 def test_amalgam_is_fourier_image_of_modulation():
     # |V_g f(x, xi)| = |V_ghat fhat(xi, -x)| pointwise, so the modulation
     # norm of f equals the swapped-exponent amalgam norm of fhat when the
