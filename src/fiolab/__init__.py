@@ -7,6 +7,8 @@ threshold experiments that compare measured norm growth with predicted
 boundedness regions.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DomainError,
     FiolabError,
@@ -48,7 +50,6 @@ from .fio import (
     apply_fio,
     apply_fio_family,
     apply_kernel,
-    apply_multiplier,
     bandlimit_leakage,
     constant_symbol,
     decaying_symbol,
@@ -119,98 +120,9 @@ from .tf import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BANDLIMIT_TOL",
-    "Bump",
-    "CoefficientSeq",
-    "ConditionVerdict",
-    "DEFAULT_WINDOW",
-    "DomainError",
-    "ExperimentRow",
-    "FiolabError",
-    "Grid",
-    "GrowthParams",
-    "INF",
-    "PartitionSpec",
-    "PhaseSpec",
-    "ResourceError",
-    "SampledFunction",
-    "SampledFunction2D",
-    "SpaceSpec",
-    "StructuralError",
-    "SweepTuple",
-    "SymbolSpec",
-    "TFMatrix",
-    "ValidationError",
-    "Weight",
-    "amalgam_norm",
-    "annulus_profile",
-    "apply_fio",
-    "apply_fio_family",
-    "apply_kernel",
-    "apply_multiplier",
-    "bandlimit_leakage",
-    "bilinear",
-    "bracket",
-    "bracket_power",
-    "build_F",
-    "build_G",
-    "build_chirp_train",
-    "build_modulated_train",
-    "check_phase",
-    "chirp_modulate",
-    "constant_symbol",
-    "decay_grid",
-    "decaying_symbol",
-    "default_bump",
-    "default_dispersive_grid",
-    "default_grid",
-    "dispersive_sup",
-    "embedding_holds",
-    "embedding_witness",
-    "emit_report",
-    "ensure_bandlimited",
-    "fast_modulation_norms",
-    "fold_norms",
-    "fourier_transform",
-    "fundamental_identity_residual",
-    "high_growth",
-    "high_growth_decay",
-    "inner",
-    "inverse_fourier_transform",
-    "k_alpha",
-    "kernel",
-    "make_phase",
-    "make_symbol",
-    "make_window",
-    "mild_growth",
-    "modulation_norm",
-    "mollifier",
-    "mu_gradient",
-    "nonseparated_x",
-    "nonseparated_xi",
-    "render_report_svg",
-    "rows_from_csv",
-    "rows_to_csv",
-    "sampled_from_csv",
-    "sampled_to_csv",
-    "sep_deviation",
-    "separation_margin",
-    "sequence_norm",
-    "stft",
-    "stft_norms",
-    "taylor_remainder",
-    "tf_from_csv",
-    "tf_to_csv",
-    "thm1_default_tuples",
-    "thm1_predicate",
-    "thm2_default_tuples",
-    "thm2_predicate",
-    "thm3_default_tuples",
-    "thm3_predicate",
-    "threshold_sweep",
-    "translate_modulate",
-    "verify_growth",
-    "verify_separation",
-    "weak_pairing",
-]
+# every public name imported above, in sorted order
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

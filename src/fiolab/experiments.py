@@ -235,7 +235,7 @@ def fast_modulation_norms(
         return wm
 
     kinds = ["modulation"] * len(specs)
-    x = grid.axis()[shifts]
+    x = (shifts - n // 2) * dx
     return fold_norms(rows, x, np.fft.ifftshift(xi), stride * dx, dxi, specs, kinds)
 
 

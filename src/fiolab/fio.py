@@ -9,6 +9,11 @@ integral kernel obtained by transforming the symbol-phase matrix in
 its second slot. They agree to round-off on band-limited inputs, which
 is the working correctness check for everything built on top.
 
+The fast path is :func:`apply_fio_family`; :func:`apply_fio` is a family
+of one. It forms e^(2 pi i mu_x) once per family, skips the factor of a
+part the phase lacks, runs one inverse transform per distinct s2, and
+holds no axis and no frequency-side array but fhat across ``reduce``.
+
 The direct quadrature, the kernel and the weak pairing read the matrix
 sigma * exp(2 pi i Phi) one block of x rows at a time, built in place in
 one reused buffer of about a megabyte, so none of them holds an n x n
@@ -31,7 +36,7 @@ from .grid import (
     fourier_transform,
     inverse_fourier_transform,
 )
-from .phase import PhaseSpec, build_builtin
+from .phase import ZERO_PART, PhaseSpec, build_builtin
 
 __all__ = [
     "SymbolSpec",
@@ -44,7 +49,6 @@ __all__ = [
     "ensure_bandlimited",
     "apply_fio",
     "apply_fio_family",
-    "apply_multiplier",
     "kernel",
     "apply_kernel",
     "weak_pairing",
@@ -189,14 +193,15 @@ def apply_fio(
     The returned samples are Tf(x_j) = sum_m sigma(x_j, xi_m)
     fhat(xi_m) exp(2 pi i Phi(x_j, xi_m)) d xi. Inputs must be
     band-limited to half Nyquist so that the cyclic quadrature matches
-    the line integral it stands for. Phases with coupling 0 or 1 take a
-    fast path through at most one inverse transform; ``force_direct``
-    keeps the O(n^2) quadrature for cross-checks.
+    the line integral it stands for. The operator is
+    :func:`apply_fio_family` over a family of one symbol;
+    ``force_direct`` keeps the O(n^2) quadrature for cross-checks.
     """
+    if not force_direct:
+        return apply_fio_family(f, [symbol], phase, lambda s, g: g)[0]
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
-    fhat = _checked_transform(f)
-    return _apply_transformed(f.grid, fhat, symbol, phase, force_direct)
+    return _apply_transformed(f.grid, _checked_transform(f), symbol, phase)
 
 
 def apply_fio_family(
@@ -208,61 +213,68 @@ def apply_fio_family(
     """``[reduce(s, apply_fio(f, s, phase)) for s in symbols]``, with f
     transformed and checked once for the whole family.
 
-    Each output is handed to ``reduce`` and dropped before the next one
-    is made, so a family of large outputs costs the memory of one.
+    At coupling 0 or 1, Tf = sigma1 e^(2 pi i mu_x) F^-1[sigma2
+    e^(2 pi i mu_xi) fhat] (at coupling 0 the bracket is a sum). The
+    symbols are visited in order of s2, so ``reduce`` is called in that
+    order; the results come back in the order of ``symbols``. A profile
+    F^-1[...] lives while its s2 lasts, and each output is dropped
+    before the next one is made. Other couplings take the quadrature.
     """
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
     fhat = _checked_transform(f)
-    return [
-        reduce(s, _apply_transformed(f.grid, fhat, s, phase)) for s in symbols
-    ]
+    grid = f.grid
+    if phase.coupling not in (0, 1):
+        return [reduce(s, _apply_transformed(grid, fhat, s, phase)) for s in symbols]
+    front = None
+    if phase.mu_x_triple is not ZERO_PART:
+        front = 2j * np.pi * np.asarray(phase.mu_x(grid.axis()), dtype=float)
+        np.exp(front, out=front)
+    symbols = list(symbols)
+    order = sorted(range(len(symbols)), key=lambda i: symbols[i].s2)
+    results = [None] * len(symbols)
+    profile = None
+    for k, i in enumerate(order):
+        if profile is None:
+            profile = _profile(fhat, symbols[i], phase)
+        out = symbols[i].sigma1(grid.axis()) * (profile if front is None else front)
+        if front is not None:
+            out *= profile
+        # what no later symbol reads goes before reduce runs
+        if k + 1 == len(order):
+            profile = front = fhat = None
+        elif symbols[order[k + 1]].s2 != symbols[i].s2:
+            profile = None
+        results[i] = reduce(symbols[i], SampledFunction(grid, out))
+        del out
+    return results
 
 
-def _apply_transformed(grid, fhat, symbol, phase, force_direct=False):
-    """The operator applied to the input on ``grid`` whose transform is fhat."""
+def _profile(fhat, symbol, phase):
+    """F^-1[sigma2 e^(2 pi i mu_xi) fhat] at coupling 1, its Riemann sum
+    at coupling 0."""
     xi = fhat.grid.axis()
-    x = grid.axis()
+    if phase.mu_xi_triple is ZERO_PART:
+        weighted = symbol.sigma2(xi) * fhat.samples
+    else:
+        weighted = 2j * np.pi * np.asarray(phase.mu_xi(xi), dtype=float)
+        np.exp(weighted, out=weighted)
+        np.multiply(symbol.sigma2(xi), weighted, out=weighted)
+        weighted *= fhat.samples
+    del xi  # the transform below needs two more n-point arrays
+    if phase.coupling == 1.0:
+        return inverse_fourier_transform(SampledFunction(fhat.grid, weighted)).samples
+    return weighted.sum() * fhat.grid.cell_measure()
 
-    if not force_direct and phase.coupling in (0, 1):
-        weighted = (
-            np.asarray(symbol.sigma2(xi), dtype=float)
-            * np.exp(2j * np.pi * np.asarray(phase.mu_xi(xi), dtype=float))
-            * fhat.samples
-        )
-        front = np.asarray(symbol.sigma1(x), dtype=float) * np.exp(
-            2j * np.pi * np.asarray(phase.mu_x(x), dtype=float)
-        )
-        if phase.coupling == 1.0:
-            profile = inverse_fourier_transform(
-                SampledFunction(fhat.grid, weighted)
-            ).samples
-            out = front * profile
-        else:
-            constant = weighted.sum() * fhat.grid.cell_measure()
-            out = front * constant
-        return SampledFunction(grid, out)
 
+def _apply_transformed(grid, fhat, symbol, phase):
+    """The direct quadrature of the operator, applied to the input on
+    ``grid`` whose transform is fhat."""
     out = np.empty(grid.n, dtype=complex)
     coeffs = fhat.samples * fhat.grid.cell_measure()
-    for rows, block in _phase_matrix_blocks(symbol, phase, x, xi):
+    for rows, block in _phase_matrix_blocks(symbol, phase, grid.axis(), fhat.grid.axis()):
         out[rows] = block @ coeffs
     return SampledFunction(grid, out)
-
-
-def apply_multiplier(f: SampledFunction, mu: Callable) -> SampledFunction:
-    """Unimodular Fourier multiplier exp(i mu(xi)).
-
-    The multiplier has modulus one for real mu, so the quadratic norm
-    is preserved exactly; mu(xi) = 2 pi u xi reproduces translation
-    by -u.
-    """
-    fhat = fourier_transform(f)
-    xi = fhat.grid.axis()
-    factor = np.exp(1j * np.asarray(mu(xi), dtype=float))
-    return inverse_fourier_transform(
-        SampledFunction(fhat.grid, factor * fhat.samples)
-    )
 
 
 def kernel(symbol: SymbolSpec, phase: PhaseSpec, grid: Grid) -> np.ndarray:

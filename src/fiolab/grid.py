@@ -164,29 +164,45 @@ def check_matrix_budget(n: int, what: str):
         )
 
 
-def shifted_fft(samples: np.ndarray, axes=None, inverse: bool = False) -> np.ndarray:
+def shifted_fft(samples: np.ndarray, axes=None) -> np.ndarray:
     """DFT in grid order over ``axes`` (default all): exact exp(-2pi i x xi)
     sums on symmetric grids."""
-    work = np.fft.ifftshift(samples, axes=axes)
-    work = np.fft.ifftn(work, axes=axes) if inverse else np.fft.fftn(work, axes=axes)
+    work = np.fft.fftn(np.fft.ifftshift(samples, axes=axes), axes=axes)
     return np.fft.fftshift(work, axes=axes)
+
+
+def _transform(f: SampledFunction, inverse: bool) -> SampledFunction:
+    """The DFT of f in grid order, scaled to the Riemann sum: one copy
+    into FFT order (n is even, so the shift swaps the halves), an FFT in
+    place, and the scaling on the shift back, through a half-size
+    temporary. n is a power of two, so n * dx is exact."""
+    if f.dim != 1:
+        raise StructuralError("Fourier transforms act on one-dimensional samples")
+    n, half = f.grid.n, f.grid.n // 2
+    work = np.empty(n, dtype=complex)
+    work[:half] = f.samples[half:]
+    work[half:] = f.samples[:half]
+    (np.fft.ifft if inverse else np.fft.fft)(work, out=work)
+    scale = n * f.grid.spacing if inverse else f.grid.spacing
+    low = work[:half] * scale
+    np.multiply(work[half:], scale, out=work[:half])
+    work[half:] = low
+    return SampledFunction(f.grid.dual(), work)
 
 
 def fourier_transform(f: SampledFunction) -> SampledFunction:
     """Riemann-sum Fourier transform onto the dual grid.
 
-    Uses the convention ``Fhat(xi) = integral f(x) exp(-2pi i x.xi) dx``;
+    Uses the convention ``Fhat(xi) = sum_x f(x) exp(-2pi i x xi) dx``;
     the discrete sum is exact for the cyclic model, so inversion and
     Parseval hold to round-off.
     """
-    out = shifted_fft(f.samples) * f.grid.cell_measure()
-    return type(f)(f.grid.dual(), out)
+    return _transform(f, inverse=False)
 
 
 def inverse_fourier_transform(f: SampledFunction) -> SampledFunction:
-    dual = f.grid.dual()
-    out = shifted_fft(f.samples, inverse=True) * (f.grid.n**f.grid.dim) * f.grid.cell_measure()
-    return type(f)(dual, out)
+    """Inverse of :func:`fourier_transform`, from the dual grid back."""
+    return _transform(f, inverse=True)
 
 
 def _as_vector(v, dim: int, name: str) -> np.ndarray:

@@ -27,6 +27,7 @@ from .grid import Grid, SampledFunction2D, bracket, shifted_fft
 
 __all__ = [
     "MINUS_INF",
+    "ZERO_PART",
     "GrowthParams",
     "PhaseSpec",
     "PartitionSpec",
@@ -101,8 +102,13 @@ class GrowthParams:
         )
 
 
-def _zero(u):
+def _zero(u, t=0.0):
     return np.zeros_like(np.asarray(u, dtype=float))
+
+
+# the part of a phase without mu_x or mu_xi, shared by every such phase;
+# an operator skips the factor of a part that is this object
+ZERO_PART = (_zero, _zero, _zero)
 
 
 @dataclass(frozen=True)
@@ -111,15 +117,16 @@ class PhaseSpec:
     growth class.
 
     Each part is a triple (f, f', f'') of vectorized functions of one
-    variable; a missing part is zero. The phase, its gradient and its
-    Hessian are methods derived from the parts, broadcasting their two
-    arguments.
+    variable; a missing part is :data:`ZERO_PART`. f'' also takes the
+    exponent t of a weight <u>^(-t) and returns f''(u) <u>^(-t). The
+    phase, its gradient and its Hessian are methods derived from the
+    parts, broadcasting their two arguments.
     """
 
     name: str
     declared: GrowthParams
-    mu_x_triple: tuple = (_zero, _zero, _zero)
-    mu_xi_triple: tuple = (_zero, _zero, _zero)
+    mu_x_triple: tuple = ZERO_PART
+    mu_xi_triple: tuple = ZERO_PART
     coupling: float = 0.0
 
     def mu_x(self, x):
@@ -161,7 +168,11 @@ class PhaseSpec:
 
 
 def bracket_power(beta: float, scale: float = 1.0):
-    """(f, f', f'') for f(u) = scale * <u>^beta."""
+    """(f, f', f'') for f(u) = scale * <u>^beta.
+
+    The weight of f''(u, t) sits inside its powers of <u>, so the
+    weighted value stays finite where f'' alone overflows.
+    """
 
     def f(u):
         return scale * bracket(u) ** beta
@@ -170,11 +181,11 @@ def bracket_power(beta: float, scale: float = 1.0):
         u = np.asarray(u, dtype=float)
         return scale * beta * u * bracket(u) ** (beta - 2.0)
 
-    def d2f(u):
+    def d2f(u, t=0.0):
         u = np.asarray(u, dtype=float)
         b = bracket(u)
-        return scale * (beta * b ** (beta - 2.0)
-                        + beta * (beta - 2.0) * u * u * b ** (beta - 4.0))
+        return scale * (beta * b ** (beta - 2.0 - t)
+                        + beta * (beta - 2.0) * u * u * b ** (beta - 4.0 - t))
 
     return f, df, d2f
 
@@ -226,7 +237,7 @@ def nonseparated_xi(radius: float = 1.0) -> PhaseSpec:
         out[inside] = np.exp(1.0 - 1.0 / w) * (-2.0 * vi / (w * w)) / radius
         return out
 
-    def d2f(u):
+    def d2f(u, t=0.0):
         u = np.asarray(u, dtype=float)
         v = u / radius
         out = np.zeros_like(v)
@@ -239,7 +250,7 @@ def nonseparated_xi(radius: float = 1.0) -> PhaseSpec:
             (-2.0 / (w * w) - 8.0 * vi * vi / (w**3))
             + (4.0 * vi * vi / (w**4))
         ) / (radius * radius)
-        return out
+        return out * bracket(u) ** (-t)
 
     return PhaseSpec(
         f"nonseparated_xi[radius={radius:g}]",
@@ -432,8 +443,8 @@ def second_derivative_bounds(
 
     e = weighted_sup(np.ones(m))
     u = np.arange(-L, L + 1, dtype=float)[:, None] + off[None, :]
-    xx = np.asarray(phase.mu_x_triple[2](u), dtype=float) * bracket(u) ** (-t1)
-    xixi = np.asarray(phase.mu_xi_triple[2](u), dtype=float) * bracket(u) ** (-t2)
+    xx = np.asarray(phase.mu_x_triple[2](u, t1), dtype=float)
+    xixi = np.asarray(phase.mu_xi_triple[2](u, t2), dtype=float)
     return weighted_sup(xx) * e, weighted_sup(xixi) * e, abs(phase.coupling) * e * e
 
 

@@ -19,7 +19,6 @@ from fiolab import (
     apply_fio,
     apply_fio_family,
     apply_kernel,
-    apply_multiplier,
     bandlimit_leakage,
     bilinear,
     bracket_power,
@@ -180,14 +179,21 @@ def test_frequency_chirp_matches_multiplier(small):
         "freq_chirp", GrowthParams(alpha=1.0), mu_xi_triple=trip, coupling=1.0
     )
     out = apply_fio(f, constant_symbol(), ph)
-    mult = apply_multiplier(f, lambda xi: 2.0 * np.pi * trip[0](xi))
+    mult = _multiplier(f, lambda xi: 2.0 * np.pi * trip[0](xi))
     assert np.allclose(out.samples, mult.samples, atol=1e-12)
+
+
+def _multiplier(f, mu):
+    """The unimodular Fourier multiplier exp(i mu(xi)) applied to f."""
+    fhat = fourier_transform(f)
+    factor = np.exp(1j * mu(fhat.grid.axis()))
+    return inverse_fourier_transform(SampledFunction(fhat.grid, factor * fhat.samples))
 
 
 def test_multiplier_linear_phase_translates(small):
     grid, f = small
     u = 4 * grid.spacing
-    out = apply_multiplier(f, lambda xi: 2.0 * np.pi * u * xi)
+    out = _multiplier(f, lambda xi: 2.0 * np.pi * u * xi)
     assert np.allclose(out.samples, np.roll(f.samples, -4), atol=1e-10)
     assert out.norm2() == pytest.approx(f.norm2(), rel=1e-12)
 
@@ -366,3 +372,77 @@ def test_phase_matrix_memory_is_bounded(path):
         tracemalloc.stop()
     output = n * n * 16 if path == "kernel" else 0
     assert peak <= output + (8 << 20)
+
+
+# a family with repeated s2 values in shuffled order, so the fast path
+# shares profiles across symbols that are not neighbours in the list
+FAMILY_SYMBOLS = [
+    decaying_symbol(1.0, 0.5),
+    constant_symbol(),
+    decaying_symbol(0.5, 0.0),
+    decaying_symbol(0.0, 0.5),
+    decaying_symbol(2.0, 1.0),
+    decaying_symbol(0.3, 0.5),
+]
+FAMILY_PHASES = {
+    "bilinear": bilinear(),
+    "mild_growth": mild_growth(0.5),
+    "nonseparated_x": make_phase("nonseparated_x", alpha=0.5),
+    "nonseparated_xi": nonseparated_xi(1.0),
+    "high_growth": make_phase("high_growth", t1=1.0, t2=1.0),
+    "freq_chirp": PhaseSpec(
+        "freq_chirp", GrowthParams(alpha=1.0), mu_xi_triple=bracket_power(0.5),
+        coupling=1.0,
+    ),
+}
+# (n, phase) -> sha256 prefix of the family's outputs, concatenated in
+# the order of FAMILY_SYMBOLS; recorded when every symbol rebuilt both
+# exponentials and its own inverse transform
+FAMILY_PINS = {
+    (512, "bilinear"): "04bd47acc84e42f1",
+    (512, "mild_growth"): "7861ba90f3c9b44a",
+    (512, "nonseparated_x"): "08a5333bd6f772f0",
+    (512, "nonseparated_xi"): "4cc9385d0f55e7b0",
+    (512, "high_growth"): "69bf64abd4774ac4",
+    (512, "freq_chirp"): "bc7bc018c767db92",
+    (1024, "bilinear"): "e6d3ab5b55f81b09",
+    (1024, "mild_growth"): "604bea3241b97e56",
+    (1024, "nonseparated_x"): "a4f79e3f036726a5",
+    (1024, "nonseparated_xi"): "6eef29c71e1ac005",
+    (1024, "high_growth"): "4e347fecde8b794b",
+    (1024, "freq_chirp"): "1df598b0ca13a472",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FAMILY_PINS), ids=lambda k: "-".join(map(str, k)))
+def test_family_bytes_are_pinned(key):
+    n, name = key
+    calls = []
+
+    def reduce(symbol, g):
+        calls.append(symbol.s2)
+        return g.samples.tobytes()
+
+    outs = apply_fio_family(block_signal(n), FAMILY_SYMBOLS, FAMILY_PHASES[name], reduce)
+    assert hashlib.sha256(b"".join(outs)).hexdigest()[:16] == FAMILY_PINS[key]
+    assert calls == sorted(calls)
+
+
+def test_family_memory_is_bounded():
+    # the phase factor is formed in place and a profile lives only while
+    # its s2 lasts: two symbols with distinct s2 at n = 2^20 stay within
+    # five n-point complex arrays, where rebuilding both exponentials per
+    # symbol peaked at about six
+    n = 1 << 20
+    f = block_signal(n)
+    symbols = [decaying_symbol(1.0, 0.5), decaying_symbol(0.5, 0.0)]
+    tracemalloc.start()
+    try:
+        norms = apply_fio_family(
+            f, symbols, mild_growth(0.5), lambda s, g: np.vdot(g.samples, g.samples).real
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(norm > 0.0 for norm in norms)
+    assert peak <= 5 * n * 16

@@ -1,5 +1,7 @@
 """Phase calculus, partition geometry, and condition verification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,9 +217,10 @@ def test_second_derivative_bounds_validation():
         separation_margin(ph, "x", float("inf"))
 
 
-def _bounds_2d_reference(phase, t1, t2, eps, box):
+def _bounds_2d_reference(phase, t1, t2, eps, box, xx=None):
     """second_derivative_bounds taken cell by cell over the plane: the
-    2-D local spectrum of each partition-localized Hessian block."""
+    2-D local spectrum of each partition-localized Hessian block; ``xx``
+    replaces the weighted xx-block."""
     m = 32
     h = 2.0 / m
     off = (np.arange(m) - m // 2) * h
@@ -225,7 +228,7 @@ def _bounds_2d_reference(phase, t1, t2, eps, box):
     zeta = (np.arange(m) - m // 2) / (m * h)
     weight = bracket(zeta) ** (1.0 + eps)
     blocks = (
-        lambda x, xi: phase.hess_xx(x, xi) * bracket(x) ** (-t1),
+        xx or (lambda x, xi: phase.hess_xx(x, xi) * bracket(x) ** (-t1)),
         lambda x, xi: phase.hess_xixi(x, xi) * bracket(xi) ** (-t2),
         phase.hess_xxi,
     )
@@ -259,6 +262,30 @@ def test_second_derivative_bounds_match_2d_reference(box):
                 got = second_derivative_bounds(ph, t1, t2, eps, box)
                 want = _bounds_2d_reference(ph, t1, t2, eps, box)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def _log_space_xx(x, xi, t1):
+    """high_growth's mu_x''(x) <x>^(-t1) from its logarithm:
+    mu'' = beta <x>^(beta-4) (<x>^2 + (beta-2) x^2) / (2 pi), beta = 2 + t1."""
+    beta = 2.0 + t1
+    b = bracket(x)
+    log = np.log(beta / (2.0 * np.pi)) + (beta - 4.0 - t1) * np.log(b)
+    return np.exp(log + np.log(b * b + (beta - 2.0) * x * x)) + 0.0 * xi
+
+
+def test_high_growth_weighted_hessian_stays_finite():
+    # mu_x'' alone overflows beyond |x| = 6 at t1 = 400, and its product
+    # with the underflowing weight <x>^(-400) was nan
+    ph = high_growth(400.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        row = verify_growth(ph)[0]
+    assert row.condition == "hessian-xx[t1=400]"
+    assert np.isfinite(row.measured)
+    xx = lambda x, xi: _log_space_xx(x, xi, 400.0)  # noqa: E731
+    bounds = [_bounds_2d_reference(ph, 400.0, 0.0, 0.5, L, xx)[0] for L in DEFAULT_BOXES]
+    factor = max(b / a for a, b in zip(bounds, bounds[1:]))
+    assert row.measured == pytest.approx(factor, rel=1e-12, abs=0.0)
 
 
 def test_verify_growth_accepts_builtins():
