@@ -733,11 +733,14 @@ def _run_steps(step, tasks, pooled):
     ``pooled`` and the platform, the CPU affinity and the calling process
     allow it: a daemonic process, such as a ``multiprocessing.Pool``
     worker, may not have children and runs the steps itself. All three
-    sweeps run their family steps through it, by way of
-    :func:`_run_keyed`.
+    sweeps run their steps through it, by way of :func:`_run_keyed`:
+    thm1 one per input and family step, thm2 and thm3 one per probe
+    input, each returning only scalars for the caller to assemble.
 
     Tasks are handed out in list order, so callers list the longest
-    first. Workers are forked rather than spawned: a spawned worker
+    first. A task's arguments are pickled to reach a worker, so each
+    step builds its own input from a few parameters rather than being
+    sent samples. Workers are forked rather than spawned: a spawned worker
     re-imports the caller's main script, which would rerun any script
     that sweeps without a ``__main__`` guard. The process starts no
     threads of its own; the BLAS pool resets itself across a fork and
@@ -845,49 +848,53 @@ def _symbol_scalar(fhat, s2: float) -> float:
     return abs(complex(total * fhat.grid.cell_measure()))
 
 
-def _thm2_ratios(f, inputs, members, alpha, window):
-    """Each member tuple's operator ratios over ``inputs``, a list of
-    (transform, input norms) pairs whose first transform is f's.
+def _thm2_step(grid, N, window, pq_all, s2s, alpha=None, s1_pqs=()):
+    """What one thm2 task measures on one probe input, the train of N
+    spectral bumps on ``grid`` (a box's input is the one bump N = 1).
 
-    The operator runs on f alone, in one family call over the symbols
-    of every s1 among ``members``; on each input its output norm scales
-    by the spectral pairing scalar of that input's transform.
+    Returns (pairing, norms, outs): the spectral pairing scalar of the
+    input's transform for each s2 in ``s2s``, the input's norms for each
+    (p, q) in ``pq_all``, and for each (s1, pqs) entry of ``s1_pqs`` the
+    norms over pqs of the image under the operator at ``alpha`` with the
+    symbol of decay s1, all of them in one family call. A task that is
+    not asked for one of the three leaves it empty.
     """
-    s1s = sorted({t.s1 for t in members})
-    pqs = {s1: sorted({(t.p, t.q) for t in members if t.s1 == s1}) for s1 in s1s}
-    outs = apply_fio_family(
-        f,
-        [decaying_symbol(s1, 0.0) for s1 in s1s],
-        _chirp_phase(alpha),
-        lambda sym, g: _norm_map(g, pqs[sym.s1], window),
-    )
-    out = dict(zip(s1s, outs))
-    c_ref = _symbol_scalar(inputs[0][0], 0.0)
+    f = build_modulated_train(CoefficientSeq.ones(0, N), _spectral_bump(), grid)
+    pairing = {}
+    if s2s:
+        fhat = fourier_transform(f)
+        pairing = {s2: _symbol_scalar(fhat, s2) for s2 in s2s}
+        del fhat
+    norms = _norm_map(f, pq_all, window) if pq_all else {}
+    outs = {}
+    if s1_pqs:
+        pqs = dict(s1_pqs)
+        images = apply_fio_family(
+            f,
+            [decaying_symbol(s1, 0.0) for s1 in pqs],
+            _chirp_phase(alpha),
+            lambda sym, g: _norm_map(g, pqs[sym.s1], window),
+        )
+        outs = dict(zip(pqs, images))
+    return pairing, norms, outs
+
+
+def _thm2_ratios(outs, probes, members):
+    """Each member tuple's operator ratios over ``probes``, a list of
+    (pairing scalars, input norms) whose first entry is the operator's
+    input, whose output norms ``outs`` holds by s1 and (p, q).
+
+    The operator has rank one, so on each probe its output norm is the
+    first input's scaled by the ratio of the two pairing scalars.
+    """
+    c_ref = probes[0][0][0.0]
     return {
         t: [
-            out[t.s1][t.p, t.q]
-            * (_symbol_scalar(fhat, t.s2) / c_ref)
-            / norms_in[t.p, t.q]
-            for fhat, norms_in in inputs
+            outs[t.s1][t.p, t.q] * (pairing[t.s2] / c_ref) / norms[t.p, t.q]
+            for pairing, norms in probes
         ]
         for t in members
     }
-
-
-def _thm2_step(members, alpha, grid, pq_all, trains=None):
-    """Ratios of the tuples ``members`` at ``alpha`` on one thm2 probe.
-
-    With ``trains``, a (first train, [(transform, input norms), ...])
-    pair of the modulation stacks on ``grid``, the ratios cover every
-    train. Without, the step builds the spectral bump on the box
-    ``grid``, its transform and its norms for ``pq_all``, and the
-    ratios hold that one box.
-    """
-    if trains is not None:
-        return _thm2_ratios(*trains, members, alpha, _THM2_TRAIN_WINDOW)
-    psi = build_modulated_train(CoefficientSeq.delta(0), _spectral_bump(), grid)
-    box = [(fourier_transform(psi), _norm_map(psi, pq_all, _THM2_BOX_WINDOW))]
-    return _thm2_ratios(psi, box, members, alpha, _THM2_BOX_WINDOW)
 
 
 def _sweep_thm2(tuples, Ns):
@@ -899,51 +906,76 @@ def _sweep_thm2(tuples, Ns):
     threshold; output norms on each probe scale exactly with the
     spectral pairing scalar, which saves recomputing the chirp norm.
 
-    The stacks, their transforms and their norms are built once, here.
-    The operator work is one :func:`_thm2_step` task per alpha on the
-    stacks and one per (alpha, box scale R), run by :func:`_run_keyed`.
+    Every :func:`_thm2_step` task, run by :func:`_run_keyed`, builds
+    the one input it measures and returns only scalars: one task per
+    train length N takes the train's norms and pairing scalars, one per
+    alpha applies the operator to the first train, and one per (alpha,
+    box scale R) does both on the box. :func:`_thm2_ratios` assembles
+    the ratios here.
     """
     train_grid = _thm2_train_grid()
-    phi = _spectral_bump()
     Rs = [2 * int(N) for N in Ns]
     pq_all = sorted({(t.p, t.q) for t in tuples})
-
-    trains = [
-        build_modulated_train(CoefficientSeq.ones(0, int(N)), phi, train_grid)
-        for N in Ns
-    ]
-    train_inputs = [
-        (fourier_transform(f), _norm_map(f, pq_all, _THM2_TRAIN_WINDOW))
-        for f in trains
-    ]
     grids_a = [train_grid.describe()] * len(Ns)
 
     alphas = sorted({t.alpha for t in tuples})
     members = {a: [t for t in tuples if t.alpha == a] for a in alphas}
+    s1_pqs = {
+        a: [
+            (s1, sorted({(t.p, t.q) for t in members[a] if t.s1 == s1}))
+            for s1 in sorted({t.s1 for t in members[a]})
+        ]
+        for a in alphas
+    }
+    # the first input's scalar at s2 = 0 is every ratio's reference
+    s2s = {a: sorted({0.0} | {t.s2 for t in members[a]}) for a in alphas}
+    s2_all = sorted({0.0} | {t.s2 for t in tuples})
     box_grids = {(a, R): _thm2_box_grid(a, R) for a in alphas for R in Rs}
-    first = (trains[0], train_inputs)
     tasks = [
-        ((a, None), train_grid, (members[a], a, train_grid, pq_all, first))
+        (
+            ("train", N),
+            train_grid,
+            (train_grid, int(N), _THM2_TRAIN_WINDOW, pq_all, s2_all),
+        )
+        for N in Ns
+    ]
+    tasks += [
+        (
+            ("operator", a),
+            train_grid,
+            (train_grid, int(Ns[0]), _THM2_TRAIN_WINDOW, (), (), a, s1_pqs[a]),
+        )
         for a in alphas
     ]
     tasks += [
-        ((a, R), grid, (members[a], a, grid, pq_all))
+        (
+            ("box", a, R),
+            grid,
+            (grid, 1, _THM2_BOX_WINDOW, pq_all, s2s[a], a, s1_pqs[a]),
+        )
         for (a, R), grid in box_grids.items()
     ]
     steps = _run_keyed(_thm2_step, tasks)
 
-    return {
-        t: [
-            (Ns, steps[t.alpha, None][t], grids_a, _THM2_TRAIN_WINDOW),
-            (
-                Rs,
-                [steps[t.alpha, R][t][0] for R in Rs],
-                [box_grids[t.alpha, R].describe() for R in Rs],
-                _THM2_BOX_WINDOW,
-            ),
+    trains = [steps["train", N][:2] for N in Ns]
+    series = {}
+    for a in alphas:
+        along = _thm2_ratios(steps["operator", a][2], trains, members[a])
+        boxes = [
+            _thm2_ratios(steps["box", a, R][2], [steps["box", a, R][:2]], members[a])
+            for R in Rs
         ]
-        for t in tuples
-    }
+        for t in members[a]:
+            series[t] = [
+                (Ns, along[t], grids_a, _THM2_TRAIN_WINDOW),
+                (
+                    Rs,
+                    [box[t][0] for box in boxes],
+                    [box_grids[a, R].describe() for R in Rs],
+                    _THM2_BOX_WINDOW,
+                ),
+            ]
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -972,31 +1004,28 @@ def _thm3_side(t: SweepTuple):
     return (t.s1, t.t1)
 
 
-def _thm3_step(growth, k, grid, s_pqs):
-    """Ratios of one high-growth family step, growth rate ``growth`` at
-    x = k on ``grid``: {(s, (p, p)): (plain ratio, pre-chirped ratio)}
-    for each decay rate s and its exponent pairs in ``s_pqs``."""
+def _thm3_step(growth, k, grid, s, pqs):
+    """Norms of one high-growth probe pair near x = k on ``grid``, for
+    growth rate ``growth`` and each (p, p) in ``pqs``.
+
+    With ``s`` None the pair is the plain bump and the pre-chirped bump,
+    the denominators of the step's ratios; with a decay rate s it is
+    their images under the local operator, the numerators. Returns the
+    two inputs' norm maps.
+    """
     kk = float(k)
     mu, dmu, _ = bracket_power(2.0 + growth)
     y = grid.axis()
     tau = mu(kk + y) - float(mu(kk)) - float(dmu(kk)) * y
     chi = mollifier(y, 1.0)
-    pq_all = sorted({pq for _, pqs in s_pqs for pq in pqs})
-    plain = SampledFunction(grid, chi.astype(complex))
-    dechirped = SampledFunction(grid, np.exp(-1j * tau) * chi)
-    den1 = _norm_map(plain, pq_all, _THM3_WINDOW)
-    den2 = _norm_map(dechirped, pq_all, _THM3_WINDOW)
-    chirp = np.exp(1j * tau)
-    ratios = {}
-    for s, pqs in s_pqs:
+    if s is None:
+        pair = (chi.astype(complex), np.exp(-1j * tau) * chi)
+    else:
         decay = bracket(kk + y) ** (-s)
-        v1 = SampledFunction(grid, decay * chirp * chi)
-        v2 = SampledFunction(grid, (decay * chi).astype(complex))
-        num1 = _norm_map(v1, pqs, _THM3_WINDOW)
-        num2 = _norm_map(v2, pqs, _THM3_WINDOW)
-        for pq in pqs:
-            ratios[s, pq] = (num1[pq] / den1[pq], num2[pq] / den2[pq])
-    return ratios
+        pair = (decay * np.exp(1j * tau) * chi, (decay * chi).astype(complex))
+    return tuple(
+        _norm_map(SampledFunction(grid, v), pqs, _THM3_WINDOW) for v in pair
+    )
 
 
 def _sweep_thm3(tuples, Ns):
@@ -1011,7 +1040,8 @@ def _sweep_thm3(tuples, Ns):
     frequency-sided tuples reduce to the same computation because the
     plain modulation norms are exactly invariant under the discrete
     Fourier transform. Each (growth, k) step is one :func:`_thm3_step`
-    task, run by :func:`_run_keyed`.
+    task for its denominators and one per decay rate s for its
+    numerators, run by :func:`_run_keyed`; the ratios are taken here.
     """
     sides = {t: _thm3_side(t) for t in tuples}
     grids = {}
@@ -1022,15 +1052,26 @@ def _sweep_thm3(tuples, Ns):
             (s, sorted({(t.p, t.p) for t in members if sides[t][0] == s}))
             for s in sorted({sides[t][0] for t in members})
         ]
+        pq_all = sorted({pq for _, pqs in s_pqs for pq in pqs})
         for k in Ns:
             grid = grids[growth, k] = _thm3_grid(growth, float(k))
-            tasks.append(((growth, k), grid, (growth, k, grid, s_pqs)))
+            for s, pqs in [(None, pq_all), *s_pqs]:
+                tasks.append(((growth, k, s), grid, (growth, k, grid, s, pqs)))
     steps = _run_keyed(_thm3_step, tasks)
+
+    def ratios(t, probe):
+        s, growth = sides[t]
+        pq = t.p, t.p
+        return [
+            steps[growth, k, s][probe][pq] / steps[growth, k, None][probe][pq]
+            for k in Ns
+        ]
+
     return {
         t: [
             (
                 Ns,
-                [steps[sides[t][1], k][sides[t][0], (t.p, t.p)][probe] for k in Ns],
+                ratios(t, probe),
                 [grids[sides[t][1], k].describe() for k in Ns],
                 _THM3_WINDOW,
             )

@@ -453,7 +453,9 @@ def separation_margin(phase: PhaseSpec, kind: str, box: float) -> float:
 
     x-type separation compares the frequency gradient at two positions
     sharing one xi; xi-type swaps the roles. A phase whose relevant
-    gradient forgets the moving variable scores 0.
+    gradient forgets the moving variable scores 0, and one whose
+    gradient is not finite on a shared row scores nan, which fails every
+    threshold.
     """
     if kind not in ("x", "xi"):
         raise DomainError(f"separation type must be 'x' or 'xi', got {kind!r}")
@@ -464,11 +466,16 @@ def separation_margin(phase: PhaseSpec, kind: str, box: float) -> float:
     shared = np.array([-L / 2.0, 0.0, L / 2.0])
     margin = np.inf
     for v in shared:
-        if kind == "x":
-            g = phase.grad_xi(pts, np.full_like(pts, v))
-        else:
-            g = phase.grad_x(np.full_like(pts, v), pts)
+        # an overflowed gradient leaves the row's gaps unknown; it makes
+        # the margin nan rather than leaving the verdict to other rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind == "x":
+                g = phase.grad_xi(pts, np.full_like(pts, v))
+            else:
+                g = phase.grad_x(np.full_like(pts, v), pts)
         g = np.sort(np.asarray(g, dtype=float))
+        if not np.isfinite(g).all():
+            return float("nan")
         if g.size > 1:
             margin = min(margin, float(np.min(np.diff(g))))
     return max(float(margin), 0.0)

@@ -2,6 +2,7 @@
 
 import hashlib
 import multiprocessing
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -441,7 +442,9 @@ def test_threshold_sweep_subsample_is_seeded():
 def _thm3_gate_cases():
     bias = pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP 4: the t = 0.5 tuples fit 0.08-0.13 off the closed form",
+        reason=(
+            "ROADMAP 5(b): the t = 0.5 tuples fit 0.08-0.13 off the closed form"
+        ),
     )
     for i, t in enumerate(thm3_default_tuples()):
         marks = [bias] if max(t.t1, t.t2) == 0.5 else []
@@ -450,7 +453,7 @@ def _thm3_gate_cases():
 
 @pytest.fixture(scope="module")
 def thm3_default_rows():
-    return {r.id: r for r in threshold_sweep("thm3")}
+    return threshold_sweep("thm3")
 
 
 @pytest.mark.parametrize("i, t", _thm3_gate_cases())
@@ -459,7 +462,8 @@ def test_thm3_slopes_match_closed_form(thm3_default_rows, i, t):
     # the predicate margin t |1/p - 1/2| - s of the side it exercises
     s, growth = (t.s2, t.t2) if t.t2 > 0 else (t.s1, t.t1)
     rp = 0.0 if t.p == INF else 1.0 / t.p
-    fitted = thm3_default_rows[f"thm3-{i:03d}"].exponent
+    row = next(r for r in thm3_default_rows if r.id == f"thm3-{i:03d}")
+    fitted = row.exponent
     assert abs(fitted - (growth * abs(rp - 0.5) - s)) <= 0.05
 
 
@@ -484,6 +488,45 @@ def test_thm1_thm2_slopes_fall_on_the_predicted_side(default_sweeps, theorem, i)
         assert row.exponent < 0.1
     else:
         assert row.exponent >= 0.1
+
+
+# the default panels' CSV bytes, read off the sweeps the gates above run
+DEFAULT_SWEEP_SHA256 = {
+    "thm1": "e4c52c036578aaabae86217050f2cb4142744d995b357cf3d300ae137e07fc57",
+    "thm2": "41033d6a423a3abcfb76149ddc518fa5f6addbe0aa565cbb9829ac050861b439",
+    "thm3": "cd4f2e989cb694ca862e55236847b2a94f4ee5aa5a3f20a2c0da00fcea23971a",
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(DEFAULT_SWEEP_SHA256))
+def test_default_sweep_bytes_are_pinned(request, theorem):
+    if theorem == "thm3":
+        rows = request.getfixturevalue("thm3_default_rows")
+    else:
+        rows, _ = request.getfixturevalue("default_sweeps")[theorem]
+    digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+    assert digest == DEFAULT_SWEEP_SHA256[theorem]
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("theorem", ["thm1", "thm2", "thm3"])
+def test_sweep_tasks_pickle_small(monkeypatch, theorem):
+    # each pool task builds its own input and carries only its
+    # parameters; the default panel's tasks are captured, not run
+    sent = []
+
+    def capture(step, tasks, pooled):
+        sent.extend(pickle.dumps((step, task)) for task in tasks)
+        raise _Captured
+
+    monkeypatch.setattr(experiments, "_run_steps", capture)
+    with pytest.raises(_Captured):
+        threshold_sweep(theorem)
+    assert sent
+    assert max(map(len, sent)) <= 64 * 1024
 
 
 def test_local_probe_matches_global_operator():

@@ -29,6 +29,7 @@ from fiolab import (
     verify_growth,
     verify_separation,
 )
+from fiolab import cli
 from fiolab.grid import bracket, shifted_fft
 from fiolab.phase import (
     DEFAULT_BOXES,
@@ -286,6 +287,24 @@ def test_high_growth_weighted_hessian_stays_finite():
     bounds = [_bounds_2d_reference(ph, 400.0, 0.0, 0.5, L, xx)[0] for L in DEFAULT_BOXES]
     factor = max(b / a for a, b in zip(bounds, bounds[1:]))
     assert row.measured == pytest.approx(factor, rel=1e-12, abs=0.0)
+
+
+def test_overflowed_gradients_fail_the_separation_row(capsys):
+    # at t1 = 400, grad_x overflows on the x = +-8 rows of the box-16
+    # lattice; the margin must not come from the finite x = 0 row alone
+    ph = high_growth(400.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        margin = separation_margin(ph, "xi", 16.0)
+        row = verify_separation(ph, "xi")
+        code = cli.main(["check", "--phase", "high_growth:t1=400,t2=0"])
+    assert np.isnan(margin)
+    assert np.isnan(row.measured) and not row.passed
+    assert code == 2
+    assert "separation-xi,0.5,nan,fail\n" in capsys.readouterr().out
+    # the x rows stay finite, as does every row at moderate growth
+    assert verify_separation(ph, "x").passed
+    assert np.isfinite(separation_margin(high_growth(1.0, 1.0), "xi", 16.0))
 
 
 def test_verify_growth_accepts_builtins():
