@@ -69,7 +69,6 @@ from .phase import (
     nonseparated_x,
 )
 from .spaces import (
-    FFT_BATCH_ENTRIES,
     SpaceSpec,
     Weight,
     fold_norms,
@@ -133,18 +132,18 @@ def fast_modulation_norms(
     pass a smaller step to trade time for absolute accuracy.
 
     The segments' magnitudes are handed to :func:`spaces.fold_norms`
-    block by block with their columns in FFT order, which the fold
-    reduces in increasing-frequency order. Each block is one
-    preallocated float array, filled by FFTs of sub-batches of about
-    2^20 entries. The segments are rows of a sliding-window view over
-    the span the windows cover: a slice of ``f.samples``, or one
-    wrapped copy of the span when a window crosses the grid's seam.
-    Runs of equally spaced rows are multiplied by the window straight
-    into one zero-padded sub-batch buffer, so no index array, gather or
-    padding copy is made, and only that buffer and one sub-batch's
-    spectra are alive besides the block. The FFT works row by row and
-    sees the same values as a padded gather would, so neither the batch
-    size nor the buffer changes a byte.
+    tile by tile with their columns in FFT order, which the fold reduces
+    in increasing-frequency order. The segments are rows of a
+    sliding-window view over the span the windows cover: a slice of
+    ``f.samples``, or one wrapped copy of the span when a window crosses
+    the grid's seam. Runs of equally spaced rows are multiplied by the
+    window straight into one zero-padded complex buffer of the tile's
+    size, reused for every tile, which is transformed in place; its
+    magnitudes go into the fold's tile. So no index array, gather or
+    padding copy is made, and only that buffer and the fold's tiles are
+    alive. The FFT works row by row and sees the same values as a padded
+    gather would, so neither the tile size nor the buffer changes a
+    byte.
     """
     specs = list(specs)
     if not specs:
@@ -216,23 +215,24 @@ def fast_modulation_norms(
         span = f.samples.take(np.arange(lo, hi), mode="wrap")
     windows = np.lib.stride_tricks.sliding_window_view(span, m)
     starts = shifts - shifts[0]
-    batch = max(1, FFT_BATCH_ENTRIES // m2)
+    spectra = np.empty((0, m2), dtype=complex)
 
-    def rows(sl):
-        picked = starts[sl]
-        wm = np.empty((picked.size, m2))
-        buf = np.zeros((min(batch, picked.size), m2), dtype=complex)
-        for b0 in range(0, picked.size, batch):
-            run = picked[b0 : b0 + batch]
-            # runs of equally spaced windows are strided views of the span
-            cuts = np.flatnonzero(np.diff(run) != stride) + 1
-            for r0, r1 in zip([0, *cuts], [*cuts, run.size]):
-                src = windows[run[r0] : run[r1 - 1] + 1 : stride]
-                np.multiply(src, gw, out=buf[r0:r1, :m])
-            spec = np.fft.fft(buf[: run.size], axis=1)
-            np.abs(spec, out=wm[b0 : b0 + run.size])
-        wm *= dx
-        return wm
+    def rows(sl, out):
+        nonlocal spectra
+        if len(spectra) < len(out):
+            spectra = np.empty(out.shape, dtype=complex)
+        run = starts[sl]
+        buf = spectra[: run.size]
+        # the last tile's FFT left its spectra in the padding columns
+        buf[:, m:] = 0.0
+        # runs of equally spaced windows are strided views of the span
+        cuts = np.flatnonzero(np.diff(run) != stride) + 1
+        for r0, r1 in zip([0, *cuts], [*cuts, run.size]):
+            src = windows[run[r0] : run[r1 - 1] + 1 : stride]
+            np.multiply(src, gw, out=buf[r0:r1, :m])
+        np.fft.fft(buf, axis=1, out=buf)
+        np.abs(buf, out=out)
+        out *= dx
 
     kinds = ["modulation"] * len(specs)
     x = (shifts - n // 2) * dx

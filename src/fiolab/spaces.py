@@ -6,10 +6,12 @@ different exponents. Modulation norms reduce position first, amalgam
 norms reduce frequency first. :func:`fold_norms` owns that recipe; the
 exact engine (:func:`stft_norms`, full rows from ``tf.stft_rows``) and
 the fast engine (``experiments.fast_modulation_norms``, truncated window
-segments) only produce blocks of magnitudes for it. Both produce them
-the same way: a strided view times a fixed vector into one complex
-buffer, an FFT of it in place, and its magnitudes into the block, with
-the columns left in FFT order.
+segments) only fill tiles of magnitudes for it, about
+``FFT_BATCH_ENTRIES`` entries each, which the fold reduces while they
+are in cache. Both fill them the same way: a strided view times a fixed
+vector into one tile-sized complex buffer, an FFT of it in place, and
+its magnitudes into the fold's one reused tile, with the columns left in
+FFT order.
 
 Exponents live in [1, inf]; infinity is handled exactly (sup over the
 axis, no measure factor), never by a large-p surrogate.
@@ -44,17 +46,19 @@ __all__ = [
 
 INF = float("inf")
 
-# rows of STFT data processed per chunk when streaming norms; keeps the
-# working set near 2^22 entries regardless of grid size
+# rows of STFT data summed per block when streaming norms: a modulation
+# norm adds each block's column sums to its accumulator, so this size
+# fixes the summation order and with it every norm's bytes
 _CHUNK_ENTRIES = 1 << 22
 
-# complex entries transformed per FFT call while a norm engine fills one
-# chunk of magnitudes, in the exact and the fast engine alike. Windowing
-# and transforming a whole 2^22-entry chunk at once keeps several
-# chunk-sized arrays alive: on the thm2 box input at R = 128 (2^20
-# points, three gauss:0.5 specs) the fast engine's tracemalloc peak was
-# 147.6 MB, and 67.1 MB with batches of 2^20 entries
-FFT_BATCH_ENTRIES = 1 << 20
+# entries per tile: the fold asks its producer for tiles of about this
+# many magnitudes and reduces each while it is still in cache, and each
+# norm engine fills them through a complex buffer of the same size. A
+# tile of 2^17 floats is 1 MiB, so a single-spec exact norm at n = 2048
+# peaks below 4 MiB and the fast norms of the thm2 box input at R = 128
+# (2^20 points, three gauss:0.5 specs) near 13 MiB. The size moves no
+# byte; 2^15 to 2^19 time alike, 2^20 slower
+FFT_BATCH_ENTRIES = 1 << 17
 
 
 def _rec(p: float, name: str = "exponent") -> float:
@@ -103,33 +107,33 @@ def _reduce(vals, p, meas, axis=None):
     return ((vals**p).sum(axis=axis) * meas) ** (1.0 / p)
 
 
-def _weigh(mags, wx, xi_pow, out):
-    """``out = mags * np.outer(wx, xi_pow)``, the outer product formed a
-    few rows at a time; ``out`` may be ``mags`` itself."""
-    step = max(1, FFT_BATCH_ENTRIES // max(xi_pow.size, 1))
-    for r in range(0, mags.shape[0], step):
-        np.multiply(mags[r : r + step], np.outer(wx[r : r + step], xi_pow), out=out[r : r + step])
-    return out
-
-
 def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
-    """Weighted STFT norms of one function from blocks of its magnitudes.
+    """Weighted STFT norms of one function from tiles of its magnitudes.
 
-    ``rows(sl)`` returns |V(x[sl], xi)|: one row per position of
-    ``x[sl]``, one column per entry of ``xi``, in any column order. The
-    fold asks for blocks of about 2^22 entries, so memory stays bounded
-    however large the grid is. ``kinds`` gives "modulation" or
-    "amalgam" for each SpaceSpec, and ``dx``, ``dxi`` are the cell sizes
-    of the sums. Frequency is reduced in increasing-xi order whatever
-    the column order, so a producer that keeps FFT order gives the same
-    bytes as one that shifts every block.
+    ``rows(sl, out)`` fills ``out`` with |V(x[sl], xi)|: one row per
+    position of ``x[sl]``, one column per entry of ``xi``, in any column
+    order. The fold asks for tiles of about ``FFT_BATCH_ENTRIES``
+    entries, all in one reused buffer, and reduces each tile while it is
+    still in cache, so memory stays bounded however large the grid is.
+    ``kinds`` gives "modulation" or "amalgam" for each SpaceSpec, and
+    ``dx``, ``dxi`` are the cell sizes of the sums. Frequency is reduced
+    in increasing-xi order whatever the column order, so a producer that
+    keeps FFT order gives the same bytes as one that shifts every row.
 
-    The fold owns each block ``rows`` returns. A writable C-contiguous
-    block, as both norm engines produce, is overwritten once no later
-    spec reads it: the last weighting is built in the block itself and
-    the last power of a weighting is taken in place. A single-spec fold
-    so holds one block-sized array whatever its weight and exponents,
-    and the bytes are those of the out-of-place forms.
+    Position sums add rows one after another within blocks of about
+    ``_CHUNK_ENTRIES`` entries, and each block's column sums join the
+    norm's accumulator. Every tile-sized buffer has a spare row ahead of
+    the tile, which takes the block's sums so far before the buffer is
+    reduced, so the sums, and the bytes, are those of whole blocks
+    whatever the tile size. The tile is overwritten once no later spec
+    reads the plain magnitudes: the last weighting to be built is built
+    in it, and the last reader of each weighting takes its power in
+    place. Every other weighting or power is formed in a tile-sized
+    buffer of its own, so a single-spec fold holds one tile whatever its
+    weight and exponents.
+
+    Overflow makes no numpy warning: a norm that is not finite raises
+    :class:`DomainError`.
     """
     specs, kinds = list(specs), list(kinds)
     if len(specs) != len(kinds):
@@ -142,9 +146,15 @@ def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
         if kind not in ("modulation", "amalgam"):
             raise DomainError(f"unknown norm kind {kind!r}")
     pqs = [(float(spec.p), float(spec.q)) for spec in specs]
+    cols = xi.size
     # per spec: a modulation norm's position reduction at each frequency,
     # or an amalgam norm's frequency reductions at each position so far
-    accs = [np.zeros(xi.size) if kind == "modulation" else [] for kind in kinds]
+    accs = [np.zeros(cols) if kind == "modulation" else [] for kind in kinds]
+    # a finite-p modulation norm's column sums over the block so far
+    sums = [
+        np.zeros(cols) if kind == "modulation" and p != INF else None
+        for kind, (p, _) in zip(kinds, pqs)
+    ]
     order = np.argsort(xi)
 
     # the last spec to read each weighting; the plain magnitudes are read
@@ -155,47 +165,72 @@ def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
     plain = (0.0, 0.0)
     mags_last = max([last.get(plain, -1)] + [i for k, i in first.items() if k != plain])
 
-    xi_pows = {}
-    chunk = max(1, _CHUNK_ENTRIES // max(xi.size, 1))
-    for start in range(0, x.size, chunk):
-        sl = slice(start, start + chunk)
-        mags = rows(sl)
-        # another layout would change the summation order of a reduction
-        reuse = mags.flags.c_contiguous and mags.flags.writeable
-        weighted = {plain: mags}
-        for i, (spec, kind, (p, q), acc, key) in enumerate(zip(specs, kinds, pqs, accs, keys)):
-            w = spec.weight
-            if key not in weighted:
-                if w.t not in xi_pows:
-                    xi_pows[w.t] = bracket(xi) ** w.t
-                wx = bracket(x[sl]) ** w.s
-                out = mags if reuse and i == mags_last else np.empty(mags.shape)
-                weighted[key] = _weigh(mags, wx, xi_pows[w.t], out)
-            wm = weighted[key]
-            # no later spec reads wm: its power may overwrite it
-            spent = i == last[key] and (wm is not mags or reuse and i >= mags_last)
-            if kind == "amalgam":
-                acc.append(_reduce(np.take(wm, order, axis=1), q, dxi, axis=1))
-            elif p == INF:
-                np.maximum(acc, wm.max(axis=0), out=acc)
-            elif p == 1.0:
-                # wm**1.0 is wm, but numpy computes a full pow for it
-                acc += wm.sum(axis=0)
-            elif spent:
-                wm **= p
-                acc += wm.sum(axis=0)
-            else:
-                acc += (wm**p).sum(axis=0)
-        # the next block is produced only once this one is freed
-        del mags, weighted, wm
+    chunk = max(1, _CHUNK_ENTRIES // max(cols, 1))
+    height = max(1, min(chunk, FFT_BATCH_ENTRIES // max(cols, 1), x.size))
+    tile = np.empty((height + 1, cols))
+    spare = {}
 
-    norms = []
-    for kind, (p, q), acc in zip(kinds, pqs, accs):
-        if kind == "amalgam":
-            norms.append(float(_reduce(np.concatenate(acc), p, dx)))
-        else:
-            inner = acc[order] if p == INF else (acc[order] * dx) ** (1.0 / p)
-            norms.append(float(_reduce(inner, q, dxi)))
+    def buffer(name, k):
+        if name not in spare:
+            spare[name] = np.empty_like(tile)
+        return spare[name][:k]
+
+    xi_pows = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b0 in range(0, x.size, chunk):
+            b1 = min(b0 + chunk, x.size)
+            for t0 in range(b0, b1, height):
+                sl = slice(t0, min(t0 + height, b1))
+                k = sl.stop - t0 + 1
+                mags = tile[:k]
+                rows(sl, mags[1:])
+                weighted = {plain: mags}
+                for i, (spec, kind, (p, q), acc, part, key) in enumerate(
+                    zip(specs, kinds, pqs, accs, sums, keys)
+                ):
+                    w = spec.weight
+                    if key not in weighted:
+                        if w.t not in xi_pows:
+                            xi_pows[w.t] = bracket(xi) ** w.t
+                        wx = bracket(x[sl]) ** w.s
+                        out = mags if i == mags_last else buffer(key, k)
+                        np.multiply(mags[1:], np.outer(wx, xi_pows[w.t]), out=out[1:])
+                        weighted[key] = out
+                    wm = weighted[key]
+                    if kind == "amalgam":
+                        acc.append(_reduce(np.take(wm[1:], order, axis=1), q, dxi, axis=1))
+                    elif p == INF:
+                        np.maximum(acc, wm[1:].max(axis=0), out=acc)
+                    else:
+                        # wm**1.0 is wm, but numpy computes a full pow for it
+                        if p != 1.0:
+                            # no later spec reads wm: its power may overwrite it
+                            spent = i == last[key] and (wm is not mags or i >= mags_last)
+                            out = wm if spent else buffer(None, k)
+                            np.power(wm[1:], p, out=out[1:])
+                            wm = out
+                        # the block's sums so far, then this tile's rows in order
+                        wm[0] = part
+                        np.add.reduce(wm, axis=0, out=part)
+            for acc, part in zip(accs, sums):
+                if part is not None:
+                    acc += part
+                    part.fill(0.0)
+
+        norms = []
+        for kind, (p, q), acc in zip(kinds, pqs, accs):
+            if kind == "amalgam":
+                norms.append(float(_reduce(np.concatenate(acc), p, dx)))
+            else:
+                inner = acc[order] if p == INF else (acc[order] * dx) ** (1.0 / p)
+                norms.append(float(_reduce(inner, q, dxi)))
+    for spec, kind, norm in zip(specs, kinds, norms):
+        if not np.isfinite(norm):
+            w = spec.weight
+            raise DomainError(
+                f"the {kind} norm with p={spec.p:g}, q={spec.q:g}, "
+                f"s={w.s:g}, t={w.t:g} is not finite"
+            )
     return norms
 
 
@@ -205,10 +240,9 @@ def stft_norms(f: SampledFunction, specs, kinds) -> list:
     ``specs`` is a sequence of SpaceSpec sharing one window; ``kinds``
     gives "modulation" or "amalgam" for each. This is the exact engine:
     full STFT rows at every grid shift, folded by :func:`fold_norms`.
-    Each fold block is one float array, filled with the magnitudes of
-    ``tf.stft_rows`` over sub-batches of about ``FFT_BATCH_ENTRIES``
-    entries; the columns stay in FFT order, so only one sub-batch of
-    complex rows is alive besides the block.
+    Each tile the fold asks for is filled with the magnitudes of
+    ``tf.stft_rows`` over the tile's shifts, so only one tile of
+    complex rows is alive at a time; the columns stay in FFT order.
     """
     if f.dim != 1:
         raise StructuralError("streamed norms are defined for 1D functions")
@@ -219,16 +253,9 @@ def stft_norms(f: SampledFunction, specs, kinds) -> list:
     if any(spec.window != window for spec in specs):
         raise StructuralError("all specs in one pass must share a window")
     g = make_window(window, f.grid)
-    n = f.grid.n
-    batch = max(1, FFT_BATCH_ENTRIES // n)
 
-    def rows(sl):
-        start, stop, _ = sl.indices(n)
-        mags = np.empty((stop - start, n))
-        for b0 in range(start, stop, batch):
-            b1 = min(b0 + batch, stop)
-            np.abs(stft_rows(f, g, slice(b0, b1)), out=mags[b0 - start : b1 - start])
-        return mags
+    def rows(sl, out):
+        np.abs(stft_rows(f, g, sl), out=out)
 
     x, dual = f.grid.axis(), f.grid.dual()
     xi = np.fft.ifftshift(dual.axis())

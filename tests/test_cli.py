@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,10 @@ BAD_ARGV = [
     ["norm", "--signal", "gauss", "--space", "p=2,t=inf"],
     ["check", "--phase", "high_growth:t1=inf,t2=0"],
     ["check", "--phase", "bilinear", "--eps", "inf"],
+    ["norm", "--signal", "bump:radius=2", "--grid-n", "512", "--grid-L", "16",
+     "--space", "p=2,q=2,s=1e300"],
+    ["norm", "--signal", "bump:radius=2", "--grid-n", "512", "--grid-L", "16",
+     "--space", "p=1e300,q=2"],
 ]
 
 
@@ -246,6 +251,19 @@ def test_malformed_input_is_exit_2(argv, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("space", ["p=2,q=2,s=1e300", "p=1e300,q=2"])
+def test_overflowing_norm_makes_no_numpy_warning(space, capsys):
+    # the weight or the power overflows; the norm is refused, not printed
+    # as inf after a RuntimeWarning
+    argv = ["norm", "--signal", "bump:radius=2", "--grid-n", "512", "--grid-L", "16",
+            "--space", space]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not finite" in err
 
 
 # sha256 prefixes of stdout recorded before phases and symbols were

@@ -34,7 +34,7 @@ from fiolab import (
     thm3_default_tuples,
     thm3_predicate,
 )
-from fiolab import cli, experiments
+from fiolab import cli, experiments, spaces
 from fiolab.grid import MATRIX_BUDGET
 from fiolab.experiments import (
     VERDICT_BOUNDED,
@@ -112,6 +112,25 @@ def test_fast_norms_memory_stays_within_three_blocks():
     assert peak <= 3 * (1 << 22) * 8
 
 
+def test_fast_norms_hold_a_few_tiles():
+    # the same input with mixed exponents: the fold reduces each tile of
+    # FFT_BATCH_ENTRIES magnitudes as it is made, so besides the samples'
+    # magnitudes and support indices only tile-sized buffers are alive
+    grid = experiments._thm2_box_grid(0.0, 128)
+    psi = build_modulated_train(
+        CoefficientSeq.delta(0), experiments._spectral_bump(), grid
+    )
+    pqs = ((1.0, 1.0), (2.0, 1.0), (4.0, 2.0))
+    specs = [SpaceSpec(p, q, Weight(), "gauss:0.5") for p, q in pqs]
+    tracemalloc.start()
+    try:
+        fast_modulation_norms(psi, specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 << 20
+
+
 # fast_modulation_norms at p in {1, 4/3, 2, inf}, q = 2, window gauss:0.5,
 # as float.hex, recorded when each window segment was still gathered
 # through an index array taken mod n; the sliding-window producer must
@@ -170,6 +189,18 @@ def test_fast_norms_are_pinned(name):
     specs = [SpaceSpec(p, 2.0, Weight(), "gauss:0.5") for p in ps]
     got = [v.hex() for v in fast_modulation_norms(f, specs)]
     assert got == FAST_NORM_PINS[name]
+
+
+@pytest.mark.parametrize("entries", [1 << 12, 1 << 20])
+def test_tile_size_moves_no_fast_byte(monkeypatch, entries):
+    # the fold sizes every tile from this one constant, and the fast
+    # producer fills whatever tile it is handed
+    monkeypatch.setattr(spaces, "FFT_BATCH_ENTRIES", entries)
+    ps = (1.0, 4.0 / 3.0, 2.0, INF)
+    specs = [SpaceSpec(p, 2.0, Weight(), "gauss:0.5") for p in ps]
+    for name, pins in FAST_NORM_PINS.items():
+        got = [v.hex() for v in fast_modulation_norms(_pin_input(name), specs)]
+        assert got == pins
 
 
 @pytest.mark.parametrize(

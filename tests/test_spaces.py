@@ -30,6 +30,7 @@ from fiolab import (
     thm3_predicate,
     translate_modulate,
 )
+from fiolab import spaces
 
 from conftest import bandlimited, pin_signal
 
@@ -139,8 +140,8 @@ def test_fold_reduces_frequency_in_increasing_order(sample_pair):
     xi = g.dual().axis()
     dx, dxi = g.spacing, g.dual().spacing
 
-    def rows(sl):
-        return mags[sl][:, perm]
+    def rows(sl, out):
+        np.take(mags[sl], perm, axis=1, out=out)
 
     got = fold_norms(rows, g.axis(), xi[perm], dx, dxi, specs, kinds)
     assert got == stft_norms(f, specs, kinds)
@@ -297,6 +298,33 @@ def test_in_place_fold_keeps_the_bytes(spec):
     pair = stft_norms(f, [spec, spec], kinds)
     behind = stft_norms(f, [SpaceSpec(2.0, 2.0), spec], kinds)[1]
     assert pair[0].hex() == pair[1].hex() == behind.hex() == modulation_norm(f, spec).hex()
+
+
+@pytest.mark.parametrize("spec", ONE_BLOCK_SPECS, ids=_spec_id)
+def test_single_spec_norm_holds_a_few_tiles(spec):
+    # the fold reduces tiles of FFT_BATCH_ENTRIES magnitudes as they are
+    # made, so no n^2 block exists: a whole block alone would pass 32 MiB
+    n = 2048
+    f = pin_signal(n, 32.0 / n)
+    tracemalloc.start()
+    try:
+        modulation_norm(f, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
+
+
+@pytest.mark.parametrize("entries", [1 << 12, 1 << 20])
+def test_tile_size_moves_no_exact_byte(monkeypatch, entries):
+    # only _CHUNK_ENTRIES fixes the summation order; at 2^12 entries the
+    # n = 4096 rows come one per tile
+    monkeypatch.setattr(spaces, "FFT_BATCH_ENTRIES", entries)
+    for (n, spacing, window), pins in EXACT_NORM_PINS.items():
+        f = pin_signal(n, 32.0 / n if spacing == "32/n" else float(spacing))
+        specs = [SpaceSpec(s.p, s.q, s.weight, window) for s in PIN_SPECS] * 2
+        kinds = ["modulation"] * len(PIN_SPECS) + ["amalgam"] * len(PIN_SPECS)
+        assert [v.hex() for v in stft_norms(f, specs, kinds)] == pins
 
 
 @pytest.mark.parametrize("key", [(1024, "0.3", "gauss"), (4096, "32/n", "gauss:0.5")])
