@@ -57,7 +57,14 @@ from .extremal import (
     default_bump,
 )
 from .fio import apply_fio_family, decaying_symbol
-from .grid import MATRIX_BUDGET, Grid, SampledFunction, bracket, fourier_transform
+from .grid import (
+    MATRIX_BUDGET,
+    TILE_ENTRIES,
+    Grid,
+    SampledFunction,
+    bracket,
+    fourier_transform,
+)
 from .phase import (
     MINUS_INF,
     GrowthParams,
@@ -141,9 +148,11 @@ def fast_modulation_norms(
     size, reused for every tile, which is transformed in place; its
     magnitudes go into the fold's tile. So no index array, gather or
     padding copy is made, and only that buffer and the fold's tiles are
-    alive. The FFT works row by row and sees the same values as a padded
-    gather would, so neither the tile size nor the buffer changes a
-    byte.
+    alive. The peak and the support's segments are found one tile of
+    ``grid.TILE_ENTRIES`` samples at a time, so no n-point magnitude,
+    mask or index array exists either. The FFT works row by row and sees
+    the same values as a padded gather would, so neither the tile size
+    nor the buffer changes a byte.
     """
     specs = list(specs)
     if not specs:
@@ -172,8 +181,8 @@ def fast_modulation_norms(
             f"{MATRIX_BUDGET} frequency columns"
         )
     m2 = 1 << int(math.ceil(math.log2(cols)))
-    mags = np.abs(f.samples)
-    peak = float(mags.max())
+    tiles = range(0, n, TILE_ENTRIES)
+    peak = max(float(np.abs(f.samples[lo : lo + TILE_ENTRIES]).max()) for lo in tiles)
     if peak == 0.0:
         return [0.0] * len(specs)
 
@@ -186,12 +195,9 @@ def fast_modulation_norms(
     step = x_step if x_step > 0 else sigma / 3.0
     stride = max(1, int(round(step / dx)))
 
-    nz = np.flatnonzero(mags > 1e-8 * peak)
-    del mags
-    cuts = np.flatnonzero(np.diff(nz) > 2 * pad)
-    seg_lo = nz[np.concatenate(([0], cuts + 1))] - pad
-    seg_hi = nz[np.concatenate((cuts, [nz.size - 1]))] + pad
-    del nz
+    starts, ends = _support_runs(f.samples, 1e-8 * peak, 2 * pad)
+    seg_lo = starts - pad
+    seg_hi = ends + pad
     shifts = np.concatenate(
         [
             np.arange(max(int(lo), 0), min(int(hi), n - 1) + 1, stride)
@@ -237,6 +243,29 @@ def fast_modulation_norms(
     kinds = ["modulation"] * len(specs)
     x = (shifts - n // 2) * dx
     return fold_norms(rows, x, np.fft.ifftshift(xi), stride * dx, dxi, specs, kinds)
+
+
+def _support_runs(samples, floor, gap):
+    """(starts, ends): the first and last index of each run of the points
+    where |samples| > floor, a run ending where the next such point lies
+    more than ``gap`` beyond it. The samples are read one tile of
+    ``TILE_ENTRIES`` at a time, and a run may span tiles."""
+    starts, ends, last = [], [], None
+    for lo in range(0, samples.size, TILE_ENTRIES):
+        on = np.flatnonzero(np.abs(samples[lo : lo + TILE_ENTRIES]) > floor) + lo
+        if not on.size:
+            continue
+        if last is None:
+            starts.append(on[0])
+        elif on[0] - last > gap:
+            ends.append(last)
+            starts.append(on[0])
+        cuts = np.flatnonzero(np.diff(on) > gap)
+        ends.extend(on[cuts])
+        starts.extend(on[cuts + 1])
+        last = on[-1]
+    ends.append(last)
+    return np.array(starts), np.array(ends)
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +775,18 @@ def _run_steps(step, tasks, pooled):
     threads of its own; the BLAS pool resets itself across a fork and
     the steps use none of it. A worker's exception reaches the caller
     unchanged, after the queued tasks are cancelled.
+
+    Each worker starts with :func:`_keep_freed_memory`. A fresh process
+    hands its freed MB-sized buffers (pocketfft's scratch, 1 MiB per
+    row at 2^16 points, and the steps' tiles) back to the kernel, which
+    zero-fills their pages again on the next use: over one seed-1 pass
+    of the benchmark's thm23-mid plan on a 2-CPU host, the workers took
+    233k minor page faults and 0.54 s of system time without it and
+    36k and 0.12 s with it (thm1-large: 169k and 0.60 s against 115k
+    and 0.37 s; medians of five runs). Kept memory raises a worker's
+    peak when its steps build inputs through whole-grid temporaries
+    (thm23-mid: 125 to 135 MB); the n-point builders work in tiles
+    instead, and the largest worker peaks at 94 MB.
     """
     cpus = (
         len(os.sched_getaffinity(0))
@@ -765,13 +806,31 @@ def _run_steps(step, tasks, pooled):
     ):
         return [step(*task) for task in tasks]
     ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(_POOL_WORKERS, mp_context=ctx) as pool:
+    with ProcessPoolExecutor(
+        _POOL_WORKERS, mp_context=ctx, initializer=_keep_freed_memory
+    ) as pool:
         futures = [pool.submit(step, *task) for task in tasks]
         try:
             return [fut.result() for fut in futures]
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
+
+
+def _keep_freed_memory():
+    """Allocate and free one untouched block just under 32 MiB.
+
+    glibc's malloc serves a block above its mmap threshold (128 KiB at
+    start) by a fresh mapping and unmaps it on free; freeing such a
+    block raises the threshold to the block's size, up to 32 MiB, and
+    the heap's trim threshold to twice that. After this call a worker
+    keeps its freed buffers of up to about 31 MiB in its heap for the
+    next step instead of returning them to the kernel, which would
+    zero-fill every page again on the next use. The block is never
+    written, so it costs no page. Under other allocators it does
+    nothing.
+    """
+    np.empty((1 << 25) - (1 << 20), dtype=np.uint8)
 
 
 def _run_keyed(step, tasks):

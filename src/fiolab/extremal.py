@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .grid import Grid, SampledFunction, bracket, inverse_fourier_transform
+from .grid import Grid, SampledFunction, axis_tiles, bracket, inverse_fourier_transform
 from .phase import bracket_power, k_alpha, mollifier, mu_gradient
 
 __all__ = [
@@ -209,13 +209,19 @@ def build_modulated_train(
     integer modulations keep disjoint spectra. psi is scaled so that
     psi(0) = 1 exactly, making f(0) = sum_k a_k an identity of the
     discrete model rather than an approximation.
+
+    phi's samples are scaled in place and its axis is gone before the
+    transform; the modulations are summed one tile of grid points at a
+    time and multiplied into psi's own buffer, which becomes f. So the
+    peak is the transform's input and output, two n-point complex
+    arrays, and the sum in tiles has the bytes of a sum over the whole
+    axis.
     """
     if phi.radius >= 0.5:
         raise ValidationError(
             f"spectral bump radius must be below 1/2, got {phi.radius:g}"
         )
     dual = grid.dual()
-    xi = dual.axis()
     nyquist = 1.0 / (2.0 * grid.spacing)
     kmax = float(np.max(np.abs(a.index_array())))
     if kmax + phi.radius > nyquist:
@@ -223,16 +229,20 @@ def build_modulated_train(
             f"modulation {kmax:g} plus bump radius exceeds the Nyquist "
             f"frequency {nyquist:g}"
         )
-    phat = np.asarray(phi(xi), dtype=float)
+    phat = np.asarray(phi(dual.axis()), dtype=float)
     mass = float(phat.sum()) * dual.spacing
     if mass <= 0:
         raise ValidationError("spectral bump has no mass on this grid")
-    psi = inverse_fourier_transform(SampledFunction(dual, phat / mass))
-    x = grid.axis()
-    out = np.zeros(grid.n, dtype=complex)
-    for k, v in zip(a.indices, a.values):
-        out += v * np.exp(2j * np.pi * k * x)
-    return SampledFunction(grid, out * psi.samples)
+    phat /= mass
+    phat = SampledFunction(dual, phat)
+    psi = inverse_fourier_transform(phat).samples
+    del phat
+    for sl, x in axis_tiles(grid):
+        train = np.zeros(x.size, dtype=complex)
+        for k, v in zip(a.indices, a.values):
+            train += v * np.exp(2j * np.pi * k * x)
+        np.multiply(train, psi[sl], out=psi[sl])
+    return SampledFunction(grid, psi)
 
 
 def build_chirp_train(

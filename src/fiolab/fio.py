@@ -10,9 +10,17 @@ its second slot. They agree to round-off on band-limited inputs, which
 is the working correctness check for everything built on top.
 
 The fast path is :func:`apply_fio_family`; :func:`apply_fio` is a family
-of one. It forms e^(2 pi i mu_x) once per family, skips the factor of a
-part the phase lacks, runs one inverse transform per distinct s2, and
-holds no axis and no frequency-side array but fhat across ``reduce``.
+of one. It skips the factor of a part the phase lacks, runs one inverse
+transform per distinct s2, and makes every pass over the grid one tile
+of ``grid.TILE_ENTRIES`` points at a time, so it forms no axis and no
+n-point temporary. Its n-point complex arrays are fhat, e^(2 pi i mu_x)
+(stored once for a family of two or more symbols, formed per tile for
+one), a profile per s2 and an output per symbol. fhat is spent by the
+last s2, whose profile is weighed in fhat's buffer, straight into the
+FFT order its inverse transform runs in; the last symbol of each s2
+writes its output over that profile. So a one-symbol family holds one
+n-point array, and a family at most four (three when no two symbols
+share an s2).
 
 The direct quadrature, the kernel and the weak pairing read the matrix
 sigma * exp(2 pi i Phi) one block of x rows at a time, built in place in
@@ -31,10 +39,11 @@ from .errors import DomainError, StructuralError, ValidationError
 from .grid import (
     Grid,
     SampledFunction,
+    axis_tiles,
     bracket,
     check_matrix_budget,
     fourier_transform,
-    inverse_fourier_transform,
+    transform_in_place,
 )
 from .phase import ZERO_PART, PhaseSpec, build_builtin
 
@@ -115,21 +124,36 @@ def make_symbol(kind: str, **params) -> SymbolSpec:
     return build_builtin(BUILTIN_SYMBOLS, kind, params, "symbol")
 
 
+def _band_edges(dual: Grid, cutoff: float):
+    """(head, tail) with the frequencies below -cutoff the head
+    ``dual.axis()[:head]`` and those above cutoff the tail
+    ``dual.axis()[tail:]``, for a cutoff near half of the axis' extent.
+
+    The axis is sorted, so each edge is a ``searchsorted`` on the few
+    points of the axis around -n/4 or +n/4 from its middle, computed as
+    ``Grid.axis`` computes them, rather than on the whole axis.
+    """
+    n = dual.n
+    edges = []
+    for centre, value, side in (n // 4, -cutoff, "left"), (3 * n // 4, cutoff, "right"):
+        lo, hi = max(centre - 2, 0), min(centre + 3, n)
+        xi = np.arange(lo - n // 2, hi - n // 2) * dual.spacing
+        edges.append(lo + int(np.searchsorted(xi, value, side=side)))
+    return tuple(edges)
+
+
 def _spectrum(f: SampledFunction):
     """f's transform and the fraction of its amplitude above half Nyquist.
 
-    The frequency axis is sorted and symmetric, so the entries with
-    |xi| > Nyquist/2 are a head and a tail of it: their energy is two
-    sums of squares over slices, with no mask and no copy.
+    The entries with |xi| > Nyquist/2 are a head and a tail of the
+    sorted frequency axis: their energy is two sums of squares over
+    slices, with no mask, no copy and no axis.
     """
     if f.dim != 1:
         raise StructuralError("band-limit checks apply to one-dimensional samples")
     fhat = fourier_transform(f)
-    xi = fhat.grid.axis()
     nyquist = 1.0 / (2.0 * f.grid.spacing)
-    half = nyquist / 2.0
-    head = int(np.searchsorted(xi, -half, side="left"))
-    tail = int(np.searchsorted(xi, half, side="right"))
+    head, tail = _band_edges(fhat.grid, nyquist / 2.0)
     c = fhat.samples
     total = np.vdot(c, c).real
     if total == 0.0:
@@ -216,9 +240,19 @@ def apply_fio_family(
     At coupling 0 or 1, Tf = sigma1 e^(2 pi i mu_x) F^-1[sigma2
     e^(2 pi i mu_xi) fhat] (at coupling 0 the bracket is a sum). The
     symbols are visited in order of s2, so ``reduce`` is called in that
-    order; the results come back in the order of ``symbols``. A profile
-    F^-1[...] lives while its s2 lasts, and each output is dropped
-    before the next one is made. Other couplings take the quadrature.
+    order; the results come back in the order of ``symbols``. Other
+    couplings take the quadrature.
+
+    Every pass over the grid runs tile by tile, so besides pocketfft's
+    scratch these n-point complex arrays are alive: fhat until the last
+    s2 begins, whose profile F^-1[...] is weighed in fhat's own buffer;
+    e^(2 pi i mu_x), stored only for a family of two or more symbols
+    whose phase has mu_x; a profile while its s2 lasts; and an output,
+    which the last symbol of an s2 writes into that profile. Each
+    output is dropped before the next one is made, and what no later
+    symbol reads is dropped before ``reduce`` runs. So a one-symbol
+    family holds one n-point array, and two symbols of distinct s2 hold
+    three at most.
     """
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
@@ -226,45 +260,87 @@ def apply_fio_family(
     grid = f.grid
     if phase.coupling not in (0, 1):
         return [reduce(s, _apply_transformed(grid, fhat, s, phase)) for s in symbols]
-    front = None
-    if phase.mu_x_triple is not ZERO_PART:
-        front = 2j * np.pi * np.asarray(phase.mu_x(grid.axis()), dtype=float)
-        np.exp(front, out=front)
     symbols = list(symbols)
     order = sorted(range(len(symbols)), key=lambda i: symbols[i].s2)
+    chirped = phase.mu_x_triple is not ZERO_PART
+    front = None
+    if chirped and len(symbols) > 1:
+        front = np.empty(grid.n, dtype=complex)
+        for sl, x in axis_tiles(grid):
+            front[sl] = _phase_factor(phase.mu_x, x)
     results = [None] * len(symbols)
     profile = None
     for k, i in enumerate(order):
+        symbol = symbols[i]
         if profile is None:
-            profile = _profile(fhat, symbols[i], phase)
-        out = symbols[i].sigma1(grid.axis()) * (profile if front is None else front)
-        if front is not None:
-            out *= profile
+            # the last s2 is the profile's last use of fhat
+            spent = symbols[order[-1]].s2 == symbol.s2
+            profile = _profile(fhat, symbol, phase, in_place=spent)
+            if spent:
+                fhat = None
+        last_reader = k + 1 == len(order) or symbols[order[k + 1]].s2 != symbol.s2
+        # at coupling 0 the profile is a scalar
+        field = isinstance(profile, np.ndarray)
+        out = profile if last_reader and field else np.empty(grid.n, dtype=complex)
+        for sl, x in axis_tiles(grid):
+            tile = symbol.sigma1(x)
+            if front is not None:
+                tile = tile * front[sl]
+            elif chirped:
+                tile = tile * _phase_factor(phase.mu_x, x)
+            np.multiply(tile, profile[sl] if field else profile, out=out[sl])
         # what no later symbol reads goes before reduce runs
-        if k + 1 == len(order):
-            profile = front = fhat = None
-        elif symbols[order[k + 1]].s2 != symbols[i].s2:
+        if last_reader:
             profile = None
-        results[i] = reduce(symbols[i], SampledFunction(grid, out))
+        if k + 1 == len(order):
+            front = None
+        results[i] = reduce(symbol, SampledFunction(grid, out))
         del out
     return results
 
 
-def _profile(fhat, symbol, phase):
+def _phase_factor(part, u):
+    """e^(2 pi i part(u)), formed in place."""
+    factor = 2j * np.pi * np.asarray(part(u), dtype=float)
+    return np.exp(factor, out=factor)
+
+
+def _profile(fhat, symbol, phase, in_place):
     """F^-1[sigma2 e^(2 pi i mu_xi) fhat] at coupling 1, its Riemann sum
-    at coupling 0."""
-    xi = fhat.grid.axis()
-    if phase.mu_xi_triple is ZERO_PART:
-        weighted = symbol.sigma2(xi) * fhat.samples
-    else:
-        weighted = 2j * np.pi * np.asarray(phase.mu_xi(xi), dtype=float)
-        np.exp(weighted, out=weighted)
-        np.multiply(symbol.sigma2(xi), weighted, out=weighted)
-        weighted *= fhat.samples
-    del xi  # the transform below needs two more n-point arrays
+    at coupling 0.
+
+    The spectrum is weighed tile by tile, at coupling 1 straight into
+    FFT order (the halves swapped), so the inverse transform runs in the
+    buffer it was weighed into. With ``in_place`` that buffer is fhat's
+    own, which is spent.
+    """
+    dual = fhat.grid
+    c = fhat.samples
+    half = dual.n // 2
+    weighted = c if in_place else np.empty(dual.n, dtype=complex)
+    for (low, xi_low), (high, xi_high) in zip(
+        axis_tiles(dual, 0, half), axis_tiles(dual, half)
+    ):
+        # both tiles are weighed before either is written: in place,
+        # the swap writes each over the other
+        a = _weigh(c[low], xi_low, symbol, phase)
+        b = _weigh(c[high], xi_high, symbol, phase)
+        if phase.coupling == 1.0:
+            a, b = b, a
+        weighted[low], weighted[high] = a, b
     if phase.coupling == 1.0:
-        return inverse_fourier_transform(SampledFunction(fhat.grid, weighted)).samples
-    return weighted.sum() * fhat.grid.cell_measure()
+        return transform_in_place(dual, weighted, inverse=True).samples
+    return weighted.sum() * dual.cell_measure()
+
+
+def _weigh(c, xi, symbol, phase):
+    """sigma2(xi) e^(2 pi i mu_xi(xi)) c, as a new array."""
+    if phase.mu_xi_triple is ZERO_PART:
+        return symbol.sigma2(xi) * c
+    weighted = _phase_factor(phase.mu_xi, xi)
+    np.multiply(symbol.sigma2(xi), weighted, out=weighted)
+    weighted *= c
+    return weighted
 
 
 def _apply_transformed(grid, fhat, symbol, phase):

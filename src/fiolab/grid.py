@@ -39,6 +39,11 @@ __all__ = [
 # largest n x n complex matrix a computation may form (1 GiB at complex128)
 MATRIX_BUDGET = 2**26
 
+# grid points per tile of an elementwise pass over a grid: 1 MiB of
+# complex entries, so a pass's temporaries stay in a 2 MiB L2 cache
+# instead of being n-point arrays
+TILE_ENTRIES = 1 << 16
+
 
 def _is_pow2(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
@@ -171,23 +176,46 @@ def shifted_fft(samples: np.ndarray, axes=None) -> np.ndarray:
     return np.fft.fftshift(work, axes=axes)
 
 
+def axis_tiles(grid: Grid, start: int = 0, stop=None):
+    """(slice, points) for consecutive tiles of at most ``TILE_ENTRIES``
+    indices of [start, stop) (default: the whole axis). The points are
+    computed as :meth:`Grid.axis` computes them, so they equal
+    ``grid.axis()[slice]`` to the bit, and an elementwise pass over the
+    tiles makes the bytes of one pass over the whole axis."""
+    stop = grid.n if stop is None else stop
+    for lo in range(start, stop, TILE_ENTRIES):
+        hi = min(lo + TILE_ENTRIES, stop)
+        points = np.arange(lo - grid.n // 2, hi - grid.n // 2) * grid.spacing
+        yield slice(lo, hi), points
+
+
+def transform_in_place(grid: Grid, work: np.ndarray, inverse: bool):
+    """The transform of the function on ``grid`` whose samples ``work``
+    holds in FFT order (n is even, so that order swaps the halves of the
+    grid order), computed in work's own buffer: an FFT in place, then
+    the scaling on the swap back to grid order, through one tile-sized
+    temporary. n is a power of two, so n * dx is exact."""
+    half = grid.n // 2
+    (np.fft.ifft if inverse else np.fft.fft)(work, out=work)
+    scale = grid.n * grid.spacing if inverse else grid.spacing
+    for lo in range(0, half, TILE_ENTRIES):
+        hi = min(lo + TILE_ENTRIES, half)
+        tile = work[lo:hi] * scale
+        np.multiply(work[lo + half : hi + half], scale, out=work[lo:hi])
+        work[lo + half : hi + half] = tile
+    return SampledFunction(grid.dual(), work)
+
+
 def _transform(f: SampledFunction, inverse: bool) -> SampledFunction:
     """The DFT of f in grid order, scaled to the Riemann sum: one copy
-    into FFT order (n is even, so the shift swaps the halves), an FFT in
-    place, and the scaling on the shift back, through a half-size
-    temporary. n is a power of two, so n * dx is exact."""
+    into FFT order and :func:`transform_in_place` on it."""
     if f.dim != 1:
         raise StructuralError("Fourier transforms act on one-dimensional samples")
-    n, half = f.grid.n, f.grid.n // 2
-    work = np.empty(n, dtype=complex)
+    half = f.grid.n // 2
+    work = np.empty(f.grid.n, dtype=complex)
     work[:half] = f.samples[half:]
     work[half:] = f.samples[:half]
-    (np.fft.ifft if inverse else np.fft.fft)(work, out=work)
-    scale = n * f.grid.spacing if inverse else f.grid.spacing
-    low = work[:half] * scale
-    np.multiply(work[half:], scale, out=work[:half])
-    work[half:] = low
-    return SampledFunction(f.grid.dual(), work)
+    return transform_in_place(f.grid, work, inverse)
 
 
 def fourier_transform(f: SampledFunction) -> SampledFunction:

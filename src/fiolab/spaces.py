@@ -56,7 +56,7 @@ _CHUNK_ENTRIES = 1 << 22
 # norm engine fills them through a complex buffer of the same size. A
 # tile of 2^17 floats is 1 MiB, so a single-spec exact norm at n = 2048
 # peaks below 4 MiB and the fast norms of the thm2 box input at R = 128
-# (2^20 points, three gauss:0.5 specs) near 13 MiB. The size moves no
+# (2^20 points, three gauss:0.5 specs) near 5 MiB. The size moves no
 # byte; 2^15 to 2^19 time alike, 2^20 slower
 FFT_BATCH_ENTRIES = 1 << 17
 

@@ -95,8 +95,11 @@ def test_fast_norms_own_length_padding_tracks_fine_steps(alpha, N, modulated):
 
 
 def test_fast_norms_memory_stays_within_three_blocks():
-    # a 2^20-point thm2 box input; the fold's 2^22-entry block, its
-    # p-th powers and one FFT sub-batch must fit in three float blocks
+    # a 2^20-point thm2 box input; the support is scanned one grid tile
+    # at a time, so only the fold's float tile of FFT_BATCH_ENTRIES
+    # magnitudes (1 MiB), the complex buffer that fills it (two tiles)
+    # and the window positions are alive: 5 tiles, where one more
+    # tile-sized buffer would pass 5.75 and an n-point magnitude array 8
     grid = experiments._thm2_box_grid(0.0, 128)
     assert grid.n == 1 << 20
     psi = build_modulated_train(
@@ -109,13 +112,14 @@ def test_fast_norms_memory_stays_within_three_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * (1 << 22) * 8
+    assert peak <= 5.75 * spaces.FFT_BATCH_ENTRIES * 8
 
 
 def test_fast_norms_hold_a_few_tiles():
     # the same input with mixed exponents: the fold reduces each tile of
-    # FFT_BATCH_ENTRIES magnitudes as it is made, so besides the samples'
-    # magnitudes and support indices only tile-sized buffers are alive
+    # FFT_BATCH_ENTRIES magnitudes as it is made and the support scan
+    # reads one grid tile at a time, so only tile-sized buffers are
+    # alive (5 MiB); the whole-grid scan alone peaked at 12.8 MiB
     grid = experiments._thm2_box_grid(0.0, 128)
     psi = build_modulated_train(
         CoefficientSeq.delta(0), experiments._spectral_bump(), grid
@@ -128,7 +132,7 @@ def test_fast_norms_hold_a_few_tiles():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 << 20
+    assert peak <= 8 << 20
 
 
 # fast_modulation_norms at p in {1, 4/3, 2, inf}, q = 2, window gauss:0.5,
@@ -196,6 +200,19 @@ def test_tile_size_moves_no_fast_byte(monkeypatch, entries):
     # the fold sizes every tile from this one constant, and the fast
     # producer fills whatever tile it is handed
     monkeypatch.setattr(spaces, "FFT_BATCH_ENTRIES", entries)
+    ps = (1.0, 4.0 / 3.0, 2.0, INF)
+    specs = [SpaceSpec(p, 2.0, Weight(), "gauss:0.5") for p in ps]
+    for name, pins in FAST_NORM_PINS.items():
+        got = [v.hex() for v in fast_modulation_norms(_pin_input(name), specs)]
+        assert got == pins
+
+
+@pytest.mark.parametrize("entries", [1 << 6, 1 << 9])
+def test_scan_tile_size_moves_no_fast_byte(monkeypatch, entries):
+    # the support scan reads the 4096 samples in tiles of this many, so
+    # segments and the gaps between them straddle tile borders; it must
+    # find the segments of the whole-grid scan the pins were recorded with
+    monkeypatch.setattr(experiments, "TILE_ENTRIES", entries)
     ps = (1.0, 4.0 / 3.0, 2.0, INF)
     specs = [SpaceSpec(p, 2.0, Weight(), "gauss:0.5") for p in ps]
     for name, pins in FAST_NORM_PINS.items():

@@ -1,5 +1,7 @@
 """Bump trains, chirped profiles, and stationary-phase decay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from fiolab import (
     k_alpha,
     SampledFunction,
 )
+from fiolab import experiments
 
 
 def test_coefficient_seq_constructors():
@@ -117,6 +120,43 @@ def test_modulated_train_value_at_zero():
         near |= np.abs(xi - k) <= 0.25
     outside = float(np.linalg.norm(fhat.samples[~near]))
     assert outside < 1e-10 * float(np.linalg.norm(fhat.samples))
+
+
+def test_modulated_train_tiles_keep_the_bytes():
+    # four tiles of grid points; the reference sums every modulation over
+    # the whole axis and multiplies by psi, as one pass over the grid
+    grid = Grid(1, 1 << 18, 128.0 / (1 << 18))
+    a = CoefficientSeq((0, 3, -7), (1.0, 0.5, 2.0))
+    phi = default_bump(0.3)
+    dual = grid.dual()
+    phat = np.asarray(phi(dual.axis()), dtype=float)
+    mass = float(phat.sum()) * dual.spacing
+    psi = inverse_fourier_transform(SampledFunction(dual, phat / mass))
+    x = grid.axis()
+    train = np.zeros(grid.n, dtype=complex)
+    for k, v in zip(a.indices, a.values):
+        train += v * np.exp(2j * np.pi * k * x)
+    expected = train * psi.samples
+    got = build_modulated_train(a, phi, grid).samples
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_modulated_train_memory_is_bounded():
+    # the 2^20-point thm2 box input: phi's axis is gone before the
+    # transform and the modulations are summed tile by tile into psi's
+    # buffer, so the peak is the transform's input and output (36 MiB);
+    # whole-grid temporaries peaked at 89 MiB
+    grid = experiments._thm2_box_grid(0.0, 128)
+    assert grid.n == 1 << 20
+    tracemalloc.start()
+    try:
+        build_modulated_train(
+            CoefficientSeq.delta(0), experiments._spectral_bump(), grid
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 << 20
 
 
 def test_modulated_train_validation():

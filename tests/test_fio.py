@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fiolab.grid
+from fiolab import fio
 from fiolab import (
     BANDLIMIT_TOL,
     DomainError,
@@ -137,6 +138,23 @@ def test_bandlimit_leakage_matches_the_masked_norm():
             ensure_bandlimited(f)
     zero = SampledFunction(Grid(1, 64, 0.25), np.zeros(64, complex))
     assert bandlimit_leakage(zero) == 0.0
+
+
+@pytest.mark.parametrize("spacing", ["1", "0.1", "1/3", "7.3", "32/n", "528/n"])
+def test_band_edges_match_the_full_axis(spacing):
+    # the head and tail found on a few points around -n/4 and +n/4 are
+    # the ones searchsorted finds on the whole frequency axis
+    for n in (1 << e for e in range(2, 17)):
+        dx = {"1/3": 1.0 / 3.0, "32/n": 32.0 / n, "528/n": 528.0 / n}.get(spacing)
+        grid = Grid(1, n, float(spacing) if dx is None else dx)
+        dual = grid.dual()
+        cutoff = 1.0 / (2.0 * grid.spacing) / 2.0
+        xi = dual.axis()
+        full = (
+            int(np.searchsorted(xi, -cutoff, side="left")),
+            int(np.searchsorted(xi, cutoff, side="right")),
+        )
+        assert fio._band_edges(dual, cutoff) == full
 
 
 def test_identity_phase_is_identity(small):
@@ -429,10 +447,12 @@ def test_family_bytes_are_pinned(key):
 
 
 def test_family_memory_is_bounded():
-    # the phase factor is formed in place and a profile lives only while
-    # its s2 lasts: two symbols with distinct s2 at n = 2^20 stay within
-    # five n-point complex arrays, where rebuilding both exponentials per
-    # symbol peaked at about six
+    # every pass runs tile by tile, the first profile is written over by
+    # its output and the last is weighed in fhat's buffer: two symbols
+    # with distinct s2 at n = 2^20 hold fhat, the phase factor and one
+    # profile (3.4 n-point complex arrays with the tiles), where whole-grid
+    # temporaries peaked at 4.63 and rebuilding both exponentials per
+    # symbol at about six
     n = 1 << 20
     f = block_signal(n)
     symbols = [decaying_symbol(1.0, 0.5), decaying_symbol(0.5, 0.0)]
@@ -445,4 +465,20 @@ def test_family_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert all(norm > 0.0 for norm in norms)
-    assert peak <= 5 * n * 16
+    assert peak <= 4.25 * n * 16
+
+
+def test_one_symbol_family_holds_one_array():
+    # one symbol stores no phase factor: its profile is weighed in fhat's
+    # buffer and the output written into the profile, so beyond that one
+    # n-point complex array only tiles are alive (1.4 with them)
+    n = 1 << 20
+    f = block_signal(n)
+    tracemalloc.start()
+    try:
+        out = apply_fio(f, decaying_symbol(1.0, 0.5), mild_growth(0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.norm2() > 0.0
+    assert peak <= 1.5 * n * 16

@@ -245,8 +245,10 @@ def test_exact_norms_are_pinned(key):
 
 
 def test_modulation_norm_memory_is_bounded():
-    # a block of float magnitudes plus one power of it; a whole block of
-    # complex rows alongside would pass 3 n^2 doubles
+    # the fold's one float tile of FFT_BATCH_ENTRIES magnitudes (1 MiB)
+    # and the complex buffer that fills it (two tiles), plus the window
+    # and accumulators: 3.6 tiles; one more tile-sized buffer would pass
+    # 4.5
     n = 2048
     f = pin_signal(n, 32.0 / n)
     tracemalloc.start()
@@ -255,7 +257,7 @@ def test_modulation_norm_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * n * n * 8
+    assert peak <= 4.5 * spaces.FFT_BATCH_ENTRIES * 8
 
 
 # the norms the desk CLI asks for, plus a weight on both variables
@@ -274,9 +276,10 @@ def _spec_id(s):
 
 @pytest.mark.parametrize("spec", ONE_BLOCK_SPECS, ids=_spec_id)
 def test_single_spec_norm_holds_one_block(spec):
-    # the block of magnitudes, weighted and raised to p in place, plus one
-    # sub-batch of complex STFT rows (1.5 blocks); weighing or powering
-    # into a second block would pass 2
+    # the fold's block is one float tile of FFT_BATCH_ENTRIES magnitudes,
+    # weighted and raised to p in place, beside the complex buffer that
+    # fills it (two tiles): 3.5 to 3.6 tiles with the window and the
+    # accumulators; weighing or powering into a second tile would pass 4.5
     n = 2048
     f = pin_signal(n, 32.0 / n)
     tracemalloc.start()
@@ -285,7 +288,7 @@ def test_single_spec_norm_holds_one_block(spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.75 * n * n * 8
+    assert peak <= 4.5 * spaces.FFT_BATCH_ENTRIES * 8
 
 
 @pytest.mark.parametrize("spec", ONE_BLOCK_SPECS, ids=_spec_id)
