@@ -35,7 +35,6 @@ from .extremal import (
     annulus_profile,
     build_F,
     build_G,
-    build_chirp_train,
     build_modulated_train,
     chirp_modulate,
     decay_grid,
@@ -63,7 +62,6 @@ from .grid import (
     SampledFunction,
     SampledFunction2D,
     bracket,
-    default_grid,
     fourier_transform,
     inner,
     inverse_fourier_transform,
@@ -88,8 +86,6 @@ from .phase import (
     nonseparated_x,
     nonseparated_xi,
     separation_margin,
-    sep_deviation,
-    taylor_remainder,
     verify_growth,
     verify_separation,
 )

@@ -64,6 +64,7 @@ from .grid import (
     SampledFunction,
     bracket,
     fourier_transform,
+    support_runs,
 )
 from .phase import (
     MINUS_INF,
@@ -132,11 +133,12 @@ def fast_modulation_norms(
     transform enter a norm, so the omitted global phase is irrelevant,
     and dropping segments where f vanishes changes nothing but
     round-off. Downsampling positions makes this an estimate whose
-    error shrinks quadratically in ``x_step``: about a percent at the
-    default step in the worst case (suprema over position), a fraction
-    of that for finite exponents. Ratios of norms taken with the same
-    step cancel most of the bias, which is what the sweeps consume;
-    pass a smaller step to trade time for absolute accuracy.
+    error shrinks quadratically in ``x_step``: up to 2.4% at the default
+    step in the worst case (suprema over position, measured against the
+    closed-form norms of gaussians), a fraction of that for finite
+    exponents. Ratios of norms taken with the same step cancel most of
+    the bias, which is what the sweeps consume; pass a smaller step to
+    trade time for absolute accuracy.
 
     The segments' magnitudes are handed to :func:`spaces.fold_norms`
     tile by tile with their columns in FFT order, which the fold reduces
@@ -195,7 +197,7 @@ def fast_modulation_norms(
     step = x_step if x_step > 0 else sigma / 3.0
     stride = max(1, int(round(step / dx)))
 
-    starts, ends = _support_runs(f.samples, 1e-8 * peak, 2 * pad)
+    starts, ends = support_runs(f.samples, 1e-8 * peak, 2 * pad)
     seg_lo = starts - pad
     seg_hi = ends + pad
     shifts = np.concatenate(
@@ -243,29 +245,6 @@ def fast_modulation_norms(
     kinds = ["modulation"] * len(specs)
     x = (shifts - n // 2) * dx
     return fold_norms(rows, x, np.fft.ifftshift(xi), stride * dx, dxi, specs, kinds)
-
-
-def _support_runs(samples, floor, gap):
-    """(starts, ends): the first and last index of each run of the points
-    where |samples| > floor, a run ending where the next such point lies
-    more than ``gap`` beyond it. The samples are read one tile of
-    ``TILE_ENTRIES`` at a time, and a run may span tiles."""
-    starts, ends, last = [], [], None
-    for lo in range(0, samples.size, TILE_ENTRIES):
-        on = np.flatnonzero(np.abs(samples[lo : lo + TILE_ENTRIES]) > floor) + lo
-        if not on.size:
-            continue
-        if last is None:
-            starts.append(on[0])
-        elif on[0] - last > gap:
-            ends.append(last)
-            starts.append(on[0])
-        cuts = np.flatnonzero(np.diff(on) > gap)
-        ends.extend(on[cuts])
-        starts.extend(on[cuts + 1])
-        last = on[-1]
-    ends.append(last)
-    return np.array(starts), np.array(ends)
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +707,9 @@ def _thm1_input(grid, alpha, N, modulated) -> SampledFunction:
     a = CoefficientSeq.ones(0, int(N))
     h = default_bump(_TRAIN_BUMP_RADIUS)
     if modulated:
-        return SampledFunction(grid, np.conj(build_G(a, alpha, grid, h).samples))
+        g = build_G(a, alpha, grid, h)
+        np.conj(g.samples, out=g.samples)
+        return g
     return build_F(a, alpha, grid, h)
 
 
@@ -779,14 +760,9 @@ def _run_steps(step, tasks, pooled):
     Each worker starts with :func:`_keep_freed_memory`. A fresh process
     hands its freed MB-sized buffers (pocketfft's scratch, 1 MiB per
     row at 2^16 points, and the steps' tiles) back to the kernel, which
-    zero-fills their pages again on the next use: over one seed-1 pass
-    of the benchmark's thm23-mid plan on a 2-CPU host, the workers took
-    233k minor page faults and 0.54 s of system time without it and
-    36k and 0.12 s with it (thm1-large: 169k and 0.60 s against 115k
-    and 0.37 s; medians of five runs). Kept memory raises a worker's
-    peak when its steps build inputs through whole-grid temporaries
-    (thm23-mid: 125 to 135 MB); the n-point builders work in tiles
-    instead, and the largest worker peaks at 94 MB.
+    zero-fills their pages again on the next use. Kept memory raises a
+    worker's peak when its steps build inputs through whole-grid
+    temporaries, so the n-point builders work in tiles instead.
     """
     cpus = (
         len(os.sched_getaffinity(0))

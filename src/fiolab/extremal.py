@@ -28,7 +28,6 @@ __all__ = [
     "build_F",
     "build_G",
     "build_modulated_train",
-    "build_chirp_train",
     "chirp_modulate",
     "dispersive_sup",
     "default_dispersive_grid",
@@ -119,12 +118,14 @@ def _stretched_centers(a: CoefficientSeq, alpha: float):
     return k_alpha(a.index_array(), alpha)
 
 
-def _support_slice(grid: Grid, center: float, half_width: float) -> slice:
-    """Index window covering [center - half_width, center + half_width]."""
+def _support_tiles(grid: Grid, center: float, half_width: float):
+    """``axis_tiles`` over the index window covering [center - half_width,
+    center + half_width]: a bump is evaluated on its window's own points,
+    which equal the whole axis' there to the bit."""
     x0 = -grid.half_length
     lo = int(np.floor((center - half_width - x0) / grid.spacing)) - 1
     hi = int(np.ceil((center + half_width - x0) / grid.spacing)) + 2
-    return slice(max(lo, 0), min(hi, grid.n))
+    return axis_tiles(grid, max(lo, 0), min(hi, grid.n))
 
 
 def _check_train_geometry(centers, radii, half_length):
@@ -166,11 +167,10 @@ def build_F(
     h = h if h is not None else default_bump()
     centers = _stretched_centers(a, alpha)
     _check_train_geometry(centers, h.radius, grid.half_length)
-    x = grid.axis()
     out = np.zeros(grid.n, dtype=complex)
     for c, v in zip(np.atleast_1d(centers), a.values):
-        sl = _support_slice(grid, c, h.radius)
-        out[sl] += v * h(x[sl] - c)
+        for sl, x in _support_tiles(grid, c, h.radius):
+            out[sl] += v * h(x - c)
     return SampledFunction(grid, out)
 
 
@@ -188,12 +188,11 @@ def build_G(
     h = h if h is not None else default_bump()
     centers = _stretched_centers(a, alpha)
     _check_train_geometry(centers, h.radius, grid.half_length)
-    x = grid.axis()
     out = np.zeros(grid.n, dtype=complex)
     for c, v in zip(np.atleast_1d(centers), a.values):
         freq = mu_gradient(c, alpha)
-        sl = _support_slice(grid, c, h.radius)
-        out[sl] += v * h(x[sl] - c) * np.exp(2j * np.pi * freq * x[sl])
+        for sl, x in _support_tiles(grid, c, h.radius):
+            out[sl] += v * h(x - c) * np.exp(2j * np.pi * freq * x)
     return SampledFunction(grid, out)
 
 
@@ -243,35 +242,6 @@ def build_modulated_train(
             train += v * np.exp(2j * np.pi * k * x)
         np.multiply(train, psi[sl], out=psi[sl])
     return SampledFunction(grid, psi)
-
-
-def build_chirp_train(
-    a: CoefficientSeq,
-    alpha: float,
-    grid: Grid,
-    g: Optional[Bump] = None,
-) -> SampledFunction:
-    """Train of bumps dilated to the local lattice scale.
-
-    G(x) = sum_k a_k g((x - k_alpha) / <k>^(alpha/(1-alpha))). The
-    bump at k widens with the lattice stretch, so its value at the
-    center stays g(0) while its width tracks the local cell size.
-    """
-    if not (0.0 <= alpha < 1.0):
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    g = g if g is not None else default_bump()
-    idx = a.index_array()
-    centers = k_alpha(idx, alpha)
-    scales = bracket(idx) ** (alpha / (1.0 - alpha))
-    _check_train_geometry(centers, g.radius * scales, grid.half_length)
-    x = grid.axis()
-    out = np.zeros(grid.n, dtype=complex)
-    for c, s, v in zip(
-        np.atleast_1d(centers), np.atleast_1d(scales), a.values
-    ):
-        sl = _support_slice(grid, c, g.radius * s)
-        out[sl] += v * g((x[sl] - c) / s)
-    return SampledFunction(grid, out)
 
 
 def chirp_modulate(f: SampledFunction, alpha: float) -> SampledFunction:

@@ -22,6 +22,18 @@ writes its output over that profile. So a one-symbol family holds one
 n-point array, and a family at most four (three when no two symbols
 share an s2).
 
+At coupling 1 without mu_xi (``mild_growth``, ``bilinear``) the
+profile F^-1[sigma2 fhat] is a Fourier multiplier, whose kernel decays
+like e^(-2 pi |x|). When the input's exact support fits in patches that
+lie inside the grid and cover at most half of it, each run of the
+support is transformed on its own power-of-two patch with
+``PATCH_MARGIN`` = 6 units on either side, runs whose patches overlap
+sharing one, and the output is written on the patches only. The
+band-limit check then reads the leakage of all patch spectra together,
+at the same ``BANDLIMIT_TOL``. The output moves from the whole-grid
+computation's bytes at round-off only; every other input and phase
+takes the whole grid, byte for byte.
+
 The direct quadrature, the kernel and the weak pairing read the matrix
 sigma * exp(2 pi i Phi) one block of x rows at a time, built in place in
 one reused buffer of about a megabyte, so none of them holds an n x n
@@ -30,6 +42,7 @@ temporary; only the kernel's own output is n x n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +56,7 @@ from .grid import (
     bracket,
     check_matrix_budget,
     fourier_transform,
+    support_runs,
     transform_in_place,
 )
 from .phase import ZERO_PART, PhaseSpec, build_builtin
@@ -65,6 +79,12 @@ __all__ = [
 
 # inputs must keep essentially all energy below half the Nyquist frequency
 BANDLIMIT_TOL = 1e-8
+
+# the margin, in units of x, that a patch keeps on either side of the
+# support it holds: the multiplier <xi>^(-s2) extends analytically to the
+# strip |Im xi| < 1, so its kernel decays like e^(-2 pi |x|), and
+# e^(-12 pi) ~ 4e-17 of it reaches past 6 units
+PATCH_MARGIN = 6.0
 
 # complex entries per block of the phase matrix: 1 MiB, which stays in a
 # 2 MiB L2 cache; blocks of 2^14 to 2^17 entries timed alike, and 2^22
@@ -143,7 +163,8 @@ def _band_edges(dual: Grid, cutoff: float):
 
 
 def _spectrum(f: SampledFunction):
-    """f's transform and the fraction of its amplitude above half Nyquist.
+    """f's transform, and the energies of its spectrum above half Nyquist
+    and in all.
 
     The entries with |xi| > Nyquist/2 are a head and a tail of the
     sorted frequency axis: their energy is two sums of squares over
@@ -155,31 +176,35 @@ def _spectrum(f: SampledFunction):
     nyquist = 1.0 / (2.0 * f.grid.spacing)
     head, tail = _band_edges(fhat.grid, nyquist / 2.0)
     c = fhat.samples
-    total = np.vdot(c, c).real
-    if total == 0.0:
-        return fhat, 0.0
     outside = np.vdot(c[:head], c[:head]).real + np.vdot(c[tail:], c[tail:]).real
-    return fhat, float(np.sqrt(outside / total))
+    return fhat, outside, np.vdot(c, c).real
 
 
-def _checked_transform(f) -> SampledFunction:
-    """f's transform, after f's band limit is tested on it."""
-    fhat, leak = _spectrum(f)
+def _leakage(outside, total) -> float:
+    """The fraction of spectral amplitude above half Nyquist."""
+    return 0.0 if total == 0.0 else float(np.sqrt(outside / total))
+
+
+def _checked_transforms(pieces) -> list:
+    """The pieces' transforms, after their band limit is tested on the
+    leakage of all their spectra together: sqrt(sum outside / sum total)."""
+    spectra = [_spectrum(piece) for piece in pieces]
+    leak = _leakage(sum(s[1] for s in spectra), sum(s[2] for s in spectra))
     if leak >= BANDLIMIT_TOL:
         raise ValidationError(
             f"input is not band-limited to half Nyquist: spectral leakage "
             f"{leak:.3e} exceeds {BANDLIMIT_TOL:.0e}"
         )
-    return fhat
+    return [s[0] for s in spectra]
 
 
 def bandlimit_leakage(f: SampledFunction) -> float:
     """Fraction of spectral amplitude above half the Nyquist frequency."""
-    return _spectrum(f)[1]
+    return _leakage(*_spectrum(f)[1:])
 
 
 def ensure_bandlimited(f: SampledFunction):
-    _checked_transform(f)
+    _checked_transforms([f])
 
 
 def _phase_matrix_blocks(symbol, phase, x, xi):
@@ -225,7 +250,7 @@ def apply_fio(
         return apply_fio_family(f, [symbol], phase, lambda s, g: g)[0]
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
-    return _apply_transformed(f.grid, _checked_transform(f), symbol, phase)
+    return _apply_transformed(f.grid, _checked_transforms([f])[0], symbol, phase)
 
 
 def apply_fio_family(
@@ -243,60 +268,116 @@ def apply_fio_family(
     order; the results come back in the order of ``symbols``. Other
     couplings take the quadrature.
 
+    At coupling 1 without mu_xi, F^-1[sigma2 fhat] is a Fourier
+    multiplier, which commutes with translation. When f's exact support
+    (|f| > 0) fits in patches inside the grid that cover at most half of
+    it, each patch is transformed, checked and weighed on its own (see
+    :func:`_patches`): the band-limit check reads the leakage of all
+    patch spectra together, and the output is allocated zeroed and
+    written on the patches only, so the pages outside them are never
+    touched. Its bytes differ from the whole-grid computation's at
+    round-off only. Every other input, gaussians filling the grid among
+    them, is transformed whole.
+
     Every pass over the grid runs tile by tile, so besides pocketfft's
-    scratch these n-point complex arrays are alive: fhat until the last
-    s2 begins, whose profile F^-1[...] is weighed in fhat's own buffer;
-    e^(2 pi i mu_x), stored only for a family of two or more symbols
-    whose phase has mu_x; a profile while its s2 lasts; and an output,
-    which the last symbol of an s2 writes into that profile. Each
-    output is dropped before the next one is made, and what no later
-    symbol reads is dropped before ``reduce`` runs. So a one-symbol
-    family holds one n-point array, and two symbols of distinct s2 hold
-    three at most.
+    scratch these n-point complex arrays are alive on the whole grid:
+    fhat until the last s2 begins, whose profile F^-1[...] is weighed in
+    fhat's own buffer; e^(2 pi i mu_x), stored only for a family of two
+    or more symbols whose phase has mu_x; a profile while its s2 lasts;
+    and an output, which the last symbol of an s2 writes into that
+    profile. Each output is dropped before the next one is made, and
+    what no later symbol reads is dropped before ``reduce`` runs. So a
+    one-symbol family holds one n-point array, and two symbols of
+    distinct s2 hold three at most. On patches, the same arrays are
+    patch-sized, and the output is the one n-point array.
     """
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
-    fhat = _checked_transform(f)
     grid = f.grid
+    patches = _patches(f, phase)
+    whole = patches is None
+    if whole:
+        patches, pieces = [(0, grid.n)], [f]
+    else:
+        pieces = [
+            SampledFunction(Grid(1, hi - lo, grid.spacing), f.samples[lo:hi])
+            for lo, hi in patches
+        ]
+    spectra = _checked_transforms(pieces)
     if phase.coupling not in (0, 1):
-        return [reduce(s, _apply_transformed(grid, fhat, s, phase)) for s in symbols]
+        return [reduce(s, _apply_transformed(grid, spectra[0], s, phase)) for s in symbols]
     symbols = list(symbols)
     order = sorted(range(len(symbols)), key=lambda i: symbols[i].s2)
     chirped = phase.mu_x_triple is not ZERO_PART
-    front = None
+    fronts = [None] * len(patches)
     if chirped and len(symbols) > 1:
-        front = np.empty(grid.n, dtype=complex)
-        for sl, x in axis_tiles(grid):
-            front[sl] = _phase_factor(phase.mu_x, x)
+        fronts = [np.empty(hi - lo, dtype=complex) for lo, hi in patches]
+        for (lo, hi), front in zip(patches, fronts):
+            for sl, x in axis_tiles(grid, lo, hi):
+                front[sl.start - lo : sl.stop - lo] = _phase_factor(phase.mu_x, x)
     results = [None] * len(symbols)
-    profile = None
+    profiles = None
     for k, i in enumerate(order):
         symbol = symbols[i]
-        if profile is None:
-            # the last s2 is the profile's last use of fhat
+        if profiles is None:
+            # the last s2 is the profiles' last use of the spectra
             spent = symbols[order[-1]].s2 == symbol.s2
-            profile = _profile(fhat, symbol, phase, in_place=spent)
+            profiles = [_profile(fhat, symbol, phase, in_place=spent) for fhat in spectra]
             if spent:
-                fhat = None
+                spectra = None
         last_reader = k + 1 == len(order) or symbols[order[k + 1]].s2 != symbol.s2
         # at coupling 0 the profile is a scalar
-        field = isinstance(profile, np.ndarray)
-        out = profile if last_reader and field else np.empty(grid.n, dtype=complex)
-        for sl, x in axis_tiles(grid):
-            tile = symbol.sigma1(x)
-            if front is not None:
-                tile = tile * front[sl]
-            elif chirped:
-                tile = tile * _phase_factor(phase.mu_x, x)
-            np.multiply(tile, profile[sl] if field else profile, out=out[sl])
+        field = isinstance(profiles[0], np.ndarray)
+        if whole and last_reader and field:
+            out = profiles[0]
+        else:
+            out = np.zeros(grid.n, dtype=complex)
+        for (lo, hi), profile, front in zip(patches, profiles, fronts):
+            for sl, x in axis_tiles(grid, lo, hi):
+                local = slice(sl.start - lo, sl.stop - lo)
+                tile = symbol.sigma1(x)
+                if front is not None:
+                    tile = tile * front[local]
+                elif chirped:
+                    tile = tile * _phase_factor(phase.mu_x, x)
+                np.multiply(tile, profile[local] if field else profile, out=out[sl])
         # what no later symbol reads goes before reduce runs
         if last_reader:
-            profile = None
+            profiles = None
         if k + 1 == len(order):
-            front = None
+            fronts = None
         results[i] = reduce(symbol, SampledFunction(grid, out))
         del out
     return results
+
+
+def _patches(f, phase):
+    """The (lo, hi) index ranges of the patches on which the family is
+    applied to f, or None when it is applied on the whole grid.
+
+    Patches are taken at coupling 1 without mu_xi only. Each run of f's
+    exact support gets a patch of a power-of-two length starting
+    ``PATCH_MARGIN`` before it and ending at least that far after it;
+    runs whose patches overlap share one. The patches are used only when
+    they lie inside the grid, so that no patch wraps, and cover at most
+    half of it. f == 0 is applied on the whole grid.
+    """
+    if phase.coupling != 1.0 or phase.mu_xi_triple is not ZERO_PART:
+        return None
+    margin = math.ceil(PATCH_MARGIN / f.grid.spacing)
+    patches = []
+    for start, end in zip(*support_runs(f.samples, 0.0, 2 * margin)):
+        lo = int(start) - margin
+        while True:
+            hi = lo + (1 << (int(end) + margin - lo).bit_length())
+            if not patches or patches[-1][1] <= lo:
+                break
+            lo = patches.pop()[0]
+        patches.append((lo, hi))
+    n = f.grid.n
+    if not patches or patches[0][0] < 0 or patches[-1][1] > n:
+        return None
+    return patches if sum(hi - lo for lo, hi in patches) <= n // 2 else None
 
 
 def _phase_factor(part, u):
@@ -404,7 +485,7 @@ def weak_pairing(
     """
     if f.grid != g.grid:
         raise StructuralError("weak pairing needs both functions on one grid")
-    fhat = _checked_transform(f)
+    fhat = _checked_transforms([f])[0]
     xi = fhat.grid.axis()
     x = f.grid.axis()
     coeffs = fhat.samples * fhat.grid.cell_measure()

@@ -88,11 +88,6 @@ class Grid:
         return f"d={self.dim} n={self.n} L={self.half_length:g}"
 
 
-def default_grid() -> Grid:
-    """The default desk grid: n=512 points on [-16, 16)."""
-    return Grid(1, 512, 2.0 * 16.0 / 512)
-
-
 class SampledFunction:
     """Complex samples of a function on a :class:`Grid`.
 
@@ -187,6 +182,30 @@ def axis_tiles(grid: Grid, start: int = 0, stop=None):
         hi = min(lo + TILE_ENTRIES, stop)
         points = np.arange(lo - grid.n // 2, hi - grid.n // 2) * grid.spacing
         yield slice(lo, hi), points
+
+
+def support_runs(samples, floor, gap):
+    """(starts, ends): the first and last index of each run of the points
+    where |samples| > floor, a run ending where the next such point lies
+    more than ``gap`` beyond it. The samples are read one tile of
+    ``TILE_ENTRIES`` at a time, and a run may span tiles."""
+    starts, ends, last = [], [], None
+    for lo in range(0, samples.size, TILE_ENTRIES):
+        on = np.flatnonzero(np.abs(samples[lo : lo + TILE_ENTRIES]) > floor) + lo
+        if not on.size:
+            continue
+        if last is None:
+            starts.append(on[0])
+        elif on[0] - last > gap:
+            ends.append(last)
+            starts.append(on[0])
+        cuts = np.flatnonzero(np.diff(on) > gap)
+        ends.extend(on[cuts])
+        starts.extend(on[cuts + 1])
+        last = on[-1]
+    if last is not None:
+        ends.append(last)
+    return np.array(starts), np.array(ends)
 
 
 def transform_in_place(grid: Grid, work: np.ndarray, inverse: bool):

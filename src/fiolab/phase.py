@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .grid import Grid, SampledFunction2D, bracket, shifted_fft
+from .grid import bracket, shifted_fft
 
 __all__ = [
     "MINUS_INF",
@@ -42,10 +42,8 @@ __all__ = [
     "growth_ratio_x",
     "second_derivative_bounds",
     "separation_margin",
-    "taylor_remainder",
     "k_alpha",
     "mu_gradient",
-    "sep_deviation",
     "ConditionVerdict",
     "verify_growth",
     "verify_separation",
@@ -481,28 +479,6 @@ def separation_margin(phase: PhaseSpec, kind: str, box: float) -> float:
     return max(float(margin), 0.0)
 
 
-def taylor_remainder(phase: PhaseSpec, k: float, l: float,
-                     cell_points: int = 32) -> SampledFunction2D:
-    """Second-order remainder of the phase at lattice point (k, l).
-
-    Returns Phi(k+y, l+eta) minus its first-order expansion, sampled on
-    the cell [-1, 1)^2; the remainder and its gradient vanish at the
-    cell center.
-    """
-    m = int(cell_points)
-    grid = Grid(2, m, 2.0 / m)
-    y = grid.axis()
-    Y = y[:, None]
-    H = y[None, :]
-    base = np.asarray(phase.eval(k + Y, l + H), dtype=float)
-    base = np.broadcast_to(base, (m, m))
-    phi0 = float(np.asarray(phase.eval(k, l), dtype=float))
-    gx = float(np.asarray(phase.grad_x(k, l), dtype=float))
-    gxi = float(np.asarray(phase.grad_xi(k, l), dtype=float))
-    vals = base - phi0 - gx * Y - gxi * H
-    return SampledFunction2D(grid, vals.astype(complex))
-
-
 # ---------------------------------------------------------------------------
 # Lattice geometry of the separation construction
 
@@ -522,15 +498,6 @@ def mu_gradient(x, alpha: float):
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     x = np.asarray(x, dtype=float)
     out = (2.0 - alpha) * bracket(x) ** (-alpha) * x
-    return float(out) if out.ndim == 0 else out
-
-
-def sep_deviation(k, alpha: float):
-    """|grad mu at k_alpha minus (2 - alpha) k|; decays like 1/|k|."""
-    k = np.asarray(k, dtype=float)
-    if np.any(k == 0):
-        raise DomainError("the deviation bound is asymptotic; k must be nonzero")
-    out = np.abs(mu_gradient(k_alpha(k, alpha), alpha) - (2.0 - alpha) * k)
     return float(out) if out.ndim == 0 else out
 
 

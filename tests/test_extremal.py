@@ -15,7 +15,6 @@ from fiolab import (
     annulus_profile,
     build_F,
     build_G,
-    build_chirp_train,
     build_modulated_train,
     chirp_modulate,
     decay_grid,
@@ -26,6 +25,7 @@ from fiolab import (
     high_growth_decay,
     inverse_fourier_transform,
     k_alpha,
+    mu_gradient,
     SampledFunction,
 )
 from fiolab import experiments
@@ -159,6 +159,40 @@ def test_modulated_train_memory_is_bounded():
     assert peak <= 48 << 20
 
 
+@pytest.mark.parametrize("modulated", [False, True], ids=["F", "G"])
+def test_bump_trains_keep_the_whole_axis_bytes(modulated):
+    # each bump is evaluated on its own window's points, in tiles; wide
+    # bumps on 2^18 points span tile borders, the one at 0 among them
+    grid = Grid(1, 1 << 18, 64.0 / (1 << 18))
+    a = CoefficientSeq((-3, 0, 3, 5), (1.0, 0.5, 2.0, 1.0))
+    h = default_bump(2.0)
+    x = grid.axis()
+    expected = np.zeros(grid.n, dtype=complex)
+    for c, v in zip(k_alpha(a.index_array(), 0.5), a.values):
+        term = v * h(x - c)
+        if modulated:
+            term = term * np.exp(2j * np.pi * mu_gradient(c, 0.5) * x)
+        expected += term
+    got = (build_G if modulated else build_F)(a, 0.5, grid, h).samples
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("builder", [build_F, build_G], ids=["F", "G"])
+def test_bump_trains_memory_is_bounded(builder):
+    # the 2^21-point thm1 train: besides its output only a bump window's
+    # tiles are alive (1.0 n-point complex arrays); the whole axis, 0.5
+    # of one, is not formed
+    grid = experiments._thm1_grid(0.5, 32)
+    assert grid.n == 1 << 21
+    tracemalloc.start()
+    try:
+        builder(CoefficientSeq.ones(0, 32), 0.5, grid, default_bump(0.25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * grid.n * 16
+
+
 def test_modulated_train_validation():
     grid = Grid(1, 256, 0.125)
     a = CoefficientSeq.ones(0, 2)
@@ -168,32 +202,6 @@ def test_modulated_train_validation():
         build_modulated_train(
             CoefficientSeq.delta(5), default_bump(0.25), grid
         )
-
-
-def test_chirp_train_reduces_to_plain_train_at_alpha_zero():
-    grid = Grid(1, 512, 0.0625)
-    a = CoefficientSeq.ones(-2, 5)
-    h = default_bump(0.2)
-    plain = build_F(a, 0.0, grid, h)
-    chirped = build_chirp_train(a, 0.0, grid, h)
-    assert np.allclose(chirped.samples, plain.samples, atol=1e-14)
-    with pytest.raises(DomainError):
-        build_chirp_train(a, 1.0, grid, h)
-
-
-def test_chirp_train_widths_scale_with_index():
-    grid = Grid(1, 4096, 0.015625)
-    a = CoefficientSeq((0, 4), (1.0, 1.0))
-    h = default_bump(0.2)
-    f = build_chirp_train(a, 0.5, grid, h)
-    x = grid.axis()
-    # support width around k doubles per the lattice stretch <k>^1
-    w0 = float(np.sum(np.abs(f.samples[np.abs(x) < 1.0]) > 0) * grid.spacing)
-    c4 = k_alpha(4.0, 0.5)
-    w4 = float(
-        np.sum(np.abs(f.samples[np.abs(x - c4) < 3.0]) > 0) * grid.spacing
-    )
-    assert w4 == pytest.approx(w0 * np.sqrt(17.0), rel=0.05)
 
 
 def test_chirp_modulate():

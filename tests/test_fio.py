@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import fiolab.grid
-from fiolab import fio
+from fiolab import experiments, fio
 from fiolab import (
     BANDLIMIT_TOL,
+    Bump,
+    CoefficientSeq,
     DomainError,
     Grid,
     ResourceError,
@@ -23,8 +25,10 @@ from fiolab import (
     bandlimit_leakage,
     bilinear,
     bracket_power,
+    build_F,
     constant_symbol,
     decaying_symbol,
+    default_bump,
     ensure_bandlimited,
     fourier_transform,
     inner,
@@ -33,10 +37,13 @@ from fiolab import (
     make_phase,
     make_symbol,
     mild_growth,
+    mollifier,
     nonseparated_xi,
     PhaseSpec,
     weak_pairing,
 )
+from fiolab.cli import main
+from fiolab.grid import support_runs
 from fiolab.phase import GrowthParams
 
 from conftest import bandlimited
@@ -482,3 +489,126 @@ def test_one_symbol_family_holds_one_array():
         tracemalloc.stop()
     assert out.norm2() > 0.0
     assert peak <= 1.5 * n * 16
+
+
+def _whole_grid_family(f, symbols, phase):
+    """sigma1 e^(2 pi i mu_x) F^-1[sigma2 F f] per symbol, with one
+    transform pair over the whole grid."""
+    grid = f.grid
+    fhat = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f.samples))) * grid.spacing
+    xi = grid.dual().axis()
+    x = grid.axis()
+    front = np.exp(2j * np.pi * phase.mu_x(x))
+    outs = []
+    for symbol in symbols:
+        weighted = np.fft.ifftshift(symbol.sigma2(xi) * fhat)
+        profile = np.fft.fftshift(np.fft.ifft(weighted)) / grid.spacing
+        outs.append(symbol.sigma1(x) * front * profile)
+    return outs
+
+
+PATCH_SYMBOLS = [decaying_symbol(0.5, 0.8), constant_symbol(), decaying_symbol(1.0, 2.0)]
+
+
+@pytest.mark.parametrize("modulated", [False, True], ids=["plain", "modulated"])
+@pytest.mark.parametrize("alpha, N", [(0.0, 4), (0.5, 4), (0.5, 16)])
+def test_patches_match_one_whole_grid_transform_pair(alpha, N, modulated):
+    # the thm1 trains: at alpha = 0.5 the first centers are about one
+    # unit apart, so their runs share a patch, and at N = 16 the train
+    # splits into several patches
+    grid = experiments._thm1_grid(alpha, N)
+    f = experiments._thm1_input(grid, alpha, N, modulated)
+    phase = mild_growth(alpha)
+    patches = fio._patches(f, phase)
+    runs = support_runs(f.samples, 0.0, 1)[0].size
+    assert patches is not None and runs == N > len(patches)
+    if N == 16:
+        assert len(patches) >= 2
+    got = apply_fio_family(f, PATCH_SYMBOLS, phase, lambda s, g: g.samples)
+    peak = np.abs(f.samples).max()
+    for out, expected in zip(got, _whole_grid_family(f, PATCH_SYMBOLS, phase)):
+        assert np.abs(out - expected).max() <= 1e-13 * peak
+
+
+def test_patch_branch_declines_off_its_inputs_and_phases():
+    # gaussians fill the grid, so the family keeps the whole-grid bytes
+    # that FAMILY_PINS holds; phases with coupling 0 or mu_xi never take
+    # patches, and neither does a train within a margin of the seam
+    for n in (512, 1024):
+        for name in ("bilinear", "mild_growth"):
+            assert fio._patches(block_signal(n), FAMILY_PHASES[name]) is None
+    grid = experiments._thm1_grid(0.5, 4)
+    train = experiments._thm1_input(grid, 0.5, 4, False)
+    for name in ("nonseparated_x", "nonseparated_xi", "high_growth", "freq_chirp"):
+        assert fio._patches(train, FAMILY_PHASES[name]) is None
+    near_seam = SampledFunction(grid, np.roll(train.samples, grid.n // 2 - 1000))
+    assert fio._patches(near_seam, bilinear()) is None
+    zero = SampledFunction(grid, np.zeros(grid.n, complex))
+    assert fio._patches(zero, bilinear()) is None
+
+
+def test_patched_family_holds_no_whole_grid_spectrum():
+    # on a 2^19-point thm1 train, whose patches cover 0.41 of the grid,
+    # two symbols of distinct s2 hold their output and, on the patches
+    # only, spectra, a profile and the phase factor: 2.54 n-point complex
+    # arrays with the tiles. The whole grid holds 3.4, and a whole-grid
+    # spectrum or profile on top of the patches would make 3.5
+    grid = experiments._thm1_grid(0.5, 16)
+    assert grid.n == 1 << 19
+    f = experiments._thm1_input(grid, 0.5, 16, True)
+    symbols = [decaying_symbol(1.0, 0.5), decaying_symbol(0.5, 0.0)]
+    tracemalloc.start()
+    try:
+        norms = apply_fio_family(
+            f, symbols, mild_growth(0.5), lambda s, g: np.vdot(g.samples, g.samples).real
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(norm > 0.0 for norm in norms)
+    assert peak <= 2.75 * grid.n * 16
+
+
+def test_leaky_train_fails_on_patches(capsys):
+    # radius-0.003 bumps at spacing 1/1024 leak about a tenth of their
+    # amplitude above half Nyquist; the summed patch spectra see it
+    argv = ["apply", "--signal", "train:start=0,count=4,radius=0.003",
+            "--grid-n", "32768", "--phase", "mild_growth:alpha=0"]
+    grid = Grid(1, 32768, 1.0 / 1024)
+    h = Bump(0.003, lambda u: mollifier(u, 0.003))
+    f = build_F(CoefficientSeq.ones(0, 4), 0.0, grid, h)
+    assert fio._patches(f, mild_growth(0.0)) is not None
+    assert 0.05 < bandlimit_leakage(f) < 0.2
+    with pytest.raises(ValidationError, match="band-limited"):
+        apply_fio(f, constant_symbol(), mild_growth(0.0))
+    assert main(argv) == 2
+    assert "band-limited" in capsys.readouterr().err
+
+
+def _chirp_oracle(f):
+    """mild_growth(0) with the constant symbol: f times e^(2 pi i (1 + x^2))."""
+    x = f.grid.axis()
+    return np.exp(2j * np.pi * (1.0 + x * x)) * f.samples
+
+
+def test_mild_growth_zero_is_a_chirp_multiplication():
+    phase, symbol = mild_growth(0.0), constant_symbol()
+    # on patches: a train of four bumps near the origin
+    grid = Grid(1, 32768, 32.0 / 32768)
+    train = build_F(CoefficientSeq.ones(0, 4), 0.0, grid, default_bump(0.25))
+    assert fio._patches(train, phase) is not None
+    # on the whole grid and by the two n^2 realizations: a gaussian
+    cases = [(train, apply_fio(train, symbol, phase))]
+    for n in (1024, 256):
+        g = Grid(1, n, 16.0 / n)
+        x = g.axis()
+        f = SampledFunction(g, np.exp(-np.pi * x * x))
+        assert fio._patches(f, phase) is None
+        if n == 1024:
+            cases.append((f, apply_fio(f, symbol, phase)))
+        else:
+            cases.append((f, apply_fio(f, symbol, phase, force_direct=True)))
+            cases.append((f, apply_kernel(kernel(symbol, phase, g), f)))
+    for f, out in cases:
+        err = np.abs(out.samples - _chirp_oracle(f)).max()
+        assert err <= 1e-13 * np.abs(f.samples).max()

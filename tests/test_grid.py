@@ -11,7 +11,6 @@ from fiolab import (
     SampledFunction2D,
     StructuralError,
     ValidationError,
-    default_grid,
     fourier_transform,
     inner,
     inverse_fourier_transform,
@@ -43,11 +42,6 @@ def test_dual_grid_involution_on_dyadic_spacing():
     g = Grid(1, 256, 0.125)
     assert g.dual().spacing == 1.0 / 32.0
     assert g.dual().dual() == g
-
-
-def test_default_grid_shape():
-    g = default_grid()
-    assert (g.dim, g.n, g.half_length) == (1, 512, 16.0)
 
 
 def test_sampled_function_validation():

@@ -22,10 +22,8 @@ from fiolab import (
     mu_gradient,
     nonseparated_x,
     nonseparated_xi,
-    sep_deviation,
     PhaseSpec,
     separation_margin,
-    taylor_remainder,
     verify_growth,
     verify_separation,
 )
@@ -91,19 +89,6 @@ def test_lattice_geometry_values():
         k_alpha(2.0, 1.0)
     with pytest.raises(DomainError):
         mu_gradient(1.0, -0.1)
-
-
-def test_sep_deviation_decays():
-    with pytest.raises(DomainError):
-        sep_deviation(0, 0.5)
-    d_small = sep_deviation(2.0, 0.5)
-    d_big = sep_deviation(20.0, 0.5)
-    assert 0 < d_big < d_small
-    # the deviation is the defect of the stretched lattice against the
-    # linearized gradient, so it matches its own definition exactly
-    k = 5.0
-    direct = abs(mu_gradient(k_alpha(k, 0.3), 0.3) - 1.7 * k)
-    assert sep_deviation(k, 0.3) == pytest.approx(direct)
 
 
 def test_mollifier_shape():
@@ -173,15 +158,6 @@ def test_nonseparated_xi_bump_derivatives():
         fd2 = (ph.grad_xi(0.0, u + h) - ph.grad_xi(0.0, u - h)) / (2 * h)
         assert ph.hess_xixi(0.0, u) == pytest.approx(fd2, rel=1e-4, abs=1e-6)
     assert ph.grad_xi(0.0, 5.0) == 0.0
-
-
-def test_taylor_remainder_bilinear_is_pure_cross_term():
-    rem = taylor_remainder(bilinear(), 3.0, -2.0, cell_points=16)
-    y = rem.grid.axis()
-    expected = np.multiply.outer(y, y)
-    assert np.allclose(rem.samples.real, expected, atol=1e-12)
-    center = np.argwhere(np.isclose(y, 0.0)).item()
-    assert abs(rem.samples[center, center]) < 1e-12
 
 
 def test_growth_ratio_x_cases():
