@@ -895,12 +895,12 @@ def _thm2_step(grid, N, window, pq_all, s2s, alpha=None, s1_pqs=()):
     not asked for one of the three leaves it empty.
     """
     f = build_modulated_train(CoefficientSeq.ones(0, N), _spectral_bump(), grid)
-    pairing = {}
-    if s2s:
-        fhat = fourier_transform(f)
-        pairing = {s2: _symbol_scalar(fhat, s2) for s2 in s2s}
-        del fhat
-    norms = _norm_map(f, pq_all, window) if pq_all else {}
+    # the operator goes first: its transform reuses the n-point buffer
+    # the build just freed, and its output holds that buffer while the
+    # norms run. With the norms first, their small allocations could
+    # land in the freed buffer and keep it from being reused whole, so
+    # the next transform took a fresh block: 16 MiB more peak on the
+    # 2^20-point box, depending only on the heap's layout at fork
     outs = {}
     if s1_pqs:
         pqs = dict(s1_pqs)
@@ -911,6 +911,12 @@ def _thm2_step(grid, N, window, pq_all, s2s, alpha=None, s1_pqs=()):
             lambda sym, g: _norm_map(g, pqs[sym.s1], window),
         )
         outs = dict(zip(pqs, images))
+    pairing = {}
+    if s2s:
+        fhat = fourier_transform(f)
+        pairing = {s2: _symbol_scalar(fhat, s2) for s2 in s2s}
+        del fhat
+    norms = _norm_map(f, pq_all, window) if pq_all else {}
     return pairing, norms, outs
 
 
