@@ -34,6 +34,7 @@ from .extremal import (
     CoefficientSeq,
     annulus_profile,
     build_F,
+    bump_train,
     build_G,
     build_modulated_train,
     chirp_modulate,
@@ -59,6 +60,7 @@ from .fio import (
 )
 from .grid import (
     Grid,
+    Runs,
     SampledFunction,
     SampledFunction2D,
     bracket,
@@ -110,7 +112,6 @@ from .tf import (
     fundamental_identity_residual,
     make_window,
     stft,
-    tf_from_csv,
     tf_to_csv,
 )
 

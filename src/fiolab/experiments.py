@@ -51,20 +51,21 @@ from .errors import DomainError, ResourceError, ValidationError
 from .extremal import (
     Bump,
     CoefficientSeq,
-    build_F,
-    build_G,
     build_modulated_train,
+    bump_train,
     default_bump,
 )
 from .fio import apply_fio_family, decaying_symbol
 from .grid import (
     MATRIX_BUDGET,
-    TILE_ENTRIES,
     Grid,
+    Runs,
     SampledFunction,
     bracket,
     fourier_transform,
+    run_tiles,
     support_runs,
+    take,
 )
 from .phase import (
     MINUS_INF,
@@ -132,29 +133,27 @@ def fast_modulation_norms(
     where |f| exceeds 1e-8 times its peak. Only magnitudes of the
     transform enter a norm, so the omitted global phase is irrelevant,
     and dropping segments where f vanishes changes nothing but
-    round-off. Downsampling positions makes this an estimate whose
-    error shrinks quadratically in ``x_step``: up to 2.4% at the default
-    step in the worst case (suprema over position, measured against the
-    closed-form norms of gaussians), a fraction of that for finite
-    exponents. Ratios of norms taken with the same step cancel most of
-    the bias, which is what the sweeps consume; pass a smaller step to
-    trade time for absolute accuracy.
+    round-off. Downsampling positions makes this an estimate: against
+    the closed-form norms of gaussians, suprema over position miss by up
+    to 3% at the default step, finite exponents by under 1e-5 (tested).
+    Ratios of norms taken with the same step cancel most of the bias,
+    which is what the sweeps consume; pass a smaller step to trade time
+    for absolute accuracy.
 
-    The segments' magnitudes are handed to :func:`spaces.fold_norms`
-    tile by tile with their columns in FFT order, which the fold reduces
-    in increasing-frequency order. The segments are rows of a
-    sliding-window view over the span the windows cover: a slice of
-    ``f.samples``, or one wrapped copy of the span when a window crosses
-    the grid's seam. Runs of equally spaced rows are multiplied by the
-    window straight into one zero-padded complex buffer of the tile's
-    size, reused for every tile, which is transformed in place; its
-    magnitudes go into the fold's tile. So no index array, gather or
-    padding copy is made, and only that buffer and the fold's tiles are
-    alive. The peak and the support's segments are found one tile of
-    ``grid.TILE_ENTRIES`` samples at a time, so no n-point magnitude,
-    mask or index array exists either. The FFT works row by row and sees
-    the same values as a padded gather would, so neither the tile size
-    nor the buffer changes a byte.
+    f is a SampledFunction or a :class:`grid.Runs`, read through its
+    runs, and both give the same bytes. The segments' magnitudes are
+    handed to :func:`spaces.fold_norms` tile by tile with their columns
+    in FFT order, which the fold reduces in increasing-frequency order.
+    A segment's windows are rows of a sliding-window view over the
+    samples they cover (:func:`grid.take`: a slice of one run, or a copy
+    when they straddle runs or the grid's seam). The rows are multiplied
+    by the window straight into one zero-padded complex buffer of the
+    tile's size, reused for every tile and transformed in place, whose
+    magnitudes fill the fold's tile; only that buffer and the fold's
+    tiles are alive. The peak and the segments are found one tile of
+    ``grid.TILE_ENTRIES`` samples at a time. The FFT works row by row and
+    sees the same values as a padded gather would, so neither the tile
+    size nor the buffer changes a byte.
     """
     specs = list(specs)
     if not specs:
@@ -183,29 +182,30 @@ def fast_modulation_norms(
             f"{MATRIX_BUDGET} frequency columns"
         )
     m2 = 1 << int(math.ceil(math.log2(cols)))
-    tiles = range(0, n, TILE_ENTRIES)
-    peak = max(float(np.abs(f.samples[lo : lo + TILE_ENTRIES]).max()) for lo in tiles)
+    peak = max((float(np.abs(tile).max()) for _, tile in run_tiles(f.runs)), default=0.0)
     if peak == 0.0:
         return [0.0] * len(specs)
 
     if m >= n:
         # window wider than the grid: the segment picture degenerates,
         # and grids this small are cheap to do exactly
-        return [modulation_norm(f, s) for s in specs]
+        return [modulation_norm(f.densify(), s) for s in specs]
 
     pad = int(math.ceil(w_half / dx)) + 2
     step = x_step if x_step > 0 else sigma / 3.0
     stride = max(1, int(round(step / dx)))
 
-    starts, ends = support_runs(f.samples, 1e-8 * peak, 2 * pad)
-    seg_lo = starts - pad
-    seg_hi = ends + pad
-    shifts = np.concatenate(
-        [
-            np.arange(max(int(lo), 0), min(int(hi), n - 1) + 1, stride)
-            for lo, hi in zip(seg_lo, seg_hi)
-        ]
-    )
+    # each segment of the support gets its window positions and a
+    # sliding-window view of the samples under them: the window at
+    # shift j covers take(f, j - m // 2, j - m // 2 + m)
+    segments, windows = [], []
+    for lo, hi in zip(*support_runs(f.runs, 1e-8 * peak, 2 * pad)):
+        seg = np.arange(max(int(lo) - pad, 0), min(int(hi) + pad, n - 1) + 1, stride)
+        span = take(f, int(seg[0]) - m // 2, int(seg[-1]) - m // 2 + m)
+        segments.append(seg)
+        windows.append(np.lib.stride_tricks.sliding_window_view(span, m))
+    shifts = np.concatenate(segments)
+    firsts = np.cumsum([0] + [seg.size for seg in segments])
 
     off = np.arange(m) - m // 2
     gw = (2.0**0.25 / math.sqrt(sigma)) * np.exp(
@@ -213,31 +213,21 @@ def fast_modulation_norms(
     )
     xi = (np.arange(m2) - m2 // 2) / (m2 * dx)
     dxi = 1.0 / (m2 * dx)
-
-    # the samples under every window, one window per row of the view:
-    # the window at shift j covers span[j - shifts[0] :][:m]
-    lo, hi = int(shifts[0]) - m // 2, int(shifts[-1]) - m // 2 + m
-    if lo >= 0 and hi <= n:
-        span = f.samples[lo:hi]
-    else:
-        span = f.samples.take(np.arange(lo, hi), mode="wrap")
-    windows = np.lib.stride_tricks.sliding_window_view(span, m)
-    starts = shifts - shifts[0]
     spectra = np.empty((0, m2), dtype=complex)
 
     def rows(sl, out):
         nonlocal spectra
         if len(spectra) < len(out):
             spectra = np.empty(out.shape, dtype=complex)
-        run = starts[sl]
-        buf = spectra[: run.size]
+        buf = spectra[: sl.stop - sl.start]
         # the last tile's FFT left its spectra in the padding columns
         buf[:, m:] = 0.0
-        # runs of equally spaced windows are strided views of the span
-        cuts = np.flatnonzero(np.diff(run) != stride) + 1
-        for r0, r1 in zip([0, *cuts], [*cuts, run.size]):
-            src = windows[run[r0] : run[r1 - 1] + 1 : stride]
-            np.multiply(src, gw, out=buf[r0:r1, :m])
+        # a segment's windows are equally spaced rows of its view
+        for first, last, view in zip(firsts, firsts[1:], windows):
+            r0, r1 = max(first, sl.start), min(last, sl.stop)
+            if r0 < r1:
+                src = view[(r0 - first) * stride :: stride][: r1 - r0]
+                np.multiply(src, gw, out=buf[r0 - sl.start : r1 - sl.start, :m])
         np.fft.fft(buf, axis=1, out=buf)
         np.abs(buf, out=out)
         out *= dx
@@ -645,10 +635,8 @@ _SPECTRAL_MARGIN = 200.0
 _TRAIN_BUMP_RADIUS = 0.25
 
 # a sweep whose largest grid has at least this many points runs its
-# family steps on _POOL_WORKERS processes. On a 2-CPU host, forking made
-# a three-tuple thm1 sweep with grids up to 2^16 points 0.07 s slower
-# (0.58 s serial) and one with grids up to 2^17 points 0.25 s faster
-# (1.23 s serial)
+# family steps on _POOL_WORKERS processes; on a 2-CPU host forking first
+# pays off at grids of 2^17 points
 _POOL_POINTS = 1 << 17
 _POOL_WORKERS = 2
 
@@ -701,16 +689,15 @@ def _thm1_grid(alpha: float, N: int) -> Grid:
     return Grid(1, n, 2.0 * half / n)
 
 
-def _thm1_input(grid, alpha, N, modulated) -> SampledFunction:
+def _thm1_input(grid, alpha, N, modulated) -> Runs:
     """The train F of N unit bumps, or with ``modulated`` the conjugated
-    gradient-modulated train conj(G)."""
+    gradient-modulated train conj(G), as runs."""
     a = CoefficientSeq.ones(0, int(N))
-    h = default_bump(_TRAIN_BUMP_RADIUS)
+    train = bump_train(a, alpha, grid, default_bump(_TRAIN_BUMP_RADIUS), modulated)
     if modulated:
-        g = build_G(a, alpha, grid, h)
-        np.conj(g.samples, out=g.samples)
-        return g
-    return build_F(a, alpha, grid, h)
+        for _, samples in train.runs:
+            np.conj(samples, out=samples)
+    return train
 
 
 def _thm1_step(grid, alpha, N, modulated, pair_pqs):
@@ -757,12 +744,7 @@ def _run_steps(step, tasks, pooled):
     the steps use none of it. A worker's exception reaches the caller
     unchanged, after the queued tasks are cancelled.
 
-    Each worker starts with :func:`_keep_freed_memory`. A fresh process
-    hands its freed MB-sized buffers (pocketfft's scratch, 1 MiB per
-    row at 2^16 points, and the steps' tiles) back to the kernel, which
-    zero-fills their pages again on the next use. Kept memory raises a
-    worker's peak when its steps build inputs through whole-grid
-    temporaries, so the n-point builders work in tiles instead.
+    Each worker starts with :func:`_keep_freed_memory`.
     """
     cpus = (
         len(os.sched_getaffinity(0))
@@ -896,11 +878,8 @@ def _thm2_step(grid, N, window, pq_all, s2s, alpha=None, s1_pqs=()):
     """
     f = build_modulated_train(CoefficientSeq.ones(0, N), _spectral_bump(), grid)
     # the operator goes first: its transform reuses the n-point buffer
-    # the build just freed, and its output holds that buffer while the
-    # norms run. With the norms first, their small allocations could
-    # land in the freed buffer and keep it from being reused whole, so
-    # the next transform took a fresh block: 16 MiB more peak on the
-    # 2^20-point box, depending only on the heap's layout at fork
+    # the build just freed. With the norms first, their small allocations
+    # could split that buffer, and the next transform took a fresh one
     outs = {}
     if s1_pqs:
         pqs = dict(s1_pqs)

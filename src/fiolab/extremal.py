@@ -17,7 +17,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .grid import Grid, SampledFunction, axis_tiles, bracket, inverse_fourier_transform
+from .grid import (
+    Grid,
+    Runs,
+    SampledFunction,
+    axis_tiles,
+    bracket,
+    inverse_fourier_transform,
+)
 from .phase import bracket_power, k_alpha, mollifier, mu_gradient
 
 __all__ = [
@@ -25,6 +32,7 @@ __all__ = [
     "Bump",
     "default_bump",
     "annulus_profile",
+    "bump_train",
     "build_F",
     "build_G",
     "build_modulated_train",
@@ -118,14 +126,13 @@ def _stretched_centers(a: CoefficientSeq, alpha: float):
     return k_alpha(a.index_array(), alpha)
 
 
-def _support_tiles(grid: Grid, center: float, half_width: float):
-    """``axis_tiles`` over the index window covering [center - half_width,
-    center + half_width]: a bump is evaluated on its window's own points,
-    which equal the whole axis' there to the bit."""
+def _support_window(grid: Grid, center: float, half_width: float):
+    """The (lo, hi) index window, clipped to the grid, that covers
+    [center - half_width, center + half_width]."""
     x0 = -grid.half_length
     lo = int(np.floor((center - half_width - x0) / grid.spacing)) - 1
     hi = int(np.ceil((center + half_width - x0) / grid.spacing)) + 2
-    return axis_tiles(grid, max(lo, 0), min(hi, grid.n))
+    return max(lo, 0), min(hi, grid.n)
 
 
 def _check_train_geometry(centers, radii, half_length):
@@ -152,26 +159,52 @@ def _check_train_geometry(centers, radii, half_length):
             )
 
 
+def bump_train(
+    a: CoefficientSeq,
+    alpha: float,
+    grid: Grid,
+    h: Optional[Bump] = None,
+    modulated: bool = False,
+) -> Runs:
+    """Train of identical bumps at the stretched lattice points, as runs.
+
+    F(x) = sum_k a_k h(x - k_alpha), or with ``modulated`` G(x) = sum_k
+    a_k h(x - k_alpha) exp(2 pi i grad_mu(k_alpha) x), in which each bump
+    carries the local gradient frequency, so |G| = |F| pointwise.
+    Supports must be disjoint and lie inside the grid. Each bump is
+    evaluated in tiles on its window's own points, which equal the whole
+    axis' there to the bit, and added into a zeroed run, which windows
+    that overlap share: the runs hold the bytes of a sum over the axis.
+    """
+    h = h if h is not None else default_bump()
+    centers = np.atleast_1d(_stretched_centers(a, alpha))
+    _check_train_geometry(centers, h.radius, grid.half_length)
+    windows = [_support_window(grid, c, h.radius) for c in centers]
+    spans = []
+    for lo, hi in sorted(windows):
+        if spans and lo < spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], hi)
+        else:
+            spans.append([lo, hi])
+    runs = [(lo, np.zeros(hi - lo, dtype=complex)) for lo, hi in spans]
+    for c, v, (lo, hi) in zip(centers, a.values, windows):
+        start, run = next(r for r in reversed(runs) if r[0] <= lo)
+        for sl, x in axis_tiles(grid, lo, hi):
+            term = v * h(x - c)
+            if modulated:
+                term = term * np.exp(2j * np.pi * mu_gradient(c, alpha) * x)
+            run[sl.start - start : sl.stop - start] += term
+    return Runs(grid, runs)
+
+
 def build_F(
     a: CoefficientSeq,
     alpha: float,
     grid: Grid,
     h: Optional[Bump] = None,
 ) -> SampledFunction:
-    """Train of identical bumps at the stretched lattice points.
-
-    F(x) = sum_k a_k h(x - k_alpha). Supports must be disjoint and lie
-    inside the grid; a single unit coefficient at the origin returns
-    the bare bump.
-    """
-    h = h if h is not None else default_bump()
-    centers = _stretched_centers(a, alpha)
-    _check_train_geometry(centers, h.radius, grid.half_length)
-    out = np.zeros(grid.n, dtype=complex)
-    for c, v in zip(np.atleast_1d(centers), a.values):
-        for sl, x in _support_tiles(grid, c, h.radius):
-            out[sl] += v * h(x - c)
-    return SampledFunction(grid, out)
+    """The :func:`bump_train` F on the whole grid."""
+    return bump_train(a, alpha, grid, h).densify()
 
 
 def build_G(
@@ -180,20 +213,8 @@ def build_G(
     grid: Grid,
     h: Optional[Bump] = None,
 ) -> SampledFunction:
-    """Modulated train: each bump carries the local gradient frequency.
-
-    G(x) = sum_k a_k h(x - k_alpha) exp(2 pi i grad_mu(k_alpha) x). The
-    supports are disjoint, so |G| = sum_k a_k h(. - k_alpha) pointwise.
-    """
-    h = h if h is not None else default_bump()
-    centers = _stretched_centers(a, alpha)
-    _check_train_geometry(centers, h.radius, grid.half_length)
-    out = np.zeros(grid.n, dtype=complex)
-    for c, v in zip(np.atleast_1d(centers), a.values):
-        freq = mu_gradient(c, alpha)
-        for sl, x in _support_tiles(grid, c, h.radius):
-            out[sl] += v * h(x - c) * np.exp(2j * np.pi * freq * x)
-    return SampledFunction(grid, out)
+    """The modulated :func:`bump_train` G on the whole grid."""
+    return bump_train(a, alpha, grid, h, modulated=True).densify()
 
 
 def build_modulated_train(

@@ -12,26 +12,23 @@ is the working correctness check for everything built on top.
 The fast path is :func:`apply_fio_family`; :func:`apply_fio` is a family
 of one. It skips the factor of a part the phase lacks, runs one inverse
 transform per distinct s2, and makes every pass over the grid one tile
-of ``grid.TILE_ENTRIES`` points at a time, so it forms no axis and no
-n-point temporary. Its n-point complex arrays are fhat, e^(2 pi i mu_x)
-(stored once for a family of two or more symbols, formed per tile for
-one), a profile per s2 and an output per symbol. fhat is spent by the
-last s2, whose profile is weighed in fhat's buffer, straight into the
-FFT order its inverse transform runs in; the last symbol of each s2
-writes its output over that profile. So a one-symbol family holds one
-n-point array, and a family at most four (three when no two symbols
-share an s2).
+of ``grid.TILE_ENTRIES`` points at a time. Its arrays are fhat,
+e^(2 pi i mu_x) (stored for a family of two or more symbols), a profile
+per s2 and an output per symbol; the last s2's profile is weighed in
+fhat's buffer, and the last symbol of each s2 writes its output over
+its profile. So a one-symbol family holds one such array, and two
+symbols of distinct s2 three, besides the two scratch buffers of the
+transform's size that pocketfft mallocs inside every FFT.
 
 At coupling 1 without mu_xi (``mild_growth``, ``bilinear``) the
 profile F^-1[sigma2 fhat] is a Fourier multiplier, whose kernel decays
 like e^(-2 pi |x|). When the input's exact support fits in patches that
-lie inside the grid and cover at most half of it, each run of the
-support is transformed on its own power-of-two patch with
-``PATCH_MARGIN`` = 6 units on either side, runs whose patches overlap
-sharing one, and the output is written on the patches only. The
-band-limit check then reads the leakage of all patch spectra together,
-at the same ``BANDLIMIT_TOL``. The output moves from the whole-grid
-computation's bytes at round-off only; every other input and phase
+lie inside the grid and cover at most half of it, each stretch of it is
+transformed on its own power-of-two patch with ``PATCH_MARGIN`` = 6
+units on either side, and the band-limit check reads the leakage of all
+patch spectra together. The input may be a :class:`grid.Runs`, the
+output is the patch runs, and no n-point array exists. Its bytes differ
+from the whole grid's at round-off only; every other input and phase
 takes the whole grid, byte for byte.
 
 The direct quadrature, the kernel and the weak pairing read the matrix
@@ -51,12 +48,14 @@ import numpy as np
 from .errors import DomainError, StructuralError, ValidationError
 from .grid import (
     Grid,
+    Runs,
     SampledFunction,
     axis_tiles,
     bracket,
     check_matrix_budget,
     fourier_transform,
     support_runs,
+    take,
     transform_in_place,
 )
 from .phase import ZERO_PART, PhaseSpec, build_builtin
@@ -87,8 +86,7 @@ BANDLIMIT_TOL = 1e-8
 PATCH_MARGIN = 6.0
 
 # complex entries per block of the phase matrix: 1 MiB, which stays in a
-# 2 MiB L2 cache; blocks of 2^14 to 2^17 entries timed alike, and 2^22
-# (one block for every grid up to n = 2048) was slower
+# 2 MiB L2 cache
 _ROW_CHUNK_ENTRIES = 1 << 16
 
 
@@ -247,10 +245,10 @@ def apply_fio(
     ``force_direct`` keeps the O(n^2) quadrature for cross-checks.
     """
     if not force_direct:
-        return apply_fio_family(f, [symbol], phase, lambda s, g: g)[0]
+        return apply_fio_family(f, [symbol], phase, lambda s, g: g.densify())[0]
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
-    return _apply_transformed(f.grid, _checked_transforms([f])[0], symbol, phase)
+    return _apply_transformed(f.grid, _checked_transforms([f.densify()])[0], symbol, phase)
 
 
 def apply_fio_family(
@@ -268,28 +266,26 @@ def apply_fio_family(
     order; the results come back in the order of ``symbols``. Other
     couplings take the quadrature.
 
-    At coupling 1 without mu_xi, F^-1[sigma2 fhat] is a Fourier
-    multiplier, which commutes with translation. When f's exact support
-    (|f| > 0) fits in patches inside the grid that cover at most half of
-    it, each patch is transformed, checked and weighed on its own (see
-    :func:`_patches`): the band-limit check reads the leakage of all
-    patch spectra together, and the output is allocated zeroed and
-    written on the patches only, so the pages outside them are never
-    touched. Its bytes differ from the whole-grid computation's at
-    round-off only. Every other input, gaussians filling the grid among
-    them, is transformed whole.
+    f is a :class:`grid.SampledFunction` or a :class:`grid.Runs`. At
+    coupling 1 without mu_xi, F^-1[sigma2 fhat] is a Fourier multiplier,
+    which commutes with translation. When f's exact support (|f| > 0)
+    fits in patches inside the grid that cover at most half of it (see
+    :func:`_patches`), each patch is taken from f's runs, transformed,
+    checked and weighed on its own, and ``reduce`` is handed the output
+    as a :class:`grid.Runs` of the patches; otherwise f is transformed
+    whole and ``reduce`` is handed a SampledFunction.
 
-    Every pass over the grid runs tile by tile, so besides pocketfft's
-    scratch these n-point complex arrays are alive on the whole grid:
-    fhat until the last s2 begins, whose profile F^-1[...] is weighed in
-    fhat's own buffer; e^(2 pi i mu_x), stored only for a family of two
-    or more symbols whose phase has mu_x; a profile while its s2 lasts;
-    and an output, which the last symbol of an s2 writes into that
-    profile. Each output is dropped before the next one is made, and
-    what no later symbol reads is dropped before ``reduce`` runs. So a
-    one-symbol family holds one n-point array, and two symbols of
-    distinct s2 hold three at most. On patches, the same arrays are
-    patch-sized, and the output is the one n-point array.
+    Every pass runs tile by tile, so besides pocketfft's scratch (two
+    buffers of the transform's size inside every FFT, which tracemalloc
+    does not see) these arrays are alive, each one n-point or one per
+    patch: fhat until the last s2 begins, whose profile F^-1[...] is
+    weighed in fhat's own buffer; e^(2 pi i mu_x), stored only for a
+    family of two or more symbols whose phase has mu_x; a profile while
+    its s2 lasts; and an output, which the last symbol of an s2 writes
+    into that profile. Each output is dropped before the next one is
+    made, and what no later symbol reads is dropped before ``reduce``
+    runs. So a one-symbol family holds one such array, and two symbols
+    of distinct s2 hold three at most.
     """
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
@@ -297,13 +293,14 @@ def apply_fio_family(
     patches = _patches(f, phase)
     whole = patches is None
     if whole:
-        patches, pieces = [(0, grid.n)], [f]
+        patches, pieces = [(0, grid.n)], [f.densify()]
     else:
-        pieces = [
-            SampledFunction(Grid(1, hi - lo, grid.spacing), f.samples[lo:hi])
+        pieces = (
+            SampledFunction(Grid(1, hi - lo, grid.spacing), take(f, lo, hi))
             for lo, hi in patches
-        ]
+        )
     spectra = _checked_transforms(pieces)
+    del pieces
     if phase.coupling not in (0, 1):
         return [reduce(s, _apply_transformed(grid, spectra[0], s, phase)) for s in symbols]
     symbols = list(symbols)
@@ -328,11 +325,11 @@ def apply_fio_family(
         last_reader = k + 1 == len(order) or symbols[order[k + 1]].s2 != symbol.s2
         # at coupling 0 the profile is a scalar
         field = isinstance(profiles[0], np.ndarray)
-        if whole and last_reader and field:
-            out = profiles[0]
+        if last_reader and field:
+            outs = profiles
         else:
-            out = np.zeros(grid.n, dtype=complex)
-        for (lo, hi), profile, front in zip(patches, profiles, fronts):
+            outs = [np.empty(hi - lo, dtype=complex) for lo, hi in patches]
+        for (lo, hi), profile, front, out in zip(patches, profiles, fronts, outs):
             for sl, x in axis_tiles(grid, lo, hi):
                 local = slice(sl.start - lo, sl.stop - lo)
                 tile = symbol.sigma1(x)
@@ -340,14 +337,17 @@ def apply_fio_family(
                     tile = tile * front[local]
                 elif chirped:
                     tile = tile * _phase_factor(phase.mu_x, x)
-                np.multiply(tile, profile[local] if field else profile, out=out[sl])
+                np.multiply(tile, profile[local] if field else profile, out=out[local])
         # what no later symbol reads goes before reduce runs
         if last_reader:
             profiles = None
         if k + 1 == len(order):
             fronts = None
-        results[i] = reduce(symbol, SampledFunction(grid, out))
-        del out
+        runs = [(lo, out) for (lo, _), out in zip(patches, outs)]
+        g = SampledFunction(grid, outs[0]) if whole else Runs(grid, runs)
+        del outs, runs
+        results[i] = reduce(symbol, g)
+        del g
     return results
 
 
@@ -366,7 +366,7 @@ def _patches(f, phase):
         return None
     margin = math.ceil(PATCH_MARGIN / f.grid.spacing)
     patches = []
-    for start, end in zip(*support_runs(f.samples, 0.0, 2 * margin)):
+    for start, end in zip(*support_runs(f.runs, 0.0, 2 * margin)):
         lo = int(start) - margin
         while True:
             hi = lo + (1 << (int(end) + margin - lo).bit_length())

@@ -27,6 +27,7 @@ __all__ = [
     "Grid",
     "SampledFunction",
     "SampledFunction2D",
+    "Runs",
     "bracket",
     "fourier_transform",
     "inverse_fourier_transform",
@@ -101,14 +102,21 @@ class SampledFunction:
             raise StructuralError(
                 f"samples shape {samples.shape} does not match grid shape {grid.shape()}"
             )
-        if not np.all(np.isfinite(samples.view(float))):
-            raise ValidationError("samples contain non-finite values")
+        _check_finite(samples)
         self.grid = grid
         self.samples = samples
 
     @property
     def dim(self) -> int:
         return self.grid.dim
+
+    @property
+    def runs(self) -> tuple:
+        """The samples as the one run that covers the grid; see :class:`Runs`."""
+        return ((0, self.samples),)
+
+    def densify(self) -> "SampledFunction":
+        return self
 
     def copy(self) -> "SampledFunction":
         return type(self)(self.grid, self.samples.copy())
@@ -125,6 +133,55 @@ class SampledFunction:
 
     def __repr__(self):
         return f"<SampledFunction {self.grid.describe()}>"
+
+
+class Runs:
+    """A function on a 1-D grid that is zero outside its runs: ordered,
+    disjoint (offset, samples) pairs inside the grid. A SampledFunction
+    is the one run (0, samples), so code reading ``f.runs`` takes both."""
+
+    dim = 1
+
+    def __init__(self, grid: Grid, runs):
+        self.grid = grid
+        self.runs = tuple((int(lo), np.asarray(s, dtype=complex)) for lo, s in runs)
+        end = 0
+        for lo, s in self.runs:
+            if grid.dim != 1 or s.ndim != 1 or lo < end or lo + s.size > grid.n:
+                raise StructuralError(f"runs must be ordered, disjoint and on {grid}")
+            _check_finite(s)
+            end = lo + s.size
+
+    def densify(self) -> SampledFunction:
+        out = np.zeros(self.grid.n, dtype=complex)
+        for lo, s in self.runs:
+            out[lo : lo + s.size] = s
+        return SampledFunction(self.grid, out)
+
+
+def _check_finite(samples):
+    """Raise ValidationError unless every sample is finite, testing one
+    tile of ``TILE_ENTRIES`` at a time, so no n-entry mask is formed."""
+    for _, tile in run_tiles([(0, samples.reshape(-1))]):
+        if not np.isfinite(tile).all():
+            raise ValidationError("samples contain non-finite values")
+
+
+def take(f, lo: int, hi: int) -> np.ndarray:
+    """The samples of f (a :class:`SampledFunction` or :class:`Runs`) at
+    the indices lo..hi-1 taken mod n: a view when they lie in one run,
+    else a copy with zeros between the runs."""
+    n = f.grid.n
+    for start, s in f.runs:
+        if start <= lo and hi <= start + s.size:
+            return s[lo - start : hi - start]
+    out = np.zeros(hi - lo, dtype=complex)
+    for start, s in f.runs:
+        for at in (start - n, start, start + n):
+            a, b = max(lo, at), min(hi, at + s.size)
+            if a < b:
+                out[a - lo : b - lo] = s[a - at : b - at]
+    return out
 
 
 class SampledFunction2D(SampledFunction):
@@ -184,14 +241,23 @@ def axis_tiles(grid: Grid, start: int = 0, stop=None):
         yield slice(lo, hi), points
 
 
-def support_runs(samples, floor, gap):
-    """(starts, ends): the first and last index of each run of the points
-    where |samples| > floor, a run ending where the next such point lies
-    more than ``gap`` beyond it. The samples are read one tile of
-    ``TILE_ENTRIES`` at a time, and a run may span tiles."""
+def run_tiles(runs):
+    """(first grid index, samples) of consecutive tiles of at most
+    ``TILE_ENTRIES`` samples of each (offset, samples) run."""
+    for start, samples in runs:
+        for lo in range(0, samples.size, TILE_ENTRIES):
+            yield start + lo, samples[lo : lo + TILE_ENTRIES]
+
+
+def support_runs(runs, floor, gap):
+    """(starts, ends): the first and last grid index of each stretch of
+    the points where |f| > floor, for the ordered, disjoint ``runs`` of f
+    (``f.runs``), a stretch ending where the next such point lies more
+    than ``gap`` beyond it. The runs are read one tile at a time
+    (:func:`run_tiles`), and a stretch may span tiles and runs."""
     starts, ends, last = [], [], None
-    for lo in range(0, samples.size, TILE_ENTRIES):
-        on = np.flatnonzero(np.abs(samples[lo : lo + TILE_ENTRIES]) > floor) + lo
+    for lo, tile in run_tiles(runs):
+        on = np.flatnonzero(np.abs(tile) > floor) + lo
         if not on.size:
             continue
         if last is None:
@@ -213,7 +279,10 @@ def transform_in_place(grid: Grid, work: np.ndarray, inverse: bool):
     holds in FFT order (n is even, so that order swaps the halves of the
     grid order), computed in work's own buffer: an FFT in place, then
     the scaling on the swap back to grid order, through one tile-sized
-    temporary. n is a power of two, so n * dx is exact."""
+    temporary. n is a power of two, so n * dx is exact. In place is not
+    free: numpy's pocketfft still mallocs two n-point complex scratch
+    buffers for the FFT, which tracemalloc does not see, so a transform
+    peaks at three n-point arrays."""
     half = grid.n // 2
     (np.fft.ifft if inverse else np.fft.fft)(work, out=work)
     scale = grid.n * grid.spacing if inverse else grid.spacing

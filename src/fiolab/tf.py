@@ -22,7 +22,6 @@ from .grid import (
     SampledFunction,
     check_matrix_budget,
     fourier_transform,
-    table_from_csv,
     table_to_csv,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "stft_rows",
     "fundamental_identity_residual",
     "tf_to_csv",
-    "tf_from_csv",
 ]
 
 DEFAULT_WINDOW = "gauss"
@@ -168,12 +166,3 @@ def tf_to_csv(m: TFMatrix) -> str:
     }
     return table_to_csv(header, "x_index,xi_index,re,im", m.values)
 
-
-def tf_from_csv(text: str) -> TFMatrix:
-    keys = {"nx": int, "dx": float, "nxi": int, "dxi": float}
-
-    def grids(h):
-        return Grid(1, h["nx"], h["dx"]), Grid(1, h["nxi"], h["dxi"])
-
-    header, vals = table_from_csv(text, keys, lambda h: tuple(g.n for g in grids(h)))
-    return TFMatrix(*grids(header), vals)

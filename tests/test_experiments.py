@@ -34,8 +34,9 @@ from fiolab import (
     thm3_default_tuples,
     thm3_predicate,
 )
-from fiolab import cli, experiments, spaces
-from fiolab.grid import MATRIX_BUDGET
+from fiolab import cli, experiments, fio, grid as grid_module, spaces
+from fiolab.grid import MATRIX_BUDGET, TILE_ENTRIES, Runs, take
+from fiolab.phase import bilinear
 from fiolab.experiments import (
     VERDICT_BOUNDED,
     VERDICT_UNBOUNDED,
@@ -73,6 +74,86 @@ def test_fast_norms_track_exact_norms():
     for c, fn, e in zip(coarse, fine, exact):
         assert c == pytest.approx(e, rel=3e-2)
         assert fn == pytest.approx(e, rel=5e-3)
+
+
+def _run_case(name):
+    """Runs of random complex samples on 2^18 points at spacing 1/64,
+    where the gauss:0.5 window spans m = 231 points and the support
+    segments are cut at gaps of 2 * pad = 232."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    n, T = 1 << 18, TILE_ENTRIES
+
+    def run(lo, size, zeros=None):
+        s = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        if zeros is not None:
+            s[zeros] = 0.0
+        return lo, s
+
+    if name == "abutting":
+        ends = 5000 + np.cumsum(rng.integers(50, 3000, 7))
+        runs = [run(lo, hi - lo) for lo, hi in zip(ends, ends[1:])]
+    elif name == "within_a_window":
+        lo, runs = 20000, []
+        for size, gap in zip(rng.integers(20, 400, 6), rng.integers(1, 115, 6)):
+            runs.append(run(lo, size))
+            lo += size + gap
+    elif name == "tile_borders":
+        # one run longer than a tile, scanned in two, and one across the
+        # border 2T, with a zero stretch that cuts its segment
+        runs = [run(2000, T + 3000), run(2 * T - 700, 1600, slice(300, 900))]
+    elif name == "straddle":
+        # 200 and 232 points apart: more than a window, one segment
+        runs = [run(40000, 500), run(40700, 300), run(41232, 50)]
+    else:
+        # "seam": one run ending at the grid's last point
+        runs = [run(n - 400, 400)]
+    return Runs(Grid(1, n, 1.0 / 64), runs)
+
+
+@pytest.mark.parametrize(
+    "name", ["abutting", "within_a_window", "tile_borders", "straddle", "seam"]
+)
+def test_runs_give_the_dense_bytes(name):
+    f = _run_case(name)
+    dense = f.densify()
+    specs = [
+        SpaceSpec(p, q, w, "gauss:0.5")
+        for p in (1.0, 2.0, INF)
+        for q in (1.0, INF)
+        for w in (Weight(), Weight(1.0, 0.5))
+    ]
+    assert fast_modulation_norms(f, specs) == fast_modulation_norms(dense, specs)
+    # the operator's patches, and the samples it transforms on each
+    patches = fio._patches(f, bilinear())
+    assert patches == fio._patches(dense, bilinear())
+    assert (patches is None) == (name == "seam")
+    for lo, hi in patches or ():
+        assert take(f, lo, hi).tobytes() == dense.samples[lo:hi].tobytes()
+
+
+@pytest.mark.parametrize("modulated", [False, True], ids=["plain", "modulated"])
+def test_thm1_step_holds_no_whole_grid_array(modulated):
+    # the 2^21-point thm1 step works on runs: the input is a bump window
+    # per run and the operator's output the patch runs, which cover a
+    # quarter of the grid. One symbol holds its output (0.25 n-point
+    # complex arrays) with the tiles and the norms' buffers: 0.42. Two of
+    # distinct s2 add the stored spectra and phase factor: 0.88. A whole-
+    # grid input, output or scan buffer is at least one more
+    grid = experiments._thm1_grid(0.5, 32)
+    assert grid.n == 1 << 21
+    families = {
+        0.5: [((0.5, 0.0), [(1.0, 2.0)])],
+        1.0: [((0.5, 0.0), [(1.0, 2.0)]), ((0.5, 1.0), [(2.0, 1.0), (INF, 1.0)])],
+    }
+    for bound, pair_pqs in families.items():
+        tracemalloc.start()
+        try:
+            ratios = experiments._thm1_step(grid, 0.5, 32, modulated, pair_pqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r > 0.0 for r in ratios.values())
+        assert peak <= bound * grid.n * 16
 
 
 @pytest.mark.parametrize("modulated", [False, True], ids=["F", "conjG"])
@@ -212,7 +293,7 @@ def test_scan_tile_size_moves_no_fast_byte(monkeypatch, entries):
     # the support scan reads the 4096 samples in tiles of this many, so
     # segments and the gaps between them straddle tile borders; it must
     # find the segments of the whole-grid scan the pins were recorded with
-    monkeypatch.setattr(experiments, "TILE_ENTRIES", entries)
+    monkeypatch.setattr(grid_module, "TILE_ENTRIES", entries)
     ps = (1.0, 4.0 / 3.0, 2.0, INF)
     specs = [SpaceSpec(p, 2.0, Weight(), "gauss:0.5") for p in ps]
     for name, pins in FAST_NORM_PINS.items():

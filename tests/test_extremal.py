@@ -15,6 +15,7 @@ from fiolab import (
     annulus_profile,
     build_F,
     build_G,
+    bump_train,
     build_modulated_train,
     chirp_modulate,
     decay_grid,
@@ -177,20 +178,27 @@ def test_bump_trains_keep_the_whole_axis_bytes(modulated):
     assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("builder", [build_F, build_G], ids=["F", "G"])
-def test_bump_trains_memory_is_bounded(builder):
-    # the 2^21-point thm1 train: besides its output only a bump window's
-    # tiles are alive (1.0 n-point complex arrays); the whole axis, 0.5
-    # of one, is not formed
+@pytest.mark.parametrize("modulated", [False, True], ids=["F", "G"])
+def test_bump_trains_memory_is_bounded(modulated):
+    # the 2^21-point thm1 train: its runs are a bump window each, built
+    # from a window's tiles (0.02 n-point complex arrays); the densified
+    # train adds its output and a tile of the finite check (1.01)
     grid = experiments._thm1_grid(0.5, 32)
     assert grid.n == 1 << 21
-    tracemalloc.start()
-    try:
-        builder(CoefficientSeq.ones(0, 32), 0.5, grid, default_bump(0.25))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * grid.n * 16
+    a, h = CoefficientSeq.ones(0, 32), default_bump(0.25)
+    peaks = []
+    for build in (bump_train, build_G if modulated else build_F):
+        tracemalloc.start()
+        try:
+            if build is bump_train:
+                build(a, 0.5, grid, h, modulated)
+            else:
+                build(a, 0.5, grid, h)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 0.0625 * grid.n * 16
+    assert peaks[1] <= 1.0625 * grid.n * 16
 
 
 def test_modulated_train_validation():

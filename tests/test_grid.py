@@ -1,5 +1,7 @@
 """Grids, exact transforms, lattice operations, CSV round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fiolab import (
     DomainError,
     Grid,
     ResourceError,
+    Runs,
     SampledFunction,
     SampledFunction2D,
     StructuralError,
@@ -18,6 +21,8 @@ from fiolab import (
     sampled_to_csv,
     translate_modulate,
 )
+
+from fiolab.grid import TILE_ENTRIES, take
 
 from conftest import bandlimited
 
@@ -54,6 +59,46 @@ def test_sampled_function_validation():
         SampledFunction(g, bad)
     with pytest.raises(StructuralError):
         SampledFunction2D(g, np.zeros((16, 16)))
+
+
+def test_finite_check_holds_one_tile():
+    # the check reads one TILE_ENTRIES tile at a time: its bool temporary
+    # is a tile (64 KiB), not the 2n entries (4 MiB) of a whole-array
+    # check on the real view, and a NaN in the last tile is still seen
+    n = 1 << 20
+    samples = np.ones(n, dtype=complex)
+    tracemalloc.start()
+    try:
+        SampledFunction(Grid(1, n, 1.0 / 64), samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= TILE_ENTRIES + 4096
+    samples[-1] = complex(1.0, np.nan)
+    with pytest.raises(ValidationError, match="non-finite"):
+        SampledFunction(Grid(1, n, 1.0 / 64), samples)
+    with pytest.raises(ValidationError, match="non-finite"):
+        Runs(Grid(1, n, 1.0 / 64), [(n - TILE_ENTRIES - 8, samples[-TILE_ENTRIES - 8 :])])
+
+
+def test_runs_densify_and_take():
+    g = Grid(1, 16, 0.5)
+    f = Runs(g, [(2, [1, 2]), (4, [3]), (14, [4, 5])])
+    dense = f.densify().samples
+    assert dense.tobytes() == np.array(
+        [0, 0, 1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 5], dtype=complex
+    ).tobytes()
+    # within one run a view, across runs or the seam a wrapped copy
+    assert np.shares_memory(take(f, 14, 16), f.runs[2][1])
+    for lo, hi in ((1, 6), (-3, 4), (13, 20), (-16, 16), (0, 32)):
+        expected = dense.take(np.arange(lo, hi), mode="wrap")
+        assert take(f, lo, hi).tobytes() == expected.tobytes()
+        assert take(f.densify(), lo, hi).tobytes() == expected.tobytes()
+    for runs in ([(4, [1]), (2, [1, 2, 3])], [(15, [1, 2])], [(-1, [1])]):
+        with pytest.raises(StructuralError, match="disjoint"):
+            Runs(g, runs)
+    with pytest.raises(StructuralError):
+        Runs(Grid(2, 16, 0.5), [(0, [1])])
 
 
 def test_fourier_transform_of_gaussian_is_gaussian():

@@ -14,7 +14,6 @@ from fiolab import (
     fundamental_identity_residual,
     make_window,
     stft,
-    tf_from_csv,
     tf_to_csv,
 )
 
@@ -90,18 +89,6 @@ def test_stft_rejects_mismatched_grids():
     w = make_window("gauss", Grid(1, 32, 0.25))
     with pytest.raises(StructuralError):
         stft(f, w)
-
-
-def test_tf_csv_round_trip():
-    g = Grid(1, 16, 0.5)
-    rng = np.random.default_rng(6)
-    f = SampledFunction(g, rng.standard_normal(16) + 1j * rng.standard_normal(16))
-    w = make_window("gauss", g)
-    V = stft(f, w)
-    back = tf_from_csv(tf_to_csv(V))
-    assert np.array_equal(back.values, V.values)
-    with pytest.raises(ValidationError):
-        tf_from_csv("x_index,xi_index,re,im\n0,0,1,0\n")
 
 
 # sha256 of tf_to_csv(stft(f, g)) and fundamental_identity_residual(f, g)
