@@ -69,7 +69,6 @@ from .grid import (
     inverse_fourier_transform,
     sampled_from_csv,
     sampled_to_csv,
-    translate_modulate,
 )
 from .phase import (
     ConditionVerdict,
@@ -95,7 +94,6 @@ from .spaces import (
     INF,
     SpaceSpec,
     Weight,
-    amalgam_norm,
     embedding_holds,
     embedding_witness,
     fold_norms,

@@ -200,7 +200,7 @@ def _cmd_norm(args) -> int:
     f = _load_input(args)
     # the spaces share --window, so one exact pass serves them all
     specs = [_parse_space(text, args.window) for text in args.space]
-    values = stft_norms(f, specs, ["modulation"] * len(specs))
+    values = stft_norms(f, specs)
     lines = [
         f"{_space_label(spec)},{spec.window},{f.grid.describe()},{value:.12g}"
         for spec, value in zip(specs, values)

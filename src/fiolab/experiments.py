@@ -80,13 +80,15 @@ from .phase import (
 from .spaces import (
     SpaceSpec,
     Weight,
+    check_specs,
     fold_norms,
-    modulation_norm,
+    lattice_rows,
+    stft_norms,
     thm1_predicate,
     thm2_predicate,
     thm3_predicate,
 )
-from .tf import window_width
+from .tf import window_at, window_width
 
 __all__ = [
     "REPORT_COLUMNS",
@@ -141,26 +143,23 @@ def fast_modulation_norms(
     for absolute accuracy.
 
     f is a SampledFunction or a :class:`grid.Runs`, read through its
-    runs, and both give the same bytes. The segments' magnitudes are
-    handed to :func:`spaces.fold_norms` tile by tile with their columns
-    in FFT order, which the fold reduces in increasing-frequency order.
-    A segment's windows are rows of a sliding-window view over the
-    samples they cover (:func:`grid.take`: a slice of one run, or a copy
-    when they straddle runs or the grid's seam). The rows are multiplied
-    by the window straight into one zero-padded complex buffer of the
-    tile's size, reused for every tile and transformed in place, whose
-    magnitudes fill the fold's tile; only that buffer and the fold's
-    tiles are alive. The peak and the segments are found one tile of
-    ``grid.TILE_ENTRIES`` samples at a time. The FFT works row by row and
-    sees the same values as a padded gather would, so neither the tile
-    size nor the buffer changes a byte.
+    runs, and both give the same bytes. Every spec is checked
+    (:func:`spaces.check_specs`) before f is read. The segments'
+    magnitudes come from :func:`spaces.lattice_rows`: its views are the
+    segments' sliding windows over the samples they cover
+    (:func:`grid.take`: a slice of one run, or a copy when they straddle
+    runs or the grid's seam) at the position stride, its vector is the
+    truncated window, zero padded in its buffer to the power of two, and
+    it scales the magnitudes by dx; :func:`spaces.fold_norms` reduces
+    them tile by tile. The peak and the segments are found one tile of
+    ``grid.TILE_ENTRIES`` samples at a time. A window at least as wide
+    as the grid leaves no segments to stride over, so such a grid, small
+    and cheap, takes the exact engine's lattice (:func:`spaces.stft_norms`).
     """
     specs = list(specs)
     if not specs:
         raise ValidationError("need at least one space")
-    window = specs[0].window
-    if any(s.window != window for s in specs):
-        raise ValidationError("all spaces must share one window")
+    window = check_specs(specs)
     if f.dim != 1:
         raise ValidationError("fast norms handle one-dimensional samples")
     if xi_step is not None and not 0.0 < xi_step < INF:
@@ -185,56 +184,27 @@ def fast_modulation_norms(
     peak = max((float(np.abs(tile).max()) for _, tile in run_tiles(f.runs)), default=0.0)
     if peak == 0.0:
         return [0.0] * len(specs)
-
     if m >= n:
-        # window wider than the grid: the segment picture degenerates,
-        # and grids this small are cheap to do exactly
-        return [modulation_norm(f.densify(), s) for s in specs]
+        return stft_norms(f.densify(), specs)
 
     pad = int(math.ceil(w_half / dx)) + 2
     step = x_step if x_step > 0 else sigma / 3.0
     stride = max(1, int(round(step / dx)))
 
-    # each segment of the support gets its window positions and a
-    # sliding-window view of the samples under them: the window at
-    # shift j covers take(f, j - m // 2, j - m // 2 + m)
+    # each segment of the support gets its window positions and the rows
+    # of a sliding-window view at the stride: the window at shift j
+    # covers take(f, j - m // 2, j - m // 2 + m)
     segments, windows = [], []
     for lo, hi in zip(*support_runs(f.runs, 1e-8 * peak, 2 * pad)):
         seg = np.arange(max(int(lo) - pad, 0), min(int(hi) + pad, n - 1) + 1, stride)
         span = take(f, int(seg[0]) - m // 2, int(seg[-1]) - m // 2 + m)
         segments.append(seg)
-        windows.append(np.lib.stride_tricks.sliding_window_view(span, m))
-    shifts = np.concatenate(segments)
-    firsts = np.cumsum([0] + [seg.size for seg in segments])
-
-    off = np.arange(m) - m // 2
-    gw = (2.0**0.25 / math.sqrt(sigma)) * np.exp(
-        -np.pi * (off * dx / sigma) ** 2
-    )
+        windows.append(np.lib.stride_tricks.sliding_window_view(span, m)[::stride])
+    x = (np.concatenate(segments) - n // 2) * dx
     xi = (np.arange(m2) - m2 // 2) / (m2 * dx)
-    dxi = 1.0 / (m2 * dx)
-    spectra = np.empty((0, m2), dtype=complex)
-
-    def rows(sl, out):
-        nonlocal spectra
-        if len(spectra) < len(out):
-            spectra = np.empty(out.shape, dtype=complex)
-        buf = spectra[: sl.stop - sl.start]
-        # the last tile's FFT left its spectra in the padding columns
-        buf[:, m:] = 0.0
-        # a segment's windows are equally spaced rows of its view
-        for first, last, view in zip(firsts, firsts[1:], windows):
-            r0, r1 = max(first, sl.start), min(last, sl.stop)
-            if r0 < r1:
-                src = view[(r0 - first) * stride :: stride][: r1 - r0]
-                np.multiply(src, gw, out=buf[r0 - sl.start : r1 - sl.start, :m])
-        np.fft.fft(buf, axis=1, out=buf)
-        np.abs(buf, out=out)
-        out *= dx
-
-    kinds = ["modulation"] * len(specs)
-    x = (shifts - n // 2) * dx
-    return fold_norms(rows, x, np.fft.ifftshift(xi), stride * dx, dxi, specs, kinds)
+    gw = window_at(window, (np.arange(m) - m // 2) * dx)
+    rows = lattice_rows(windows, gw, magnitude_scale=dx)
+    return fold_norms(rows, x, np.fft.ifftshift(xi), stride * dx, 1.0 / (m2 * dx), specs)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "bracket",
     "fourier_transform",
     "inverse_fourier_transform",
-    "translate_modulate",
     "inner",
     "sampled_to_csv",
     "sampled_from_csv",
@@ -319,44 +318,6 @@ def fourier_transform(f: SampledFunction) -> SampledFunction:
 def inverse_fourier_transform(f: SampledFunction) -> SampledFunction:
     """Inverse of :func:`fourier_transform`, from the dual grid back."""
     return _transform(f, inverse=True)
-
-
-def _as_vector(v, dim: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
-    if arr.shape != (dim,):
-        raise StructuralError(f"{name} must have {dim} component(s), got shape {arr.shape}")
-    return arr
-
-
-def _lattice_index(value: float, spacing: float, name: str) -> int:
-    r = value / spacing
-    k = int(np.rint(r))
-    if abs(r - k) > 1e-9 * max(1.0, abs(r)):
-        raise ValidationError(
-            f"{name}={value!r} is off-grid; nearest admissible value is {k * spacing!r}"
-        )
-    return k
-
-
-def translate_modulate(f: SampledFunction, u, omega) -> SampledFunction:
-    """Return ``M_omega T_u f``: circular shift by ``u`` then modulation.
-
-    ``u`` must lie on the grid and ``omega`` on the dual grid; both are
-    validated and the error names the nearest admissible value.
-    """
-    u = _as_vector(u, f.dim, "u")
-    omega = _as_vector(omega, f.dim, "omega")
-    shifts = [_lattice_index(ui, f.grid.spacing, "u") for ui in u]
-    for wi in omega:
-        _lattice_index(wi, f.grid.dual().spacing, "omega")
-    out = np.roll(f.samples, shifts, axis=tuple(range(f.dim)))
-    x = f.grid.axis()
-    for ax, wi in enumerate(omega):
-        phase = np.exp(2j * np.pi * x * wi)
-        shape = [1] * f.dim
-        shape[ax] = f.grid.n
-        out = out * phase.reshape(shape)
-    return type(f)(f.grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Weighted mixed-norm spaces measured through the STFT.
 
-The norms here all follow one recipe: take STFT magnitudes of the input,
-multiply by a polynomial weight, then reduce axis by axis with possibly
-different exponents. Modulation norms reduce position first, amalgam
-norms reduce frequency first. :func:`fold_norms` owns that recipe; the
-exact engine (:func:`stft_norms`, full rows from ``tf.stft_rows``) and
-the fast engine (``experiments.fast_modulation_norms``, truncated window
-segments) only fill tiles of magnitudes for it, about
-``FFT_BATCH_ENTRIES`` entries each, which the fold reduces while they
-are in cache. Both fill them the same way: a strided view times a fixed
-vector into one tile-sized complex buffer, an FFT of it in place, and
-its magnitudes into the fold's one reused tile, with the columns left in
-FFT order.
+Every modulation norm here follows one recipe: take STFT magnitudes of
+the input on a Gabor lattice, multiply by a polynomial weight, then
+reduce position first with exponent p and frequency second with q.
+:func:`fold_norms` owns that recipe, and :func:`lattice_rows` is the one
+producer of its tiles of magnitudes, about ``FFT_BATCH_ENTRIES`` entries
+each, which the fold reduces while they are in cache. It multiplies the
+rows of strided views by a fixed vector into one reused, tile-sized
+complex buffer, transforms it in place, and writes its magnitudes into
+the fold's one reused tile with the columns left in FFT order. The two
+norm engines differ only in the lattice they pass and in where they
+scale by dx: the exact engine (:func:`stft_norms`) passes every grid
+shift with the full window and scales the spectra, the fast engine
+(``experiments.fast_modulation_norms``) strided shifts over the support
+of f with a truncated window and scales the magnitudes.
 
 Exponents live in [1, inf]; infinity is handled exactly (sup over the
 axis, no measure factor), never by a large-p surrogate.
@@ -25,15 +27,16 @@ import numpy as np
 
 from .errors import DomainError, StructuralError
 from .grid import SampledFunction, bracket
-from .tf import DEFAULT_WINDOW, make_window, stft_rows
+from .tf import DEFAULT_WINDOW, make_window, window_shifts
 
 __all__ = [
     "INF",
     "Weight",
     "SpaceSpec",
+    "check_specs",
+    "lattice_rows",
     "fold_norms",
     "modulation_norm",
-    "amalgam_norm",
     "stft_norms",
     "sequence_norm",
     "embedding_holds",
@@ -107,18 +110,73 @@ def _reduce(vals, p, meas, axis=None):
     return ((vals**p).sum(axis=axis) * meas) ** (1.0 / p)
 
 
-def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
-    """Weighted STFT norms of one function from tiles of its magnitudes.
+def check_specs(specs) -> str:
+    """The one window of ``specs``, once each p and q is checked to lie
+    in [1, inf]; both norm engines call this before they read f."""
+    for spec in specs:
+        _rec(spec.p, "p")
+        _rec(spec.q, "q")
+    window = specs[0].window
+    if any(spec.window != window for spec in specs):
+        raise StructuralError("all specs in one pass must share a window")
+    return window
+
+
+def lattice_rows(views, vector, spectra_scale=None, magnitude_scale=None):
+    """``rows(sl, out)`` for :func:`fold_norms` on a Gabor lattice.
+
+    ``views`` hold the lattice's rows one block after another, each a
+    strided view whose rows are windowed stretches of samples. The rows
+    of a tile are multiplied by ``vector`` into one complex buffer of the
+    tile's size, reused for every tile and zero past column
+    ``vector.size``, which an FFT transforms in place; its magnitudes
+    fill ``out`` with the columns in FFT order. ``spectra_scale``
+    multiplies the spectra, ``magnitude_scale`` the magnitudes: the two
+    round differently, and each engine's bytes are pinned with its own.
+    The FFT works row by row, so the tile size moves no byte.
+    """
+    firsts = np.cumsum([0] + [len(view) for view in views])
+    m = vector.size
+    buf = np.empty((0, m), dtype=complex)
+
+    def rows(sl, out):
+        nonlocal buf
+        if len(buf) < len(out):
+            buf = np.empty(out.shape, dtype=complex)
+        tile = buf[: len(out)]
+        # the last tile's FFT left its spectra in the padding columns
+        tile[:, m:] = 0.0
+        for first, last, view in zip(firsts, firsts[1:], views):
+            r0, r1 = max(first, sl.start), min(last, sl.stop)
+            if r0 < r1:
+                np.multiply(
+                    view[r0 - first : r1 - first],
+                    vector,
+                    out=tile[r0 - sl.start : r1 - sl.start, :m],
+                )
+        np.fft.fft(tile, axis=1, out=tile)
+        if spectra_scale is not None:
+            tile *= spectra_scale
+        np.abs(tile, out=out)
+        if magnitude_scale is not None:
+            out *= magnitude_scale
+
+    return rows
+
+
+def fold_norms(rows, x, xi, dx, dxi, specs) -> list:
+    """Weighted modulation norms of one function from tiles of its
+    STFT magnitudes.
 
     ``rows(sl, out)`` fills ``out`` with |V(x[sl], xi)|: one row per
     position of ``x[sl]``, one column per entry of ``xi``, in any column
     order. The fold asks for tiles of about ``FFT_BATCH_ENTRIES``
     entries, all in one reused buffer, and reduces each tile while it is
     still in cache, so memory stays bounded however large the grid is.
-    ``kinds`` gives "modulation" or "amalgam" for each SpaceSpec, and
-    ``dx``, ``dxi`` are the cell sizes of the sums. Frequency is reduced
-    in increasing-xi order whatever the column order, so a producer that
-    keeps FFT order gives the same bytes as one that shifts every row.
+    ``dx``, ``dxi`` are the cell sizes of the sums. Position is reduced
+    first (inner p, outer q), and frequency in increasing-xi order
+    whatever the column order, so a producer that keeps FFT order gives
+    the same bytes as one that shifts every row.
 
     Position sums add rows one after another within blocks of about
     ``_CHUNK_ENTRIES`` entries, and each block's column sums join the
@@ -135,26 +193,16 @@ def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
     Overflow makes no numpy warning: a norm that is not finite raises
     :class:`DomainError`.
     """
-    specs, kinds = list(specs), list(kinds)
-    if len(specs) != len(kinds):
-        raise StructuralError("need one kind per spec")
+    specs = list(specs)
     if not specs:
         return []
-    for spec, kind in zip(specs, kinds):
-        _rec(spec.p, "p")
-        _rec(spec.q, "q")
-        if kind not in ("modulation", "amalgam"):
-            raise DomainError(f"unknown norm kind {kind!r}")
+    check_specs(specs)
     pqs = [(float(spec.p), float(spec.q)) for spec in specs]
     cols = xi.size
-    # per spec: a modulation norm's position reduction at each frequency,
-    # or an amalgam norm's frequency reductions at each position so far
-    accs = [np.zeros(cols) if kind == "modulation" else [] for kind in kinds]
-    # a finite-p modulation norm's column sums over the block so far
-    sums = [
-        np.zeros(cols) if kind == "modulation" and p != INF else None
-        for kind, (p, _) in zip(kinds, pqs)
-    ]
+    # per spec: its position reduction at each frequency, and for a
+    # finite p its column sums over the block so far
+    accs = [np.zeros(cols) for _ in specs]
+    sums = [np.zeros(cols) if p != INF else None for p, _ in pqs]
     order = np.argsort(xi)
 
     # the last spec to read each weighting; the plain magnitudes are read
@@ -185,8 +233,8 @@ def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
                 mags = tile[:k]
                 rows(sl, mags[1:])
                 weighted = {plain: mags}
-                for i, (spec, kind, (p, q), acc, part, key) in enumerate(
-                    zip(specs, kinds, pqs, accs, sums, keys)
+                for i, (spec, (p, q), acc, part, key) in enumerate(
+                    zip(specs, pqs, accs, sums, keys)
                 ):
                     w = spec.weight
                     if key not in weighted:
@@ -197,9 +245,7 @@ def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
                         np.multiply(mags[1:], np.outer(wx, xi_pows[w.t]), out=out[1:])
                         weighted[key] = out
                     wm = weighted[key]
-                    if kind == "amalgam":
-                        acc.append(_reduce(np.take(wm[1:], order, axis=1), q, dxi, axis=1))
-                    elif p == INF:
+                    if p == INF:
                         np.maximum(acc, wm[1:].max(axis=0), out=acc)
                     else:
                         # wm**1.0 is wm, but numpy computes a full pow for it
@@ -218,58 +264,45 @@ def fold_norms(rows, x, xi, dx, dxi, specs, kinds) -> list:
                     part.fill(0.0)
 
         norms = []
-        for kind, (p, q), acc in zip(kinds, pqs, accs):
-            if kind == "amalgam":
-                norms.append(float(_reduce(np.concatenate(acc), p, dx)))
-            else:
-                inner = acc[order] if p == INF else (acc[order] * dx) ** (1.0 / p)
-                norms.append(float(_reduce(inner, q, dxi)))
-    for spec, kind, norm in zip(specs, kinds, norms):
+        for (p, q), acc in zip(pqs, accs):
+            inner = acc[order] if p == INF else (acc[order] * dx) ** (1.0 / p)
+            norms.append(float(_reduce(inner, q, dxi)))
+    for spec, norm in zip(specs, norms):
         if not np.isfinite(norm):
             w = spec.weight
             raise DomainError(
-                f"the {kind} norm with p={spec.p:g}, q={spec.q:g}, "
+                f"the modulation norm with p={spec.p:g}, q={spec.q:g}, "
                 f"s={w.s:g}, t={w.t:g} is not finite"
             )
     return norms
 
 
-def stft_norms(f: SampledFunction, specs, kinds) -> list:
-    """Evaluate several STFT norms of one function in a single pass.
+def stft_norms(f: SampledFunction, specs) -> list:
+    """Evaluate several modulation norms of one function in a single pass.
 
-    ``specs`` is a sequence of SpaceSpec sharing one window; ``kinds``
-    gives "modulation" or "amalgam" for each. This is the exact engine:
-    full STFT rows at every grid shift, folded by :func:`fold_norms`.
-    Each tile the fold asks for is filled with the magnitudes of
-    ``tf.stft_rows`` over the tile's shifts, so only one tile of
-    complex rows is alive at a time; the columns stay in FFT order.
+    ``specs`` is a sequence of SpaceSpec sharing one window. This is the
+    exact engine: the lattice of every grid shift at stride 1 with n
+    channels, whose rows are those of ``tf.window_shifts`` and whose
+    vector is ``ifftshift(f)``, folded by :func:`fold_norms` with the
+    spectra scaled by dx before their magnitudes are taken.
     """
     if f.dim != 1:
         raise StructuralError("streamed norms are defined for 1D functions")
     specs = list(specs)
     if not specs:
         return []
-    window = specs[0].window
-    if any(spec.window != window for spec in specs):
-        raise StructuralError("all specs in one pass must share a window")
-    g = make_window(window, f.grid)
-
-    def rows(sl, out):
-        np.abs(stft_rows(f, g, sl), out=out)
-
-    x, dual = f.grid.axis(), f.grid.dual()
+    g = make_window(check_specs(specs), f.grid)
+    dx, dual = f.grid.spacing, f.grid.dual()
+    rows = lattice_rows(
+        [window_shifts(g)], np.fft.ifftshift(f.samples), spectra_scale=dx
+    )
     xi = np.fft.ifftshift(dual.axis())
-    return fold_norms(rows, x, xi, f.grid.spacing, dual.spacing, specs, kinds)
+    return fold_norms(rows, f.grid.axis(), xi, dx, dual.spacing, specs)
 
 
 def modulation_norm(f: SampledFunction, spec: SpaceSpec) -> float:
     """Weighted STFT norm, position reduced first (inner p, outer q)."""
-    return stft_norms(f, [spec], ["modulation"])[0]
-
-
-def amalgam_norm(f: SampledFunction, spec: SpaceSpec) -> float:
-    """Weighted STFT norm, frequency reduced first (inner q, outer p)."""
-    return stft_norms(f, [spec], ["amalgam"])[0]
+    return stft_norms(f, [spec])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 ``stft`` computes V_g f(x, xi) = <f, M_xi T_x g>: rows are window shifts
 over the primal grid, columns live on the dual grid. ``stft_rows``
 evaluates one contiguous range of rows with the columns left in FFT
-order; it is the exact block producer behind the norms in
-:mod:`fiolab.spaces`.
+order, from the window shifts of :func:`window_shifts`, which the exact
+norms in :mod:`fiolab.spaces` read too. :func:`window_at` holds the one
+window formula.
 
 Everything is exact for the cyclic model: the fundamental identity
 V_g f(x, xi) = exp(-2pi i x xi) V_ghat fhat(xi, -x) and the orthogonality
@@ -28,6 +29,8 @@ from .grid import (
 __all__ = [
     "TFMatrix",
     "make_window",
+    "window_at",
+    "window_shifts",
     "stft",
     "stft_rows",
     "fundamental_identity_residual",
@@ -53,17 +56,20 @@ def window_width(window_id: str) -> float:
     return sigma
 
 
-def make_window(window_id: str, grid: Grid) -> SampledFunction:
-    """Build a named analysis window on a one-dimensional ``grid``.
+def window_at(window_id: str, x) -> np.ndarray:
+    """The named window's real values at the points ``x``.
 
     ``"gauss"`` is the L2-normalized Gaussian exp(-pi t^2); ``"gauss:s"``
     scales its width to ``s``. The normalization is the continuum one,
     so <g, g> = 1 to quadrature accuracy on any adequate grid.
     """
     sigma = window_width(window_id)
-    x = grid.axis()
-    g1 = (2.0**0.25 / np.sqrt(sigma)) * np.exp(-np.pi * (x / sigma) ** 2)
-    return SampledFunction(grid, g1.astype(complex))
+    return (2.0**0.25 / np.sqrt(sigma)) * np.exp(-np.pi * (x / sigma) ** 2)
+
+
+def make_window(window_id: str, grid: Grid) -> SampledFunction:
+    """The named window (:func:`window_at`) on a one-dimensional ``grid``."""
+    return SampledFunction(grid, window_at(window_id, grid.axis()).astype(complex))
 
 
 class TFMatrix:
@@ -94,31 +100,35 @@ def _check_window(g: SampledFunction):
         raise ValidationError("window is identically zero")
 
 
+def window_shifts(g: SampledFunction) -> np.ndarray:
+    """Read-only (n, n) view whose row ``j`` times ``ifftshift(f)`` is
+    the integrand of the STFT row at the shift ``(j - n/2) * dx``, in FFT
+    order: conj(g) rotated, as rows of one sliding window over the
+    doubled samples, so no rotated copy is made."""
+    _check_window(g)
+    n = g.grid.n
+    gbar = np.conj(g.samples)
+    # row r of the sliding view is conj(g) rotated left by r; shift j needs r = n - j
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((gbar, gbar)), n)[:0:-1]
+
+
 def stft_rows(f: SampledFunction, g: SampledFunction, rows: slice) -> np.ndarray:
     """STFT rows for one contiguous range of x shifts, columns in FFT order.
 
     Row ``j`` of ``rows`` is the shift to the grid point ``(j - n/2) * dx``;
     column ``k`` is the frequency ``np.fft.ifftshift(xi)[k]`` of the dual
-    grid, so ``fftshift`` over axis 1 gives grid order. This is the exact
-    block producer behind :func:`stft` and the norms in
-    :mod:`fiolab.spaces`. Each row is ``ifftshift(f)`` times one row of a
-    strided view over the conjugated, doubled window, multiplied straight
-    into the output, which is then transformed in place: no index array,
-    gather or shifted copy is made.
+    grid, so ``fftshift`` over axis 1 gives grid order. This is the block
+    producer behind :func:`stft`: ``ifftshift(f)`` times the rows of
+    :func:`window_shifts`, multiplied straight into the output, which is
+    then transformed in place.
     """
     if f.grid != g.grid or f.dim != 1:
         raise StructuralError("stft needs two 1D functions on a common grid")
-    _check_window(g)
-    n = f.grid.n
-    start, stop, step = rows.indices(n)
+    start, stop, step = rows.indices(f.grid.n)
     if step != 1:
         raise StructuralError("stft rows must be a contiguous range of shifts")
-    stop = max(start, stop)
-    # row r of the view is conj(g) rotated left by r; shift j needs r = n - j
-    gbar = np.conj(g.samples)
-    wins = np.lib.stride_tricks.sliding_window_view(np.concatenate((gbar, gbar)), n)
-    picked = wins[n - stop + 1 : n - start + 1][::-1]
-    out = np.empty((stop - start, n), dtype=complex)
+    picked = window_shifts(g)[start:stop]
+    out = np.empty(picked.shape, dtype=complex)
     np.multiply(np.fft.ifftshift(f.samples), picked, out=out)
     np.fft.fft(out, axis=1, out=out)
     out *= f.grid.spacing

@@ -50,13 +50,18 @@ def test_norm_spaces_share_one_pass(capsys, monkeypatch):
     # three spaces print what three one-space runs print, from the rows
     # of a single exact pass
     calls = []
-    real = spaces.stft_rows
+    real = spaces.lattice_rows
 
-    def counted(*args):
-        calls.append(args[2])
-        return real(*args)
+    def counted(*args, **kwargs):
+        rows = real(*args, **kwargs)
 
-    monkeypatch.setattr(spaces, "stft_rows", counted)
+        def tile(sl, out):
+            calls.append(sl)
+            rows(sl, out)
+
+        return tile
+
+    monkeypatch.setattr(spaces, "lattice_rows", counted)
     base = ["norm", "--signal", "train:count=3", "--grid-n", "512", "--grid-L", "16"]
     texts = ["p=2", "p=1,q=4,s=0.5", "p=inf,q=1,t=1"]
     single = []

@@ -10,6 +10,7 @@ import pytest
 
 from fiolab import (
     CoefficientSeq,
+    DomainError,
     ExperimentRow,
     Grid,
     INF,
@@ -336,6 +337,19 @@ def test_fast_norms_refuse_an_impossible_xi_step():
     for xi_step in (1e-300, 0.5 / (MATRIX_BUDGET * grid.spacing)):
         with pytest.raises(ResourceError, match="xi_step"):
             fast_modulation_norms(f, specs, xi_step=xi_step)
+
+
+@pytest.mark.parametrize("p, q", [(0.5, 2.0), (2.0, 0.0), (float("nan"), 2.0)])
+def test_fast_norms_check_exponents_when_f_vanishes(p, q):
+    # a zero f needs no transform, but its specs are checked as the exact
+    # engine checks them, before f is read
+    grid = Grid(1, 1024, 32.0 / 1024)
+    f = SampledFunction(grid, np.zeros(grid.n, dtype=complex))
+    specs = [SpaceSpec(p, q)]
+    with pytest.raises(DomainError):
+        modulation_norm(f, specs[0])
+    with pytest.raises(DomainError):
+        fast_modulation_norms(f, specs)
 
 
 def test_fast_norms_reject_foreign_windows():

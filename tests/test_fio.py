@@ -31,6 +31,7 @@ from fiolab import (
     default_bump,
     ensure_bandlimited,
     fourier_transform,
+    high_growth,
     inner,
     inverse_fourier_transform,
     kernel,
@@ -617,3 +618,33 @@ def test_mild_growth_zero_is_a_chirp_multiplication():
     for f, out in cases:
         err = np.abs(out.samples - _chirp_oracle(f)).max()
         assert err <= 1e-13 * np.abs(f.samples).max()
+
+
+def _fresnel_oracle(f, a):
+    """high_growth(0, 0) with the constant symbol on f = e^(-pi x^2 / a):
+    e^(i (1 + x^2)) F^-1[e^(i (1 + xi^2)) fhat], where fhat is
+    sqrt(a) e^(-pi a xi^2), so the inverse transform of the gaussian
+    e^(-beta xi^2), beta = pi a - i, is sqrt(pi / beta) e^(-pi^2 x^2 / beta)."""
+    x = f.grid.axis()
+    beta = np.pi * a - 1j
+    out = np.sqrt(a) * np.exp(1j) * np.sqrt(np.pi / beta) * np.exp(-np.pi**2 * x * x / beta)
+    return np.exp(1j * (1.0 + x * x)) * out
+
+
+@pytest.mark.parametrize("a", [1.0, 3.0])
+def test_high_growth_zero_is_a_fresnel_propagator(a):
+    # the fast path, the direct quadrature and the kernel; at n = 256 the
+    # half length is 8, since at 16 the a = 1 gaussian fails the
+    # band-limit check
+    phase, symbol = high_growth(0.0, 0.0), constant_symbol()
+    for n, half in ((256, 8.0), (512, 16.0), (1024, 16.0)):
+        g = Grid(1, n, 2.0 * half / n)
+        x = g.axis()
+        f = SampledFunction(g, np.exp(-np.pi * x * x / a))
+        outs = [
+            apply_fio(f, symbol, phase),
+            apply_fio(f, symbol, phase, force_direct=True),
+            apply_kernel(kernel(symbol, phase, g), f),
+        ]
+        for out in outs:
+            assert np.abs(out.samples - _fresnel_oracle(f, a)).max() <= 1e-13

@@ -1,4 +1,4 @@
-"""Grids, exact transforms, lattice operations, CSV round trips."""
+"""Grids, exact transforms, runs, CSV round trips."""
 
 import tracemalloc
 
@@ -19,12 +19,9 @@ from fiolab import (
     inverse_fourier_transform,
     sampled_from_csv,
     sampled_to_csv,
-    translate_modulate,
 )
 
 from fiolab.grid import TILE_ENTRIES, take
-
-from conftest import bandlimited
 
 
 def test_grid_validation():
@@ -127,28 +124,6 @@ def test_inner_product_conventions():
     other = SampledFunction(Grid(1, 64, 0.25), np.ones(64, dtype=complex))
     with pytest.raises(StructuralError):
         inner(ones, other)
-
-
-def test_translate_modulate_on_lattice():
-    g = Grid(1, 64, 0.25)
-    rng = np.random.default_rng(1)
-    f = bandlimited(g, rng)
-    shifted = translate_modulate(f, 1.0, 0.0)
-    assert np.allclose(shifted.samples, np.roll(f.samples, 4), atol=1e-12)
-    omega = g.dual().spacing * 3
-    mod = translate_modulate(f, 0.0, omega)
-    assert np.allclose(
-        mod.samples, f.samples * np.exp(2j * np.pi * omega * g.axis()), atol=1e-12
-    )
-
-
-def test_translate_modulate_rejects_off_grid_points():
-    g = Grid(1, 64, 0.25)
-    f = SampledFunction(g, np.ones(64, dtype=complex))
-    with pytest.raises(ValidationError, match="nearest admissible"):
-        translate_modulate(f, 0.3, 0.0)
-    with pytest.raises(ValidationError, match="omega"):
-        translate_modulate(f, 0.25, 0.01)
 
 
 def test_sampled_csv_round_trip():
