@@ -28,14 +28,9 @@ window) for each of at least two probe families. One driver,
 largest fitted slope, matching the fact that operator norms dominate
 every probe; the first series reaching it is the dominant probe, whose
 raw ratios fill the ratio column of the tuple's report rows, and the
-regime's predicate gives the verdict.
-
-A bounded tuple's ratios converge rather than decay
-once every witness sum is summable, and a partial sum that converges
-at rate r keeps a residual log-log slope of roughly r per decade of
-family range; the default panels therefore keep bounded tuples far
-enough from each threshold for that residual to sit well under the
-0.1 band that separates the two verdicts.
+regime's predicate gives the verdict. The default panels keep
+bounded tuples far enough from each threshold for their partial sums
+to settle well inside the 0.1 band that separates the two verdicts.
 """
 
 from __future__ import annotations
@@ -605,8 +600,7 @@ _SPECTRAL_MARGIN = 200.0
 _TRAIN_BUMP_RADIUS = 0.25
 
 # a sweep whose largest grid has at least this many points runs its
-# family steps on _POOL_WORKERS processes; on a 2-CPU host forking first
-# pays off at grids of 2^17 points
+# family steps on _POOL_WORKERS processes
 _POOL_POINTS = 1 << 17
 _POOL_WORKERS = 2
 
@@ -700,9 +694,8 @@ def _run_steps(step, tasks, pooled):
     ``pooled`` and the platform, the CPU affinity and the calling process
     allow it: a daemonic process, such as a ``multiprocessing.Pool``
     worker, may not have children and runs the steps itself. All three
-    sweeps run their steps through it, by way of :func:`_run_keyed`:
-    thm1 one per input and family step, thm2 and thm3 one per probe
-    input, each returning only scalars for the caller to assemble.
+    sweeps run their steps, each returning only scalars for the caller
+    to assemble, through it by way of :func:`_run_keyed`.
 
     Tasks are handed out in list order, so callers list the longest
     first. A task's arguments are pickled to reach a worker, so each
@@ -710,11 +703,11 @@ def _run_steps(step, tasks, pooled):
     sent samples. Workers are forked rather than spawned: a spawned worker
     re-imports the caller's main script, which would rerun any script
     that sweeps without a ``__main__`` guard. The process starts no
-    threads of its own; the BLAS pool resets itself across a fork and
-    the steps use none of it. A worker's exception reaches the caller
+    threads of its own, and no step calls a BLAS routine (the band-limit
+    check sums with numpy's own reductions), so no BLAS thread wakes
+    and each worker runs on one thread. Each worker starts with
+    :func:`_keep_freed_memory`. A worker's exception reaches the caller
     unchanged, after the queued tasks are cancelled.
-
-    Each worker starts with :func:`_keep_freed_memory`.
     """
     cpus = (
         len(os.sched_getaffinity(0))
@@ -723,8 +716,7 @@ def _run_steps(step, tasks, pooled):
     )
     if not pooled or cpus < 2 or len(tasks) < 2:
         return [step(*task) for task in tasks]
-    # imported here: the pool's modules add about 20 ms to every import
-    # of the package, each CLI call included
+    # imported here, so that importing the package does not load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -847,9 +839,8 @@ def _thm2_step(grid, N, window, pq_all, s2s, alpha=None, s1_pqs=()):
     not asked for one of the three leaves it empty.
     """
     f = build_modulated_train(CoefficientSeq.ones(0, N), _spectral_bump(), grid)
-    # the operator goes first: its transform reuses the n-point buffer
-    # the build just freed. With the norms first, their small allocations
-    # could split that buffer, and the next transform took a fresh one
+    # the operator goes first, so that its transform reuses the n-point
+    # buffer the build just freed before the norms' allocations split it
     outs = {}
     if s1_pqs:
         pqs = dict(s1_pqs)

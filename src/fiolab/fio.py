@@ -11,25 +11,16 @@ is the working correctness check for everything built on top.
 
 The fast path is :func:`apply_fio_family`; :func:`apply_fio` is a family
 of one. It skips the factor of a part the phase lacks, runs one inverse
-transform per distinct s2, and makes every pass over the grid one tile
-of ``grid.TILE_ENTRIES`` points at a time. Its arrays are fhat,
-e^(2 pi i mu_x) (stored for a family of two or more symbols), a profile
-per s2 and an output per symbol; the last s2's profile is weighed in
-fhat's buffer, and the last symbol of each s2 writes its output over
-its profile. So a one-symbol family holds one such array, and two
-symbols of distinct s2 three, besides the two scratch buffers of the
-transform's size that pocketfft mallocs inside every FFT.
+transform per distinct s2, and makes every pass over the grid, the
+band-limit check's sums included, one tile of ``grid.TILE_ENTRIES``
+points at a time, with no BLAS routine.
 
 At coupling 1 without mu_xi (``mild_growth``, ``bilinear``) the
-profile F^-1[sigma2 fhat] is a Fourier multiplier, whose kernel decays
-like e^(-2 pi |x|). When the input's exact support fits in patches that
-lie inside the grid and cover at most half of it, each stretch of it is
-transformed on its own power-of-two patch with ``PATCH_MARGIN`` = 6
-units on either side, and the band-limit check reads the leakage of all
-patch spectra together. The input may be a :class:`grid.Runs`, the
-output is the patch runs, and no n-point array exists. Its bytes differ
-from the whole grid's at round-off only; every other input and phase
-takes the whole grid, byte for byte.
+profile F^-1[sigma2 fhat] is a Fourier multiplier, so an input whose
+support fits in patches inside the grid is transformed and checked
+patch by patch (:func:`_patches`), with no n-point array. Its bytes
+differ from the whole grid's at round-off only; every other input and
+phase takes the whole grid, byte for byte.
 
 The direct quadrature, the kernel and the weak pairing read the matrix
 sigma * exp(2 pi i Phi) one block of x rows at a time, built in place in
@@ -54,6 +45,7 @@ from .grid import (
     bracket,
     check_matrix_budget,
     fourier_transform,
+    run_tiles,
     support_runs,
     take,
     transform_in_place,
@@ -85,8 +77,7 @@ BANDLIMIT_TOL = 1e-8
 # e^(-12 pi) ~ 4e-17 of it reaches past 6 units
 PATCH_MARGIN = 6.0
 
-# complex entries per block of the phase matrix: 1 MiB, which stays in a
-# 2 MiB L2 cache
+# complex entries per block of the phase matrix (1 MiB)
 _ROW_CHUNK_ENTRIES = 1 << 16
 
 
@@ -147,9 +138,8 @@ def _band_edges(dual: Grid, cutoff: float):
     ``dual.axis()[:head]`` and those above cutoff the tail
     ``dual.axis()[tail:]``, for a cutoff near half of the axis' extent.
 
-    The axis is sorted, so each edge is a ``searchsorted`` on the few
-    points of the axis around -n/4 or +n/4 from its middle, computed as
-    ``Grid.axis`` computes them, rather than on the whole axis.
+    The axis is sorted, so each edge is a ``searchsorted`` on its few
+    points around indices n/4 and 3n/4, computed as ``Grid.axis`` does.
     """
     n = dual.n
     edges = []
@@ -161,44 +151,73 @@ def _band_edges(dual: Grid, cutoff: float):
 
 
 def _spectrum(f: SampledFunction):
-    """f's transform, and the energies of its spectrum above half Nyquist
-    and in all.
-
-    The entries with |xi| > Nyquist/2 are a head and a tail of the
-    sorted frequency axis: their energy is two sums of squares over
-    slices, with no mask, no copy and no axis.
-    """
+    """(fhat, (head, tail)): f's transform, whose entries with |xi| >
+    Nyquist/2 are the head ``[:head]`` and the tail ``[tail:]`` of the
+    sorted frequency axis, so their energy needs no mask, copy or axis."""
     if f.dim != 1:
         raise StructuralError("band-limit checks apply to one-dimensional samples")
     fhat = fourier_transform(f)
     nyquist = 1.0 / (2.0 * f.grid.spacing)
-    head, tail = _band_edges(fhat.grid, nyquist / 2.0)
-    c = fhat.samples
-    outside = np.vdot(c[:head], c[:head]).real + np.vdot(c[tail:], c[tail:]).real
-    return fhat, outside, np.vdot(c, c).real
+    return fhat, _band_edges(fhat.grid, nyquist / 2.0)
 
 
-def _leakage(outside, total) -> float:
-    """The fraction of spectral amplitude above half Nyquist."""
-    return 0.0 if total == 0.0 else float(np.sqrt(outside / total))
+def _energy(runs, shift):
+    """sum |c|^2 times 4^shift over the arrays c of ``runs``, summed by
+    numpy's own reductions over float views of ``grid.TILE_ENTRIES``
+    tiles: no BLAS routine runs, so no BLAS thread wakes."""
+    total = 0.0
+    for _, tile in run_tiles(runs):
+        t = np.ldexp(tile.view(float), shift) if shift else tile.view(float)
+        total += np.add.reduce(t * t)
+    return total
+
+
+def _energies(spectra, shift):
+    """(outside, total) energies of all the spectra, times 4^shift."""
+    outside = total = 0.0
+    for fhat, (head, tail) in spectra:
+        c = fhat.samples
+        out = _energy([(0, c[:head]), (0, c[tail:])], shift)
+        outside += out
+        total += out + _energy([(0, c[head:tail])], shift)
+    return outside, total
+
+
+def _leakage(spectra) -> float:
+    """sqrt(outside / total) over all the ``_spectrum`` results: the
+    fraction of their spectral amplitude above half Nyquist.
+
+    Squares of entries above about 1e154 overflow, and a square under
+    2^-1022 loses up to 2^-1074. When the plain total is not finite or
+    is under 2^-900, where its round-off no longer bounds n such losses,
+    the sums are taken again with each entry scaled by the power of two
+    that brings the largest into [1/2, 1), which cancels in the ratio.
+    """
+    with np.errstate(over="ignore"):
+        outside, total = _energies(spectra, 0)
+    if not 2.0**-900 <= total < math.inf:
+        views = [fhat.samples.view(float) for fhat, _ in spectra]
+        peak = max(max(v.max(), -v.min()) for v in views)
+        outside, total = _energies(spectra, -math.frexp(peak)[1])
+    return 0.0 if total == 0.0 else math.sqrt(outside / total)
 
 
 def _checked_transforms(pieces) -> list:
     """The pieces' transforms, after their band limit is tested on the
     leakage of all their spectra together: sqrt(sum outside / sum total)."""
     spectra = [_spectrum(piece) for piece in pieces]
-    leak = _leakage(sum(s[1] for s in spectra), sum(s[2] for s in spectra))
+    leak = _leakage(spectra)
     if leak >= BANDLIMIT_TOL:
         raise ValidationError(
             f"input is not band-limited to half Nyquist: spectral leakage "
             f"{leak:.3e} exceeds {BANDLIMIT_TOL:.0e}"
         )
-    return [s[0] for s in spectra]
+    return [fhat for fhat, _ in spectra]
 
 
 def bandlimit_leakage(f: SampledFunction) -> float:
     """Fraction of spectral amplitude above half the Nyquist frequency."""
-    return _leakage(*_spectrum(f)[1:])
+    return _leakage([_spectrum(f)])
 
 
 def ensure_bandlimited(f: SampledFunction):
@@ -275,17 +294,16 @@ def apply_fio_family(
     as a :class:`grid.Runs` of the patches; otherwise f is transformed
     whole and ``reduce`` is handed a SampledFunction.
 
-    Every pass runs tile by tile, so besides pocketfft's scratch (two
-    buffers of the transform's size inside every FFT, which tracemalloc
-    does not see) these arrays are alive, each one n-point or one per
-    patch: fhat until the last s2 begins, whose profile F^-1[...] is
-    weighed in fhat's own buffer; e^(2 pi i mu_x), stored only for a
-    family of two or more symbols whose phase has mu_x; a profile while
-    its s2 lasts; and an output, which the last symbol of an s2 writes
-    into that profile. Each output is dropped before the next one is
-    made, and what no later symbol reads is dropped before ``reduce``
-    runs. So a one-symbol family holds one such array, and two symbols
-    of distinct s2 hold three at most.
+    Every pass runs tile by tile, so besides pocketfft's scratch (see
+    :func:`grid.transform_in_place`) these arrays are alive, each one
+    n-point or one per patch: fhat until the last s2 begins, whose
+    profile F^-1[...] is weighed in fhat's own buffer; e^(2 pi i mu_x),
+    stored only for a family of two or more symbols whose phase has
+    mu_x; a profile while its s2 lasts; and an output, which the last
+    symbol of an s2 writes into that profile. Each output is dropped
+    before the next one is made, and what no later symbol reads is
+    dropped before ``reduce`` runs. So a one-symbol family holds one
+    such array, and two symbols of distinct s2 hold three at most.
     """
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")

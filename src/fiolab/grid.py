@@ -39,9 +39,8 @@ __all__ = [
 # largest n x n complex matrix a computation may form (1 GiB at complex128)
 MATRIX_BUDGET = 2**26
 
-# grid points per tile of an elementwise pass over a grid: 1 MiB of
-# complex entries, so a pass's temporaries stay in a 2 MiB L2 cache
-# instead of being n-point arrays
+# grid points per tile of an elementwise pass over a grid (1 MiB of
+# complex entries), so a pass's temporaries are tiles, not n-point arrays
 TILE_ENTRIES = 1 << 16
 
 

@@ -4,14 +4,10 @@ Every modulation norm here follows one recipe: take STFT magnitudes of
 the input on a Gabor lattice, multiply by a polynomial weight, then
 reduce position first with exponent p and frequency second with q.
 :func:`fold_norms` owns that recipe, and :func:`lattice_rows` is the one
-producer of its tiles of magnitudes, about ``FFT_BATCH_ENTRIES`` entries
-each, which the fold reduces while they are in cache. It multiplies the
-rows of strided views by a fixed vector into one reused, tile-sized
-complex buffer, transforms it in place, and writes its magnitudes into
-the fold's one reused tile with the columns left in FFT order. The two
-norm engines differ only in the lattice they pass and in where they
-scale by dx: the exact engine (:func:`stft_norms`) passes every grid
-shift with the full window and scales the spectra, the fast engine
+producer of its tiles of magnitudes. The two norm engines differ only
+in the lattice they pass and in where they scale by dx: the exact
+engine (:func:`stft_norms`) passes every grid shift with the full
+window and scales the spectra, the fast engine
 (``experiments.fast_modulation_norms``) strided shifts over the support
 of f with a truncated window and scales the magnitudes.
 
@@ -55,12 +51,8 @@ INF = float("inf")
 _CHUNK_ENTRIES = 1 << 22
 
 # entries per tile: the fold asks its producer for tiles of about this
-# many magnitudes and reduces each while it is still in cache, and each
-# norm engine fills them through a complex buffer of the same size. A
-# tile of 2^17 floats is 1 MiB, so a single-spec exact norm at n = 2048
-# peaks below 4 MiB and the fast norms of the thm2 box input at R = 128
-# (2^20 points, three gauss:0.5 specs) near 5 MiB. The size moves no
-# byte; 2^15 to 2^19 time alike, 2^20 slower
+# many magnitudes (1 MiB of floats) and reduces each while it is still
+# in cache; the size moves no byte
 FFT_BATCH_ENTRIES = 1 << 17
 
 

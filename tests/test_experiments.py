@@ -2,7 +2,10 @@
 
 import hashlib
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -130,6 +133,40 @@ def test_runs_give_the_dense_bytes(name):
     assert (patches is None) == (name == "seam")
     for lo, hi in patches or ():
         assert take(f, lo, hi).tobytes() == dense.samples[lo:hi].tobytes()
+
+
+_TIMED_THM1_STEP = """
+import time
+from fiolab import experiments
+grid = experiments._thm1_grid(0.5, 32)
+args = (grid, 0.5, 32, False, [((0.5, 0.0), [(1.0, 2.0), (2.0, 1.0)])])
+experiments._thm1_step(*args)
+cpu, own = time.process_time(), time.thread_time()
+experiments._thm1_step(*args)
+print((time.process_time() - cpu) / (time.thread_time() - own))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="a second BLAS thread needs a second usable CPU",
+)
+def test_sweep_steps_keep_to_one_thread():
+    # a pool worker runs steps with its CPU to itself only if no step
+    # calls a BLAS routine: a large one wakes BLAS threads, which spin on
+    # after it returns and show as process CPU beyond the main thread's
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fio.__file__)))
+    for pool in ("OPENBLAS", "OMP", "MKL", "BLIS"):
+        env[f"{pool}_NUM_THREADS"] = "2"
+    out = subprocess.run(
+        [sys.executable, "-c", _TIMED_THM1_STEP],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    assert float(out.stdout) <= 1.1
 
 
 @pytest.mark.parametrize("modulated", [False, True], ids=["plain", "modulated"])

@@ -131,6 +131,11 @@ def _leakage_cases():
             coef[n // 4 - 1] = coef[3 * n // 4 + 1] = frac
             f = inverse_fourier_transform(SampledFunction(dual, coef))
             cases.append(f)
+    # longer than a tile of grid.TILE_ENTRIES, so the head, the middle
+    # and the tail of the spectrum each end inside a tile
+    grid = Grid(1, 1 << 18, 0.01)
+    noise = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    cases += [SampledFunction(grid, noise), bandlimited(grid, rng)]
     return cases
 
 
@@ -146,6 +151,35 @@ def test_bandlimit_leakage_matches_the_masked_norm():
             ensure_bandlimited(f)
     zero = SampledFunction(Grid(1, 64, 0.25), np.zeros(64, complex))
     assert bandlimit_leakage(zero) == 0.0
+
+
+def test_bandlimit_leakage_matches_the_masked_norm_in_small_tiles(monkeypatch):
+    # the energies are summed one grid.TILE_ENTRIES tile at a time, the
+    # tile size read at call time: in tiles of 64 every case spans many
+    monkeypatch.setattr(fiolab.grid, "TILE_ENTRIES", 1 << 6)
+    test_bandlimit_leakage_matches_the_masked_norm()
+
+
+def test_bandlimit_check_reads_the_same_leakage_at_any_scale():
+    # the spectrum's squares overflow at 1e160 and underflow at 1e-170,
+    # where the plain sums read nan and 0.0; the ratio of energies does
+    # not depend on the scale
+    grid = Grid(1, 512, 0.0625)
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    smooth = bandlimited(grid, rng).samples
+    ref = bandlimit_leakage(SampledFunction(grid, noise))
+    assert ref > 0.5
+    for scale in (1e160, 1e-170):
+        f = SampledFunction(grid, scale * noise)
+        assert bandlimit_leakage(f) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        with pytest.raises(ValidationError, match="band-limited"):
+            ensure_bandlimited(f)
+        with pytest.raises(ValidationError, match="band-limited"):
+            apply_fio(f, constant_symbol(), bilinear())
+        g = SampledFunction(grid, scale * smooth)
+        assert bandlimit_leakage(g) < 1e-14
+        ensure_bandlimited(g)
 
 
 @pytest.mark.parametrize("spacing", ["1", "0.1", "1/3", "7.3", "32/n", "528/n"])
