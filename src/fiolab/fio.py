@@ -9,23 +9,15 @@ integral kernel obtained by transforming the symbol-phase matrix in
 its second slot. They agree to round-off on band-limited inputs, which
 is the working correctness check for everything built on top.
 
-The fast path is :func:`apply_fio_family`; :func:`apply_fio` is a family
-of one. It skips the factor of a part the phase lacks, runs one inverse
-transform per distinct s2, and makes every pass over the grid, the
-band-limit check's sums included, one tile of ``grid.TILE_ENTRIES``
-points at a time, with no BLAS routine.
-
-At coupling 1 without mu_xi (``mild_growth``, ``bilinear``) the
-profile F^-1[sigma2 fhat] is a Fourier multiplier, so an input whose
-support fits in patches inside the grid is transformed and checked
-patch by patch (:func:`_patches`), with no n-point array. Its bytes
-differ from the whole grid's at round-off only; every other input and
-phase takes the whole grid, byte for byte.
-
-The direct quadrature, the kernel and the weak pairing read the matrix
-sigma * exp(2 pi i Phi) one block of x rows at a time, built in place in
-one reused buffer of about a megabyte, so none of them holds an n x n
-temporary; only the kernel's own output is n x n.
+The fast path is :func:`apply_fio_family` (:func:`apply_fio` is a family
+of one), which works tile by tile and, at coupling 1 without mu_xi, on
+patches of the input's support (:func:`_patches`), whose bytes differ
+from the whole grid's at round-off only. The direct quadrature, the
+kernel and the weak pairing read sigma * exp(2 pi i Phi) one block of x
+rows at a time (:func:`_phase_matrix_blocks`), so none holds an n x n
+temporary but the kernel's own output. Rows past n/2 reuse their mirror
+rows' exponentials where Phi agrees bit for bit, but Phi is still
+evaluated at every point, so the three realizations stay independent.
 """
 
 from __future__ import annotations
@@ -225,27 +217,81 @@ def ensure_bandlimited(f: SampledFunction):
 
 
 def _phase_matrix_blocks(symbol, phase, x, xi):
-    """(rows, sigma * exp(2 pi i Phi)) over blocks of the x rows, each
-    block against all xi; ``rows`` is the block's slice of x.
+    """(rows, sigma * exp(2 pi i Phi)) over the blocks ``[b c, (b + 1)
+    c)`` of c x rows (about a megabyte), each against all xi, in no fixed
+    order. Each is built in one buffer allocated per call, which the
+    next overwrites, so the direct quadrature, ``kernel`` and
+    ``weak_pairing`` consume a block (a product with a vector, or a
+    transform into K) before asking for the next.
 
-    Every block is built in place in one buffer allocated per call, so
-    each yielded block is overwritten by the next. The direct quadrature,
-    ``kernel`` and ``weak_pairing`` each consume a block (a matrix-vector
-    product, or an in-place transform copied into K) before asking for
-    the next one.
+    Phi, and sigma unless the symbol is constant, are evaluated at every
+    point. When x is symmetric (x[n - j] = -x[j]), the rows past n/2 take
+    the exponentials of their mirror rows wherever Phi matches bit for bit
+    (:func:`_mirror_rows`), as an even phase does at the mirrored xi, so
+    each block holds the bytes of one formed whole. First-half blocks go
+    from the middle outward, each followed by its mirror block.
     """
-    chunk = max(1, _ROW_CHUNK_ENTRIES // xi.size)
-    buf = np.empty((min(chunk, x.size), xi.size), dtype=complex)
+    n, cols = x.size, xi.size
+    chunk = max(1, _ROW_CHUNK_ENTRIES // cols)
+    buf = np.empty((min(chunk, n), cols), dtype=complex)
     XI = xi[None, :]
-    for start in range(0, x.size, chunk):
-        X = x[start : start + chunk, None]
-        sig = np.asarray(symbol.eval(X, XI), dtype=float)
-        ph = np.asarray(phase.eval(X, XI), dtype=float)
+    constant = symbol.s1 == 0.0 and symbol.s2 == 0.0
+
+    def phases(start, rows):
+        return np.asarray(phase.eval(x[start : start + rows, None], XI), dtype=float)
+
+    def finish(start, e):
+        # times sigma = 1 would only flip the sign of zero imaginary parts
+        X = x[start : start + e.shape[0], None]
         block = buf[: X.size]
-        np.multiply(2j * np.pi, ph, out=block)
-        np.exp(block, out=block)
-        np.multiply(sig, block, out=block)
-        yield slice(start, start + X.size), block
+        if not constant:
+            np.multiply(np.asarray(symbol.eval(X, XI), dtype=float), e, out=block)
+        elif e is not block:
+            block[...] = e
+        return slice(start, start + X.size), block
+
+    half = n // 2
+    if n % 2 or (n > chunk and n % (2 * chunk)) or not np.array_equal(x[1:], -x[:0:-1]):
+        for start in range(0, n, chunk):
+            rows = min(chunk, n - start)
+            yield finish(start, _exp_2pi_i(phases(start, rows), buf[:rows]))
+    elif n <= chunk:
+        ph, e = phases(0, n), buf[:n]
+        _exp_2pi_i(ph[: half + 1], e[: half + 1])
+        _mirror_rows(e[half + 1 :], ph[half + 1 :], e[1:half], ph[1:half])
+        yield finish(0, e)
+    else:
+        # rows s + 1 .. s + c mirror the block at n - s - c, so src holds
+        # a first-half block's exponentials and phases with, as row c,
+        # the first row of the block before it; row n/2 mirrors itself
+        src_e = np.empty((chunk + 1, cols), dtype=complex)
+        src_ph = np.empty((chunk + 1, cols))
+        src_ph[chunk] = phases(half, 1)[0]
+        _exp_2pi_i(src_ph[chunk], src_e[chunk])
+        for start in range(half - chunk, -1, -chunk):
+            src_ph[:chunk] = phases(start, chunk)
+            yield finish(start, _exp_2pi_i(src_ph[:chunk], src_e[:chunk]))
+            ph = phases(n - start - chunk, chunk)
+            _mirror_rows(buf, ph, src_e[1:], src_ph[1:])
+            yield finish(n - start - chunk, buf)
+            src_e[chunk], src_ph[chunk] = src_e[0], src_ph[0]
+
+
+def _exp_2pi_i(ph, out=None):
+    """e^(2 pi i ph), formed in ``out`` (default: a new array)."""
+    out = np.multiply(2j * np.pi, ph, out=out)
+    return np.exp(out, out=out)
+
+
+def _mirror_rows(e, ph, src_e, src_ph):
+    """e = e^(2 pi i ph), given src_e = e^(2 pi i src_ph) on the mirror
+    rows, so that row i of e mirrors row -1-i of src: columns 1.. take
+    src_e's reversed where the two phases agree bit for bit, and the
+    rest, column 0 included, are formed."""
+    e[:, 1:] = src_e[::-1, :0:-1]
+    miss = ph[:, 1:].view(np.int64) != src_ph[::-1, :0:-1].view(np.int64)
+    _exp_2pi_i(ph[:, :1], e[:, :1])
+    e[:, 1:][miss] = _exp_2pi_i(ph[:, 1:][miss])
 
 
 def apply_fio(
@@ -287,23 +333,20 @@ def apply_fio_family(
 
     f is a :class:`grid.SampledFunction` or a :class:`grid.Runs`. At
     coupling 1 without mu_xi, F^-1[sigma2 fhat] is a Fourier multiplier,
-    which commutes with translation. When f's exact support (|f| > 0)
-    fits in patches inside the grid that cover at most half of it (see
-    :func:`_patches`), each patch is taken from f's runs, transformed,
-    checked and weighed on its own, and ``reduce`` is handed the output
-    as a :class:`grid.Runs` of the patches; otherwise f is transformed
-    whole and ``reduce`` is handed a SampledFunction.
+    which commutes with translation: when f's exact support (|f| > 0)
+    fits in :func:`_patches`, each patch of f's runs is transformed,
+    checked and weighed on its own, and ``reduce`` is handed a
+    :class:`grid.Runs` of the patches, else a SampledFunction.
 
     Every pass runs tile by tile, so besides pocketfft's scratch (see
-    :func:`grid.transform_in_place`) these arrays are alive, each one
-    n-point or one per patch: fhat until the last s2 begins, whose
-    profile F^-1[...] is weighed in fhat's own buffer; e^(2 pi i mu_x),
-    stored only for a family of two or more symbols whose phase has
-    mu_x; a profile while its s2 lasts; and an output, which the last
-    symbol of an s2 writes into that profile. Each output is dropped
-    before the next one is made, and what no later symbol reads is
-    dropped before ``reduce`` runs. So a one-symbol family holds one
-    such array, and two symbols of distinct s2 hold three at most.
+    :func:`grid.transform_in_place`) these n-point (or per-patch) arrays
+    are alive: fhat until the last s2 begins, whose profile F^-1[...] is
+    weighed in fhat's own buffer; e^(2 pi i mu_x), stored for a family
+    of two or more symbols whose phase has mu_x; a profile while its s2
+    lasts; and an output, which the last symbol of an s2 writes into
+    that profile. Each output is dropped before the next is made, and
+    what no later symbol reads before ``reduce`` runs. So one symbol
+    holds one such array, and two of distinct s2 hold three at most.
     """
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
@@ -329,7 +372,7 @@ def apply_fio_family(
         fronts = [np.empty(hi - lo, dtype=complex) for lo, hi in patches]
         for (lo, hi), front in zip(patches, fronts):
             for sl, x in axis_tiles(grid, lo, hi):
-                front[sl.start - lo : sl.stop - lo] = _phase_factor(phase.mu_x, x)
+                front[sl.start - lo : sl.stop - lo] = _exp_2pi_i(phase.mu_x(x))
     results = [None] * len(symbols)
     profiles = None
     for k, i in enumerate(order):
@@ -354,7 +397,7 @@ def apply_fio_family(
                 if front is not None:
                     tile = tile * front[local]
                 elif chirped:
-                    tile = tile * _phase_factor(phase.mu_x, x)
+                    tile = tile * _exp_2pi_i(phase.mu_x(x))
                 np.multiply(tile, profile[local] if field else profile, out=out[local])
         # what no later symbol reads goes before reduce runs
         if last_reader:
@@ -398,12 +441,6 @@ def _patches(f, phase):
     return patches if sum(hi - lo for lo, hi in patches) <= n // 2 else None
 
 
-def _phase_factor(part, u):
-    """e^(2 pi i part(u)), formed in place."""
-    factor = 2j * np.pi * np.asarray(part(u), dtype=float)
-    return np.exp(factor, out=factor)
-
-
 def _profile(fhat, symbol, phase, in_place):
     """F^-1[sigma2 e^(2 pi i mu_xi) fhat] at coupling 1, its Riemann sum
     at coupling 0.
@@ -436,7 +473,7 @@ def _weigh(c, xi, symbol, phase):
     """sigma2(xi) e^(2 pi i mu_xi(xi)) c, as a new array."""
     if phase.mu_xi_triple is ZERO_PART:
         return symbol.sigma2(xi) * c
-    weighted = _phase_factor(phase.mu_xi, xi)
+    weighted = _exp_2pi_i(phase.mu_xi(xi))
     np.multiply(symbol.sigma2(xi), weighted, out=weighted)
     weighted *= c
     return weighted
@@ -465,9 +502,8 @@ def kernel(symbol: SymbolSpec, phase: PhaseSpec, grid: Grid) -> np.ndarray:
     check_matrix_budget(grid.n, "kernel")
     x = grid.axis()
     dual = grid.dual()
-    # the blocks are built with xi in FFT order and transformed in
-    # place; n is even, so scaling each half into the other half of K
-    # is the fftshift
+    # blocks with xi in FFT order are transformed in place; n is even,
+    # so scaling each half into K's other half is the fftshift
     xi = np.fft.ifftshift(dual.axis())
     half = grid.n // 2
     K = np.empty((grid.n, grid.n), dtype=complex)
@@ -496,8 +532,9 @@ def weak_pairing(
 
     Pairs sigma exp(2 pi i Phi) against conj(g) tensor fhat directly,
     one block of x rows at a time: only a block's share of Tf exists at
-    once, and the total is the sum of the blocks' partial pairings, so
-    its last bits depend on the block size. Agreement with
+    once, and the total sums the blocks' partial pairings in ascending
+    row order, whatever order the blocks come in, so its last bits
+    depend on the block size only. Agreement with
     inner(apply_fio(f), g) is a three-way consistency check on the
     quadrature, the kernel, and this pairing.
     """
@@ -508,7 +545,8 @@ def weak_pairing(
     x = f.grid.axis()
     coeffs = fhat.samples * fhat.grid.cell_measure()
     gbar = np.conj(g.samples) * f.grid.cell_measure()
-    total = 0.0 + 0.0j
-    for rows, block in _phase_matrix_blocks(symbol, phase, x, xi):
-        total += gbar[rows] @ (block @ coeffs)
-    return complex(total)
+    partials = sorted(
+        (rows.start, gbar[rows] @ (block @ coeffs))
+        for rows, block in _phase_matrix_blocks(symbol, phase, x, xi)
+    )
+    return complex(sum((p for _, p in partials), 0.0 + 0.0j))

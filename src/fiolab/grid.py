@@ -277,19 +277,24 @@ def transform_in_place(grid: Grid, work: np.ndarray, inverse: bool):
     holds in FFT order (n is even, so that order swaps the halves of the
     grid order), computed in work's own buffer: an FFT in place, then
     the scaling on the swap back to grid order, through one tile-sized
-    temporary. n is a power of two, so n * dx is exact. In place is not
-    free: numpy's pocketfft still mallocs two n-point complex scratch
-    buffers for the FFT, which tracemalloc does not see, so a transform
-    peaks at three n-point arrays."""
+    temporary. n is a power of two, so n * dx is exact. pocketfft still
+    mallocs two n-point scratch buffers, unseen by tracemalloc, so a
+    transform peaks at three n-point arrays. work is finite, so a result
+    that is not has overflowed: that raises DomainError, with no warning."""
     half = grid.n // 2
-    (np.fft.ifft if inverse else np.fft.fft)(work, out=work)
     scale = grid.n * grid.spacing if inverse else grid.spacing
-    for lo in range(0, half, TILE_ENTRIES):
-        hi = min(lo + TILE_ENTRIES, half)
-        tile = work[lo:hi] * scale
-        np.multiply(work[lo + half : hi + half], scale, out=work[lo:hi])
-        work[lo + half : hi + half] = tile
-    return SampledFunction(grid.dual(), work)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (np.fft.ifft if inverse else np.fft.fft)(work, out=work)
+        for lo in range(0, half, TILE_ENTRIES):
+            hi = min(lo + TILE_ENTRIES, half)
+            tile = work[lo:hi] * scale
+            np.multiply(work[lo + half : hi + half], scale, out=work[lo:hi])
+            work[lo + half : hi + half] = tile
+    try:
+        return SampledFunction(grid.dual(), work)
+    except ValidationError:
+        kind = "inverse Fourier" if inverse else "Fourier"
+        raise DomainError(f"the {kind} transform of {grid.n} points overflows") from None
 
 
 def _transform(f: SampledFunction, inverse: bool) -> SampledFunction:

@@ -258,6 +258,18 @@ def test_malformed_input_is_exit_2(argv, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_overflowing_transform_exits_2_without_numpy_warning(tmp_path, capsys):
+    # finite samples whose transform overflows in the band-limit check
+    f = SampledFunction(Grid(1, 512, 0.0625), np.full(512, 1e308, dtype=complex))
+    path = tmp_path / "in.csv"
+    path.write_text(sampled_to_csv(f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["apply", "--input", str(path), "--phase", "bilinear"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Fourier transform of 512 points overflows" in err
+
+
 @pytest.mark.parametrize("space", ["p=2,q=2,s=1e300", "p=1e300,q=2"])
 def test_overflowing_norm_makes_no_numpy_warning(space, capsys):
     # the weight or the power overflows; the norm is refused, not printed

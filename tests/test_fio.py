@@ -409,6 +409,66 @@ def test_pairing_matches_direct_across_blocks(key):
     assert paired == pytest.approx(direct, rel=1e-13, abs=0.0)
 
 
+# Phi(-x, -xi) = Phi(x, xi) fails for mu_x(u) = u^3, so every mirror row
+# of this phase takes the path of entries whose phases differ
+CUBIC_PHASE = PhaseSpec(
+    "cubic_x", GrowthParams(alpha=1.0),
+    mu_x_triple=(lambda u: u**3, lambda u: 3 * u**2, lambda u, t=0.0: 6 * u),
+    coupling=1.0,
+)
+PRODUCER_CASES = [
+    (make_phase(ph, **BLOCK_PHASES[ph]),
+     [make_symbol(sym, **BLOCK_SYMBOLS[sym]) for sym in BLOCK_SYMBOLS])
+    for ph in BLOCK_PHASES
+] + [(CUBIC_PHASE, [decaying_symbol(1.0, 0.5)])]
+
+
+@pytest.mark.parametrize("fft_order", [False, True], ids=["sorted", "fft"])
+@pytest.mark.parametrize("n", [256, 512, 2048])
+def test_phase_matrix_blocks_match_one_piece(n, fft_order):
+    # the blocks reuse mirror rows' exponentials, yet each must hold the
+    # bytes of sigma * e^(2 pi i Phi) formed in one piece; the kernel's
+    # FFT-ordered xi leaves column n/2 without a partner
+    grid = Grid(1, n, 32.0 / n)
+    x = grid.axis()
+    xi = grid.dual().axis()
+    if fft_order:
+        xi = np.fft.ifftshift(xi)
+    chunk = max(1, fio._ROW_CHUNK_ENTRIES // n)
+    X, XI = x[:, None], xi[None, :]
+    for phase, symbols in PRODUCER_CASES:
+        e = np.exp(2j * np.pi * phase.eval(X, XI))
+        for symbol in symbols:
+            # the blocks skip the constant symbol's sigma = 1, a product
+            # that would only flip the sign of zero imaginary parts
+            constant = symbol.s1 == 0.0 and symbol.s2 == 0.0
+            whole = e if constant else symbol.eval(X, XI) * e
+            starts = []
+            for rows, block in fio._phase_matrix_blocks(symbol, phase, x, xi):
+                assert rows.stop == min(rows.start + chunk, n)
+                assert block.tobytes() == whole[rows].tobytes(), (symbol.name, phase.name, rows)
+                starts.append(rows.start)
+            assert sorted(starts) == list(range(0, n, chunk))
+
+
+def test_pairing_sums_blocks_in_row_order():
+    # the blocks come middle outward, but the partials are summed in
+    # ascending row order, as over the blocks of one matrix formed whole
+    f, symbol, phase = _block_case((1024, "decaying", "mild_growth"))
+    x, fhat = f.grid.axis(), fourier_transform(f)
+    coeffs = fhat.samples * fhat.grid.cell_measure()
+    gbar = np.conj(f.samples) * f.grid.cell_measure()
+    whole = symbol.eval(x[:, None], fhat.grid.axis()[None, :]) * np.exp(
+        2j * np.pi * phase.eval(x[:, None], fhat.grid.axis()[None, :])
+    )
+    chunk = fio._ROW_CHUNK_ENTRIES // f.grid.n
+    total = 0.0 + 0.0j
+    for start in range(0, f.grid.n, chunk):
+        rows = slice(start, start + chunk)
+        total += gbar[rows] @ (whole[rows] @ coeffs)
+    assert weak_pairing(f, f, symbol, phase) == complex(total)
+
+
 MEMORY_CASES = {
     "direct": lambda f, sym, ph: apply_fio(f, sym, ph, force_direct=True),
     "pairing": lambda f, sym, ph: weak_pairing(f, f, sym, ph),

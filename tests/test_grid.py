@@ -1,6 +1,7 @@
 """Grids, exact transforms, runs, CSV round trips."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ def test_finite_check_holds_one_tile():
         SampledFunction(Grid(1, n, 1.0 / 64), samples)
     with pytest.raises(ValidationError, match="non-finite"):
         Runs(Grid(1, n, 1.0 / 64), [(n - TILE_ENTRIES - 8, samples[-TILE_ENTRIES - 8 :])])
+
+
+def test_overflowing_transform_is_a_domain_error():
+    # the samples are finite, so an FFT that overflows is the transform's
+    # fault, not theirs, and numpy's overflow warnings stay inside
+    f = SampledFunction(Grid(1, 512, 0.0625), np.full(512, 1e308, dtype=complex))
+    for transform, kind in ((fourier_transform, "the Fourier"),
+                            (inverse_fourier_transform, "the inverse Fourier")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=f"^{kind} transform of 512 points overflows"):
+                transform(f)
 
 
 def test_runs_densify_and_take():
