@@ -7,19 +7,30 @@ exponent is compared with the verdict of the corresponding predicate:
 tuples predicted unbounded should show clearly positive slopes, tuples
 predicted bounded should stay flat or decay.
 
-One probe family serves each operator regime: bump trains on the
-stretched lattice and their gradient-modulated twins for separated
-phases of sublinear growth (:func:`_sweep_thm1`), modulation stacks
-and growing boxes for the rank-one operators of phases without
-separation (:func:`_sweep_thm2`), and plain and pre-chirped local bumps
-for high growth (:func:`_sweep_thm3`).
+Three probe families are used, one per operator regime:
 
-Each regime's probe runner returns, per tuple, one series (family
-parameters, ratios, grids, window) for each of at least two probe
-families. :func:`threshold_sweep` fits every series and reports the
-largest slope, as operator norms dominate every probe; the first series
-reaching it is the dominant probe, whose ratios fill the tuple's report
-rows, and the regime's predicate gives the verdict.
+* separated phases of sublinear gradient growth: trains of unit bumps
+  on the stretched lattice witness the frequency-refinement condition,
+  and gradient-modulated trains (which the operator refocuses to a
+  common frequency) witness the reverse condition;
+* phases with no separation: the operator has rank one, so a stack of
+  integer modulations on a fixed grid probes the frequency threshold
+  while a fixed spectral bump on a growing sequence of boxes probes
+  the position threshold;
+* high growth: the operator restricted to a window near x = k is a
+  weighted chirp, so plain and pre-chirped local bumps measure both
+  sides of the |1/p - 1/2| threshold exactly.
+
+Each regime has its own probe runner, which holds the measurement and
+returns, per tuple, one series (family parameters, ratios, grids,
+window) for each of at least two probe families. One driver,
+:func:`threshold_sweep`, fits every series separately and reports the
+largest fitted slope, matching the fact that operator norms dominate
+every probe; the first series reaching it is the dominant probe, whose
+raw ratios fill the ratio column of the tuple's report rows, and the
+regime's predicate gives the verdict. The default panels keep
+bounded tuples far enough from each threshold for their partial sums
+to settle well inside the 0.1 band that separates the two verdicts.
 """
 
 from __future__ import annotations
@@ -108,29 +119,37 @@ def fast_modulation_norms(
     The short-time transform is evaluated on truncated window segments:
     the gaussian is cut where it falls to exp(-40) of its peak, and each
     segment of m points is zero padded to the next power of two at or
-    above m, whose frequency step resolves a width-sigma window's
-    transform. An explicit ``xi_step`` pads to the next power of two at
-    or above max(m, 1/(xi_step dx)) instead; one that would pad beyond
-    ``grid.MATRIX_BUDGET`` columns raises :class:`ResourceError`.
-    Window positions advance by ``x_step`` (default: a third of the
-    window width) where |f| exceeds 1e-8 times its peak. Only
-    magnitudes enter a norm, so the omitted global phase is irrelevant,
-    and dropping segments where f vanishes changes only round-off.
-    Downsampling positions makes this an estimate (against gaussians'
-    closed-form norms, suprema miss by up to 3% at the default step,
-    finite exponents by under 1e-5), whose bias mostly cancels in ratios.
+    above m. Its frequency step, 1/(segment length), resolves the
+    transform, which varies in frequency on the scale 1/sigma of a
+    width-sigma window. ``xi_step=None`` (the default) adds no further
+    padding; an explicit ``xi_step`` pads to the next power of two at or
+    above max(m, 1/(xi_step dx)), giving frequency steps of at most
+    ``xi_step``; a step that would pad beyond ``grid.MATRIX_BUDGET``
+    columns raises :class:`ResourceError`. Window positions advance by
+    ``x_step`` (default: a third of the window width) across the regions
+    where |f| exceeds 1e-8 times its peak. Only magnitudes of the
+    transform enter a norm, so the omitted global phase is irrelevant,
+    and dropping segments where f vanishes changes nothing but
+    round-off. Downsampling positions makes this an estimate: against
+    the closed-form norms of gaussians, suprema over position miss by up
+    to 3% at the default step, finite exponents by under 1e-5 (tested).
+    Ratios of norms taken with the same step cancel most of the bias,
+    which is what the sweeps consume; pass a smaller step to trade time
+    for absolute accuracy.
 
     f is a SampledFunction or a :class:`grid.Runs`, read through its
     runs, and both give the same bytes. Every spec is checked
-    (:func:`spaces.check_specs`) before f is read. The magnitudes come
-    from :func:`spaces.lattice_rows`, whose views are the segments'
-    sliding windows (:func:`grid.take`) at the position stride, whose
-    vector is the truncated window zero padded to the power of two, and
-    which scales them by dx; :func:`spaces.fold_norms` reduces them tile
-    by tile. The peak and the segments are found one tile of
+    (:func:`spaces.check_specs`) before f is read. The segments'
+    magnitudes come from :func:`spaces.lattice_rows`: its views are the
+    segments' sliding windows over the samples they cover
+    (:func:`grid.take`: a slice of one run, or a copy when they straddle
+    runs or the grid's seam) at the position stride, its vector is the
+    truncated window, zero padded in its buffer to the power of two, and
+    it scales the magnitudes by dx; :func:`spaces.fold_norms` reduces
+    them tile by tile. The peak and the segments are found one tile of
     ``grid.TILE_ENTRIES`` samples at a time. A window at least as wide
-    as the grid leaves no segments, so such a grid takes the exact
-    engine's lattice (:func:`spaces.stft_norms`).
+    as the grid leaves no segments to stride over, so such a grid, small
+    and cheap, takes the exact engine's lattice (:func:`spaces.stft_norms`).
     """
     specs = list(specs)
     if not specs:
@@ -212,9 +231,10 @@ VERDICT_UNBOUNDED = "predicted-unbounded"
 class ExperimentRow:
     """One measured point of a sweep: a tuple at one family parameter.
 
-    ``N`` is the dominant probe's family parameter (train length, box
-    scale or bump center), ``ratio`` the operator ratio there, and
-    ``exponent`` the family's fitted log-log slope, on each tuple row.
+    ``N`` is the family parameter of the dominant probe (train length,
+    box scale, or bump center depending on the sweep), ``ratio`` the
+    measured operator ratio there, and ``exponent`` the fitted log-log
+    slope over the whole family, repeated on each of the tuple's rows.
     """
 
     id: str
@@ -408,10 +428,12 @@ def thm1_default_tuples():
 
     Unbounded tuples keep their decisive slope at least 0.15 above
     zero, where the witness sums diverge and the fit is an honest
-    power. Bounded tuples sit far enough above the threshold for their
-    partial sums to settle within the family range, which no affordable
-    family does right at it. alpha = 1 is excluded since no threshold
-    remains there and the stretched lattice degenerates.
+    power. Bounded tuples whose witness sums converge are placed far
+    enough above the threshold that the partial sums settle within the
+    family range; right at the threshold the convergence is too slow
+    for any affordable family to certify, which is what the exclusion
+    band around thresholds acknowledges. alpha = 1 is excluded since
+    no threshold remains there and the stretched lattice degenerates.
     """
     panel = {
         0.0: [
@@ -479,10 +501,12 @@ def thm2_default_tuples():
     dominates the plain 1/p condition, so one growing-box probe covers
     both; at alpha = 1 it reduces to the 1/p condition itself.
 
-    Bounded-side margins are rate aware: a bounded probe ratio's
-    partial sums settle at a rate of margin times integrability
-    exponent, so each margin is sized for that rate to clear one, which
-    keeps bounded tuples' fitted exponents near zero; sup norms
+    Bounded-side margins are rate aware. A bounded probe ratio is a
+    convergent sum or integral whose partial pieces settle at the rate
+    set by margin times integrability exponent; a margin of 0.2 against
+    exponent 1 still drifts upward visibly over any affordable family
+    range. Each margin is sized so that rate clears one, which keeps
+    fitted exponents of bounded tuples near zero, while sup norms
     saturate exactly and need no extra room.
     """
     bases = [
@@ -670,15 +694,18 @@ def _run_steps(step, tasks, pooled):
     ``pooled`` and the platform, the CPU affinity and the calling process
     allow it: a daemonic process, such as a ``multiprocessing.Pool``
     worker, may not have children and runs the steps itself. All three
-    sweeps run their steps through it by way of :func:`_run_keyed`.
+    sweeps run their steps, each returning only scalars for the caller
+    to assemble, through it by way of :func:`_run_keyed`.
 
     Tasks are handed out in list order, so callers list the longest
-    first. A task's arguments are pickled, so each step builds its own
-    input from a few parameters and returns only scalars for the caller
-    to assemble. Workers are forked rather than spawned: a spawned worker
+    first. A task's arguments are pickled to reach a worker, so each
+    step builds its own input from a few parameters rather than being
+    sent samples. Workers are forked rather than spawned: a spawned worker
     re-imports the caller's main script, which would rerun any script
-    that sweeps without a ``__main__`` guard. No step calls a BLAS
-    routine, so each worker runs on one thread. Each worker starts with
+    that sweeps without a ``__main__`` guard. The process starts no
+    threads of its own, and no step calls a BLAS routine (the band-limit
+    check sums with numpy's own reductions), so no BLAS thread wakes
+    and each worker runs on one thread. Each worker starts with
     :func:`_keep_freed_memory`. A worker's exception reaches the caller
     unchanged, after the queued tasks are cancelled.
     """
@@ -713,11 +740,15 @@ def _run_steps(step, tasks, pooled):
 def _keep_freed_memory():
     """Allocate and free one untouched block just under 32 MiB.
 
-    Freeing a block above glibc malloc's mmap threshold raises that
-    threshold to the block's size, up to 32 MiB, so a worker keeps freed
-    buffers of up to about 31 MiB for its next step instead of having
-    them zero-filled again. The block is never written, so it costs no
-    page; other allocators ignore it.
+    glibc's malloc serves a block above its mmap threshold (128 KiB at
+    start) by a fresh mapping and unmaps it on free; freeing such a
+    block raises the threshold to the block's size, up to 32 MiB, and
+    the heap's trim threshold to twice that. After this call a worker
+    keeps its freed buffers of up to about 31 MiB in its heap for the
+    next step instead of returning them to the kernel, which would
+    zero-fill every page again on the next use. The block is never
+    written, so it costs no page. Under other allocators it does
+    nothing.
     """
     np.empty((1 << 25) - (1 << 20), dtype=np.uint8)
 
@@ -856,10 +887,12 @@ def _sweep_thm2(tuples, Ns):
     threshold; output norms on each probe scale exactly with the
     spectral pairing scalar, which saves recomputing the chirp norm.
 
-    Each :func:`_thm2_step` task, run by :func:`_run_keyed`, builds its
-    input and returns scalars: one per train length N (norms and pairing
-    scalars), one per alpha (the operator on the first train) and one
-    per (alpha, box scale R) (both); :func:`_thm2_ratios` assembles them.
+    Every :func:`_thm2_step` task, run by :func:`_run_keyed`, builds
+    the one input it measures and returns only scalars: one task per
+    train length N takes the train's norms and pairing scalars, one per
+    alpha applies the operator to the first train, and one per (alpha,
+    box scale R) does both on the box. :func:`_thm2_ratios` assembles
+    the ratios here.
     """
     train_grid = _thm2_train_grid()
     Rs = [2 * int(N) for N in Ns]
@@ -984,10 +1017,12 @@ def _sweep_thm3(tuples, Ns):
     <k + y>^(-s) exp(i tau(y)) with tau the second-order remainder of
     <x>^(2+t). A plain bump measures the chirp spray (positive side of
     1/p - 1/2), a pre-chirped bump the focusing direction; the larger
-    fitted slope equals t |1/p - 1/2| - s, the predicate margin (see
-    :func:`thm3_default_tuples` for the frequency-sided tuples). Each
-    (growth, k) step is one :func:`_thm3_step` task for its denominators
-    and one per s for its numerators, run by :func:`_run_keyed`.
+    fitted slope equals t |1/p - 1/2| - s, the predicate margin. The
+    frequency-sided tuples reduce to the same computation because the
+    plain modulation norms are exactly invariant under the discrete
+    Fourier transform. Each (growth, k) step is one :func:`_thm3_step`
+    task for its denominators and one per decay rate s for its
+    numerators, run by :func:`_run_keyed`; the ratios are taken here.
     """
     sides = {t: _thm3_side(t) for t in tuples}
     grids = {}

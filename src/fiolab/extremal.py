@@ -230,9 +230,12 @@ def build_modulated_train(
     psi(0) = 1 exactly, making f(0) = sum_k a_k an identity of the
     discrete model rather than an approximation.
 
-    The modulations are summed one tile of grid points at a time into
-    psi's own buffer, which becomes f, so the peak is the transform's
-    two n-point arrays, and the bytes are those of one whole-axis sum.
+    phi's samples are scaled in place and its axis is gone before the
+    transform; the modulations are summed one tile of grid points at a
+    time and multiplied into psi's own buffer, which becomes f. So the
+    peak is the transform's input and output, two n-point complex
+    arrays, and the sum in tiles has the bytes of a sum over the whole
+    axis.
     """
     if phi.radius >= 0.5:
         raise ValidationError(

@@ -225,14 +225,18 @@ def _phase_matrix_blocks(symbol, phase, x, xi):
     transform into K) before asking for the next.
 
     Phi, and sigma unless the symbol is constant, are evaluated at every
-    point. When x is symmetric (x[n - j] = -x[j]), the rows past n/2 take
-    the exponentials of their mirror rows wherever Phi matches bit for bit
-    (:func:`_mirror_rows`), as an even phase does at the mirrored xi, so
-    each block holds the bytes of one formed whole. First-half blocks go
-    from the middle outward, each followed by its mirror block.
+    point. Row n - j takes the exponentials of row j, reversed over the
+    columns past 0, wherever the two rows' Phi agree bit for bit, as an
+    even phase's do on a symmetric axis, and forms the rest
+    (:func:`_mirror_rows`), so each block holds the bytes of one formed
+    whole. First-half blocks go from the middle outward, each followed
+    by its mirror block.
     """
     n, cols = x.size, xi.size
     chunk = max(1, _ROW_CHUNK_ENTRIES // cols)
+    half = n // 2
+    # n is a power of two, so every mirror block is one of the blocks
+    assert n <= chunk or half % chunk == 0
     buf = np.empty((min(chunk, n), cols), dtype=complex)
     XI = xi[None, :]
     constant = symbol.s1 == 0.0 and symbol.s2 == 0.0
@@ -244,37 +248,31 @@ def _phase_matrix_blocks(symbol, phase, x, xi):
         # times sigma = 1 would only flip the sign of zero imaginary parts
         X = x[start : start + e.shape[0], None]
         block = buf[: X.size]
-        if not constant:
-            np.multiply(np.asarray(symbol.eval(X, XI), dtype=float), e, out=block)
-        elif e is not block:
+        if constant:
             block[...] = e
+        else:
+            np.multiply(np.asarray(symbol.eval(X, XI), dtype=float), e, out=block)
         return slice(start, start + X.size), block
 
-    half = n // 2
-    if n % 2 or (n > chunk and n % (2 * chunk)) or not np.array_equal(x[1:], -x[:0:-1]):
-        for start in range(0, n, chunk):
-            rows = min(chunk, n - start)
-            yield finish(start, _exp_2pi_i(phases(start, rows), buf[:rows]))
-    elif n <= chunk:
+    if n <= chunk:
         ph, e = phases(0, n), buf[:n]
         _exp_2pi_i(ph[: half + 1], e[: half + 1])
         _mirror_rows(e[half + 1 :], ph[half + 1 :], e[1:half], ph[1:half])
         yield finish(0, e)
-    else:
-        # rows s + 1 .. s + c mirror the block at n - s - c, so src holds
-        # a first-half block's exponentials and phases with, as row c,
-        # the first row of the block before it; row n/2 mirrors itself
-        src_e = np.empty((chunk + 1, cols), dtype=complex)
-        src_ph = np.empty((chunk + 1, cols))
-        src_ph[chunk] = phases(half, 1)[0]
-        _exp_2pi_i(src_ph[chunk], src_e[chunk])
-        for start in range(half - chunk, -1, -chunk):
-            src_ph[:chunk] = phases(start, chunk)
-            yield finish(start, _exp_2pi_i(src_ph[:chunk], src_e[:chunk]))
-            ph = phases(n - start - chunk, chunk)
-            _mirror_rows(buf, ph, src_e[1:], src_ph[1:])
-            yield finish(n - start - chunk, buf)
-            src_e[chunk], src_ph[chunk] = src_e[0], src_ph[0]
+        return
+    # rows s + 1 .. s + c mirror the block at n - s - c, so src holds a
+    # first-half block's exponentials and phases with, as row c, the
+    # first row of the block before it; row n/2 mirrors itself
+    src_e = np.empty((chunk + 1, cols), dtype=complex)
+    src_ph = np.empty((chunk + 1, cols))
+    src_ph[chunk] = phases(half, 1)[0]
+    _exp_2pi_i(src_ph[chunk], src_e[chunk])
+    for start in range(half - chunk, -1, -chunk):
+        src_ph[:chunk] = phases(start, chunk)
+        yield finish(start, _exp_2pi_i(src_ph[:chunk], src_e[:chunk]))
+        _mirror_rows(buf, phases(n - start - chunk, chunk), src_e[1:], src_ph[1:])
+        yield finish(n - start - chunk, buf)
+        src_e[chunk], src_ph[chunk] = src_e[0], src_ph[0]
 
 
 def _exp_2pi_i(ph, out=None):
@@ -333,20 +331,23 @@ def apply_fio_family(
 
     f is a :class:`grid.SampledFunction` or a :class:`grid.Runs`. At
     coupling 1 without mu_xi, F^-1[sigma2 fhat] is a Fourier multiplier,
-    which commutes with translation: when f's exact support (|f| > 0)
-    fits in :func:`_patches`, each patch of f's runs is transformed,
-    checked and weighed on its own, and ``reduce`` is handed a
-    :class:`grid.Runs` of the patches, else a SampledFunction.
+    which commutes with translation. When f's exact support (|f| > 0)
+    fits in patches inside the grid that cover at most half of it (see
+    :func:`_patches`), each patch is taken from f's runs, transformed,
+    checked and weighed on its own, and ``reduce`` is handed the output
+    as a :class:`grid.Runs` of the patches; otherwise f is transformed
+    whole and ``reduce`` is handed a SampledFunction.
 
     Every pass runs tile by tile, so besides pocketfft's scratch (see
-    :func:`grid.transform_in_place`) these n-point (or per-patch) arrays
-    are alive: fhat until the last s2 begins, whose profile F^-1[...] is
-    weighed in fhat's own buffer; e^(2 pi i mu_x), stored for a family
-    of two or more symbols whose phase has mu_x; a profile while its s2
-    lasts; and an output, which the last symbol of an s2 writes into
-    that profile. Each output is dropped before the next is made, and
-    what no later symbol reads before ``reduce`` runs. So one symbol
-    holds one such array, and two of distinct s2 hold three at most.
+    :func:`grid.transform_in_place`) these arrays are alive, each one
+    n-point or one per patch: fhat until the last s2 begins, whose
+    profile F^-1[...] is weighed in fhat's own buffer; e^(2 pi i mu_x),
+    stored only for a family of two or more symbols whose phase has
+    mu_x; a profile while its s2 lasts; and an output, which the last
+    symbol of an s2 writes into that profile. Each output is dropped
+    before the next one is made, and what no later symbol reads is
+    dropped before ``reduce`` runs. So a one-symbol family holds one
+    such array, and two symbols of distinct s2 hold three at most.
     """
     if f.dim != 1:
         raise StructuralError("operators act on one-dimensional samples")
@@ -448,22 +449,23 @@ def _profile(fhat, symbol, phase, in_place):
     The spectrum is weighed tile by tile, at coupling 1 straight into
     FFT order (the halves swapped), so the inverse transform runs in the
     buffer it was weighed into. With ``in_place`` that buffer is fhat's
-    own, which is spent.
+    own, which is spent. Weights of a growing symbol may overflow with
+    no numpy warning; the transform then raises DomainError.
     """
     dual = fhat.grid
     c = fhat.samples
     half = dual.n // 2
     weighted = c if in_place else np.empty(dual.n, dtype=complex)
-    for (low, xi_low), (high, xi_high) in zip(
-        axis_tiles(dual, 0, half), axis_tiles(dual, half)
-    ):
-        # both tiles are weighed before either is written: in place,
-        # the swap writes each over the other
-        a = _weigh(c[low], xi_low, symbol, phase)
-        b = _weigh(c[high], xi_high, symbol, phase)
-        if phase.coupling == 1.0:
-            a, b = b, a
-        weighted[low], weighted[high] = a, b
+    tiles = zip(axis_tiles(dual, 0, half), axis_tiles(dual, half))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (low, xi_low), (high, xi_high) in tiles:
+            # both tiles are weighed before either is written: in place,
+            # the swap writes each over the other
+            a = _weigh(c[low], xi_low, symbol, phase)
+            b = _weigh(c[high], xi_high, symbol, phase)
+            if phase.coupling == 1.0:
+                a, b = b, a
+            weighted[low], weighted[high] = a, b
     if phase.coupling == 1.0:
         return transform_in_place(dual, weighted, inverse=True).samples
     return weighted.sum() * dual.cell_measure()
@@ -502,8 +504,9 @@ def kernel(symbol: SymbolSpec, phase: PhaseSpec, grid: Grid) -> np.ndarray:
     check_matrix_budget(grid.n, "kernel")
     x = grid.axis()
     dual = grid.dual()
-    # blocks with xi in FFT order are transformed in place; n is even,
-    # so scaling each half into K's other half is the fftshift
+    # the blocks are built with xi in FFT order and transformed in
+    # place; n is even, so scaling each half into the other half of K
+    # is the fftshift
     xi = np.fft.ifftshift(dual.axis())
     half = grid.n // 2
     K = np.empty((grid.n, grid.n), dtype=complex)

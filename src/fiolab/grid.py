@@ -277,10 +277,11 @@ def transform_in_place(grid: Grid, work: np.ndarray, inverse: bool):
     holds in FFT order (n is even, so that order swaps the halves of the
     grid order), computed in work's own buffer: an FFT in place, then
     the scaling on the swap back to grid order, through one tile-sized
-    temporary. n is a power of two, so n * dx is exact. pocketfft still
-    mallocs two n-point scratch buffers, unseen by tracemalloc, so a
-    transform peaks at three n-point arrays. work is finite, so a result
-    that is not has overflowed: that raises DomainError, with no warning."""
+    temporary. n is a power of two, so n * dx is exact. In place is not
+    free: numpy's pocketfft still mallocs two n-point complex scratch
+    buffers for the FFT, which tracemalloc does not see, so a transform
+    peaks at three n-point arrays. A result that is not finite, as when
+    the FFT overflows, raises DomainError with no numpy warning."""
     half = grid.n // 2
     scale = grid.n * grid.spacing if inverse else grid.spacing
     with np.errstate(over="ignore", invalid="ignore"):
@@ -293,8 +294,8 @@ def transform_in_place(grid: Grid, work: np.ndarray, inverse: bool):
     try:
         return SampledFunction(grid.dual(), work)
     except ValidationError:
-        kind = "inverse Fourier" if inverse else "Fourier"
-        raise DomainError(f"the {kind} transform of {grid.n} points overflows") from None
+        kind = "the inverse Fourier" if inverse else "the Fourier"
+        raise DomainError(f"{kind} transform of {grid.n} points is not finite") from None
 
 
 def _transform(f: SampledFunction, inverse: bool) -> SampledFunction:

@@ -8,8 +8,8 @@ producer of its tiles of magnitudes. The two norm engines differ only
 in the lattice they pass and in where they scale by dx: the exact
 engine (:func:`stft_norms`) passes every grid shift with the full
 window and scales the spectra, the fast engine
-(``experiments.fast_modulation_norms``) strided shifts over f's
-support with a truncated window and scales the magnitudes.
+(``experiments.fast_modulation_norms``) strided shifts over the support
+of f with a truncated window and scales the magnitudes.
 
 Exponents live in [1, inf]; infinity is handled exactly (sup over the
 axis, no measure factor), never by a large-p surrogate.
@@ -170,13 +170,17 @@ def fold_norms(rows, x, xi, dx, dxi, specs) -> list:
     whatever the column order, so a producer that keeps FFT order gives
     the same bytes as one that shifts every row.
 
-    Position sums add rows in order within blocks of about
-    ``_CHUNK_ENTRIES`` entries, whose column sums join the norm's
-    accumulator; a spare row ahead of each tile carries the block's sums
-    so far, so the bytes are those of whole blocks whatever the tile
-    size. The last weighting is built in the tile and the last reader of
-    each weighting takes its power in place; every other one has a
-    tile-sized buffer, so a single-spec fold holds one tile.
+    Position sums add rows one after another within blocks of about
+    ``_CHUNK_ENTRIES`` entries, and each block's column sums join the
+    norm's accumulator. Every tile-sized buffer has a spare row ahead of
+    the tile, which takes the block's sums so far before the buffer is
+    reduced, so the sums, and the bytes, are those of whole blocks
+    whatever the tile size. The tile is overwritten once no later spec
+    reads the plain magnitudes: the last weighting to be built is built
+    in it, and the last reader of each weighting takes its power in
+    place. Every other weighting or power is formed in a tile-sized
+    buffer of its own, so a single-spec fold holds one tile whatever its
+    weight and exponents.
 
     Overflow makes no numpy warning: a norm that is not finite raises
     :class:`DomainError`.

@@ -117,9 +117,10 @@ def stft_rows(f: SampledFunction, g: SampledFunction, rows: slice) -> np.ndarray
 
     Row ``j`` of ``rows`` is the shift to the grid point ``(j - n/2) * dx``;
     column ``k`` is the frequency ``np.fft.ifftshift(xi)[k]`` of the dual
-    grid, so ``fftshift`` over axis 1 gives grid order: ``ifftshift(f)``
-    times the rows of :func:`window_shifts`, multiplied straight into
-    the output and transformed there.
+    grid, so ``fftshift`` over axis 1 gives grid order. This is the block
+    producer behind :func:`stft`: ``ifftshift(f)`` times the rows of
+    :func:`window_shifts`, multiplied straight into the output, which is
+    then transformed in place.
     """
     if f.grid != g.grid or f.dim != 1:
         raise StructuralError("stft needs two 1D functions on a common grid")

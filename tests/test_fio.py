@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,18 @@ def test_make_symbol():
         make_symbol("decaying", s1=1.0, s2="abc")
     with pytest.raises(DomainError):
         decaying_symbol(float("inf"), 0.0)
+
+
+def test_growing_symbol_overflow_is_a_domain_error():
+    # <xi>^400 overflows while the spectrum is weighed, before any FFT
+    # runs; the profile's transform is then not finite, and no numpy
+    # warning leaks
+    grid = Grid(1, 512, 0.0625)
+    f = SampledFunction(grid, np.exp(-grid.axis() ** 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="inverse Fourier transform of 512 points is not finite"):
+            apply_fio(f, decaying_symbol(0.0, -400.0), bilinear())
 
 
 def test_bandlimit_leakage_and_gate(small):
