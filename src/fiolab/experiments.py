@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, ValidationError
+from .errors import DomainError, ValidationError
 from .extremal import (
     Bump,
     CoefficientSeq,
@@ -52,7 +52,6 @@ from .extremal import (
 )
 from .fio import apply_fio_family, decaying_symbol
 from .grid import (
-    MATRIX_BUDGET,
     Grid,
     Runs,
     SampledFunction,
@@ -108,34 +107,31 @@ INF = float("inf")
 # ---------------------------------------------------------------------------
 # fast windowed norms
 
-def fast_modulation_norms(
-    f: SampledFunction,
-    specs,
-    xi_step: float | None = None,
-    x_step: float = 0.0,
-):
+# each window segment is folded to 1/_FOLD of its padded power of two
+_FOLD = 2
+
+
+def fast_modulation_norms(f: SampledFunction, specs, x_step: float = 0.0):
     """Modulation norms of f for several spaces sharing one window.
 
     The short-time transform is evaluated on truncated window segments:
     the gaussian is cut where it falls to exp(-40) of its peak, and each
-    segment of m points is zero padded to the next power of two at or
-    above m. Its frequency step, 1/(segment length), resolves the
-    transform, which varies in frequency on the scale 1/sigma of a
-    width-sigma window. ``xi_step=None`` (the default) adds no further
-    padding; an explicit ``xi_step`` pads to the next power of two at or
-    above max(m, 1/(xi_step dx)), giving frequency steps of at most
-    ``xi_step``; a step that would pad beyond ``grid.MATRIX_BUDGET``
-    columns raises :class:`ResourceError`. Window positions advance by
+    segment of m points is folded, summed modulo L = m2 / 2 for the
+    power of two m2 at or above m, before its length-L FFT. That is the
+    long-window step of the discrete Gabor transform: the L bins are
+    exactly every second bin of the segment zero padded to m2, so the
+    frequency step 1/(L dx) lies between about 1/(7 sigma) and
+    1/(3.5 sigma) for a width-sigma window. Window positions advance by
     ``x_step`` (default: a third of the window width) across the regions
     where |f| exceeds 1e-8 times its peak. Only magnitudes of the
     transform enter a norm, so the omitted global phase is irrelevant,
     and dropping segments where f vanishes changes nothing but
-    round-off. Downsampling positions makes this an estimate: against
-    the closed-form norms of gaussians, suprema over position miss by up
-    to 3% at the default step, finite exponents by under 1e-5 (tested).
-    Ratios of norms taken with the same step cancel most of the bias,
-    which is what the sweeps consume; pass a smaller step to trade time
-    for absolute accuracy.
+    round-off. The coarse lattice makes this an estimate: against the
+    closed-form norms of gaussians about as wide as the window, finite
+    exponents miss by under 1e-5 and the suprema over the lattice (p or
+    q = inf) by under 6e-2 at any modulation (tested). Ratios of norms
+    taken with the same lattice cancel most of the bias, which is what
+    the sweeps consume.
 
     f is a SampledFunction or a :class:`grid.Runs`, read through its
     runs, and both give the same bytes. Every spec is checked
@@ -144,9 +140,9 @@ def fast_modulation_norms(
     segments' sliding windows over the samples they cover
     (:func:`grid.take`: a slice of one run, or a copy when they straddle
     runs or the grid's seam) at the position stride, its vector is the
-    truncated window, zero padded in its buffer to the power of two, and
-    it scales the magnitudes by dx; :func:`spaces.fold_norms` reduces
-    them tile by tile. The peak and the segments are found one tile of
+    truncated window, its L columns fold them, and it scales the
+    magnitudes by dx; :func:`spaces.fold_norms` reduces them tile by
+    tile. The peak and the segments are found one tile of
     ``grid.TILE_ENTRIES`` samples at a time. A window at least as wide
     as the grid leaves no segments to stride over, so such a grid, small
     and cheap, takes the exact engine's lattice (:func:`spaces.stft_norms`).
@@ -157,8 +153,6 @@ def fast_modulation_norms(
     window = check_specs(specs)
     if f.dim != 1:
         raise ValidationError("fast norms handle one-dimensional samples")
-    if xi_step is not None and not 0.0 < xi_step < INF:
-        raise ValidationError(f"xi_step must be positive and finite, got {xi_step}")
     if not 0.0 <= x_step < INF:
         raise ValidationError(
             f"x_step must be positive and finite, or 0 for the default, got {x_step}"
@@ -168,14 +162,7 @@ def fast_modulation_norms(
     n, dx = grid.n, grid.spacing
     w_half = sigma * math.sqrt(40.0 / math.pi)
     m = 2 * int(math.ceil(w_half / dx)) + 1
-    cols = m if xi_step is None else max(m, 1.0 / (xi_step * dx))
-    # m2 exceeds the budget exactly when cols does, and cols may be inf
-    if cols > MATRIX_BUDGET:
-        raise ResourceError(
-            f"xi_step {xi_step:g} pads each window to more than "
-            f"{MATRIX_BUDGET} frequency columns"
-        )
-    m2 = 1 << int(math.ceil(math.log2(cols)))
+    L = (1 << int(math.ceil(math.log2(m)))) // _FOLD
     peak = max((float(np.abs(tile).max()) for _, tile in run_tiles(f.runs)), default=0.0)
     if peak == 0.0:
         return [0.0] * len(specs)
@@ -196,10 +183,10 @@ def fast_modulation_norms(
         segments.append(seg)
         windows.append(np.lib.stride_tricks.sliding_window_view(span, m)[::stride])
     x = (np.concatenate(segments) - n // 2) * dx
-    xi = (np.arange(m2) - m2 // 2) / (m2 * dx)
+    xi = (np.arange(L) - L // 2) / (L * dx)
     gw = window_at(window, (np.arange(m) - m // 2) * dx)
     rows = lattice_rows(windows, gw, magnitude_scale=dx)
-    return fold_norms(rows, x, np.fft.ifftshift(xi), stride * dx, 1.0 / (m2 * dx), specs)
+    return fold_norms(rows, x, np.fft.ifftshift(xi), stride * dx, 1.0 / (L * dx), specs)
 
 
 # ---------------------------------------------------------------------------
@@ -908,6 +895,8 @@ def _sweep_thm2(tuples, Ns):
         ]
         for a in alphas
     }
+    # a box is read only at its alpha's pairs
+    pqs = {a: sorted({(t.p, t.q) for t in members[a]}) for a in alphas}
     # the first input's scalar at s2 = 0 is every ratio's reference
     s2s = {a: sorted({0.0} | {t.s2 for t in members[a]}) for a in alphas}
     s2_all = sorted({0.0} | {t.s2 for t in tuples})
@@ -932,7 +921,7 @@ def _sweep_thm2(tuples, Ns):
         (
             ("box", a, R),
             grid,
-            (grid, 1, _THM2_BOX_WINDOW, pq_all, s2s[a], a, s1_pqs[a]),
+            (grid, 1, _THM2_BOX_WINDOW, pqs[a], s2s[a], a, s1_pqs[a]),
         )
         for (a, R), grid in box_grids.items()
     ]

@@ -378,35 +378,39 @@ def apply_fio_family(
     profiles = None
     for k, i in enumerate(order):
         symbol = symbols[i]
-        if profiles is None:
-            # the last s2 is the profiles' last use of the spectra
-            spent = symbols[order[-1]].s2 == symbol.s2
-            profiles = [_profile(fhat, symbol, phase, in_place=spent) for fhat in spectra]
-            if spent:
-                spectra = None
         last_reader = k + 1 == len(order) or symbols[order[k + 1]].s2 != symbol.s2
-        # at coupling 0 the profile is a scalar
-        field = isinstance(profiles[0], np.ndarray)
-        if last_reader and field:
-            outs = profiles
-        else:
-            outs = [np.empty(hi - lo, dtype=complex) for lo, hi in patches]
-        for (lo, hi), profile, front, out in zip(patches, profiles, fronts, outs):
-            for sl, x in axis_tiles(grid, lo, hi):
-                local = slice(sl.start - lo, sl.stop - lo)
-                tile = symbol.sigma1(x)
-                if front is not None:
-                    tile = tile * front[local]
-                elif chirped:
-                    tile = tile * _exp_2pi_i(phase.mu_x(x))
-                np.multiply(tile, profile[local] if field else profile, out=out[local])
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if profiles is None:
+                    # the last s2 is the profiles' last use of the spectra
+                    spent = symbols[order[-1]].s2 == symbol.s2
+                    profiles = [_profile(fhat, symbol, phase, spent) for fhat in spectra]
+                    if spent:
+                        spectra = None
+                # at coupling 0 the profile is a scalar
+                field = isinstance(profiles[0], np.ndarray)
+                if last_reader and field:
+                    outs = profiles
+                else:
+                    outs = [np.empty(hi - lo, dtype=complex) for lo, hi in patches]
+                for (lo, hi), profile, front, out in zip(patches, profiles, fronts, outs):
+                    for sl, x in axis_tiles(grid, lo, hi):
+                        local = slice(sl.start - lo, sl.stop - lo)
+                        tile = symbol.sigma1(x)
+                        if front is not None:
+                            tile = tile * front[local]
+                        elif chirped:
+                            tile = tile * _exp_2pi_i(phase.mu_x(x))
+                        np.multiply(tile, profile[local] if field else profile, out=out[local])
+            runs = [(lo, out) for (lo, _), out in zip(patches, outs)]
+            g = SampledFunction(grid, outs[0]) if whole else Runs(grid, runs)
+        except (DomainError, ValidationError):
+            raise _not_finite(symbol) from None
         # what no later symbol reads goes before reduce runs
         if last_reader:
             profiles = None
         if k + 1 == len(order):
             fronts = None
-        runs = [(lo, out) for (lo, _), out in zip(patches, outs)]
-        g = SampledFunction(grid, outs[0]) if whole else Runs(grid, runs)
         del outs, runs
         results[i] = reduce(symbol, g)
         del g
@@ -471,6 +475,18 @@ def _profile(fhat, symbol, phase, in_place):
     return weighted.sum() * dual.cell_measure()
 
 
+def _not_finite(symbol) -> DomainError:
+    name = symbol.describe()
+    return DomainError(f"operator with symbol {name} is not finite on this input")
+
+
+def _finite(symbol, values):
+    """values, if each is finite; else the DomainError naming the symbol."""
+    if not np.isfinite(values).all():
+        raise _not_finite(symbol)
+    return values
+
+
 def _weigh(c, xi, symbol, phase):
     """sigma2(xi) e^(2 pi i mu_xi(xi)) c, as a new array."""
     if phase.mu_xi_triple is ZERO_PART:
@@ -486,9 +502,10 @@ def _apply_transformed(grid, fhat, symbol, phase):
     ``grid`` whose transform is fhat."""
     out = np.empty(grid.n, dtype=complex)
     coeffs = fhat.samples * fhat.grid.cell_measure()
-    for rows, block in _phase_matrix_blocks(symbol, phase, grid.axis(), fhat.grid.axis()):
-        out[rows] = block @ coeffs
-    return SampledFunction(grid, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, block in _phase_matrix_blocks(symbol, phase, grid.axis(), fhat.grid.axis()):
+            out[rows] = block @ coeffs
+    return SampledFunction(grid, _finite(symbol, out))
 
 
 def kernel(symbol: SymbolSpec, phase: PhaseSpec, grid: Grid) -> np.ndarray:
@@ -510,10 +527,11 @@ def kernel(symbol: SymbolSpec, phase: PhaseSpec, grid: Grid) -> np.ndarray:
     xi = np.fft.ifftshift(dual.axis())
     half = grid.n // 2
     K = np.empty((grid.n, grid.n), dtype=complex)
-    for rows, block in _phase_matrix_blocks(symbol, phase, x, xi):
-        np.fft.fft(block, axis=1, out=block)
-        np.multiply(block[:, half:], dual.spacing, out=K[rows, :half])
-        np.multiply(block[:, :half], dual.spacing, out=K[rows, half:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, block in _phase_matrix_blocks(symbol, phase, x, xi):
+            _finite(symbol, np.fft.fft(block, axis=1, out=block).view(float))
+            np.multiply(block[:, half:], dual.spacing, out=K[rows, :half])
+            np.multiply(block[:, :half], dual.spacing, out=K[rows, half:])
     return K
 
 
@@ -548,8 +566,9 @@ def weak_pairing(
     x = f.grid.axis()
     coeffs = fhat.samples * fhat.grid.cell_measure()
     gbar = np.conj(g.samples) * f.grid.cell_measure()
-    partials = sorted(
-        (rows.start, gbar[rows] @ (block @ coeffs))
-        for rows, block in _phase_matrix_blocks(symbol, phase, x, xi)
-    )
-    return complex(sum((p for _, p in partials), 0.0 + 0.0j))
+    with np.errstate(over="ignore", invalid="ignore"):
+        partials = sorted(
+            (rows.start, gbar[rows] @ (block @ coeffs))
+            for rows, block in _phase_matrix_blocks(symbol, phase, x, xi)
+        )
+        return _finite(symbol, complex(sum((p for _, p in partials), 0.0 + 0.0j)))

@@ -44,10 +44,6 @@ MATRIX_BUDGET = 2**26
 TILE_ENTRIES = 1 << 16
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform symmetric grid in ``dim`` variables, same n/spacing per axis."""
@@ -59,7 +55,7 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise DomainError(f"grid dim must be 1 or 2, got {self.dim}")
-        if not _is_pow2(self.n):
+        if not (self.n >= 2 and (self.n & (self.n - 1)) == 0):
             raise DomainError(f"grid n must be a power of two >= 2, got {self.n}")
         if not (np.isfinite(self.spacing) and self.spacing > 0):
             raise DomainError(f"grid spacing must be positive, got {self.spacing}")
@@ -191,14 +187,10 @@ class SampledFunction2D(SampledFunction):
         super().__init__(grid, samples)
 
 
-def _same_grid(a: SampledFunction, b: SampledFunction):
-    if a.grid != b.grid:
-        raise StructuralError(f"grids differ: {a.grid} vs {b.grid}")
-
-
 def inner(f: SampledFunction, g: SampledFunction) -> complex:
     """<f, g> = sum f conj(g) * cell measure."""
-    _same_grid(f, g)
+    if f.grid != g.grid:
+        raise StructuralError(f"grids differ: {f.grid} vs {g.grid}")
     return complex(np.vdot(g.samples, f.samples) * f.grid.cell_measure())
 
 

@@ -95,13 +95,6 @@ class SpaceSpec:
     window: str = DEFAULT_WINDOW
 
 
-def _reduce(vals, p, meas, axis=None):
-    """(sum |.|^p * meas)^(1/p) over ``axis``; the maximum at p = inf."""
-    if p == INF:
-        return vals.max(axis=axis)
-    return ((vals**p).sum(axis=axis) * meas) ** (1.0 / p)
-
-
 def check_specs(specs) -> str:
     """The one window of ``specs``, once each p and q is checked to lie
     in [1, inf]; both norm engines call this before they read f."""
@@ -119,13 +112,18 @@ def lattice_rows(views, vector, spectra_scale=None, magnitude_scale=None):
 
     ``views`` hold the lattice's rows one block after another, each a
     strided view whose rows are windowed stretches of samples. The rows
-    of a tile are multiplied by ``vector`` into one complex buffer of the
-    tile's size, reused for every tile and zero past column
-    ``vector.size``, which an FFT transforms in place; its magnitudes
-    fill ``out`` with the columns in FFT order. ``spectra_scale``
-    multiplies the spectra, ``magnitude_scale`` the magnitudes: the two
-    round differently, and each engine's bytes are pinned with its own.
-    The FFT works row by row, so the tile size moves no byte.
+    of a tile are multiplied by ``vector`` into one complex buffer as
+    wide as ``out``, L columns, reused for every tile, which an FFT
+    transforms in place; its magnitudes fill ``out`` with the columns in
+    FFT order. For L at or above ``vector.size`` the buffer is zero past
+    that column. For a smaller, even L each row's product is summed
+    modulo L, its columns past L formed L/2 at a time in ``out`` (which
+    is C-contiguous and not yet written) and added in order, so the
+    length-L DFT is exactly every k-th bin of the row's DFT zero padded
+    to kL. ``spectra_scale`` multiplies the spectra, ``magnitude_scale``
+    the magnitudes: the two round differently, and each engine's bytes
+    are pinned with its own. The fold and the FFT work row by row, so
+    the tile size moves no byte.
     """
     firsts = np.cumsum([0] + [len(view) for view in views])
     m = vector.size
@@ -136,16 +134,20 @@ def lattice_rows(views, vector, spectra_scale=None, magnitude_scale=None):
         if len(buf) < len(out):
             buf = np.empty(out.shape, dtype=complex)
         tile = buf[: len(out)]
+        L = out.shape[1]
+        head = min(m, L)
         # the last tile's FFT left its spectra in the padding columns
-        tile[:, m:] = 0.0
+        tile[:, head:] = 0.0
         for first, last, view in zip(firsts, firsts[1:], views):
             r0, r1 = max(first, sl.start), min(last, sl.stop)
             if r0 < r1:
-                np.multiply(
-                    view[r0 - first : r1 - first],
-                    vector,
-                    out=tile[r0 - sl.start : r1 - sl.start, :m],
-                )
+                segs = view[r0 - first : r1 - first]
+                dest = tile[r0 - sl.start : r1 - sl.start]
+                np.multiply(segs[:, :head], vector[:head], out=dest[:, :head])
+                for c in range(L, m, L // 2):
+                    part = out.view(complex)[r0 - sl.start : r1 - sl.start, : m - c]
+                    np.multiply(segs[:, c : c + L // 2], vector[c : c + L // 2], out=part)
+                    dest[:, c % L : c % L + part.shape[1]] += part
         np.fft.fft(tile, axis=1, out=tile)
         if spectra_scale is not None:
             tile *= spectra_scale
@@ -258,7 +260,8 @@ def fold_norms(rows, x, xi, dx, dxi, specs) -> list:
         norms = []
         for (p, q), acc in zip(pqs, accs):
             inner = acc[order] if p == INF else (acc[order] * dx) ** (1.0 / p)
-            norms.append(float(_reduce(inner, q, dxi)))
+            outer = inner.max() if q == INF else ((inner**q).sum() * dxi) ** (1.0 / q)
+            norms.append(float(outer))
     for spec, norm in zip(specs, norms):
         if not np.isfinite(norm):
             w = spec.weight

@@ -95,17 +95,13 @@ class TFMatrix:
         return f"<TFMatrix {self.values.shape}>"
 
 
-def _check_window(g: SampledFunction):
-    if not np.any(g.samples):
-        raise ValidationError("window is identically zero")
-
-
 def window_shifts(g: SampledFunction) -> np.ndarray:
     """Read-only (n, n) view whose row ``j`` times ``ifftshift(f)`` is
     the integrand of the STFT row at the shift ``(j - n/2) * dx``, in FFT
     order: conj(g) rotated, as rows of one sliding window over the
     doubled samples, so no rotated copy is made."""
-    _check_window(g)
+    if not np.any(g.samples):
+        raise ValidationError("window is identically zero")
     n = g.grid.n
     gbar = np.conj(g.samples)
     # row r of the sliding view is conj(g) rotated left by r; shift j needs r = n - j

@@ -180,6 +180,13 @@ NEGATIVE_N_ROW = ",".join(
 @example((["norm", "--signal", "mtrain:count=1e300", "--space", "p=2"], []))
 @example(
     (
+        ["apply", "--signal", "gauss", "--phase", "nonseparated_x:alpha=0.5"]
+        + ["--symbol", "decaying:s1=0,s2=-400", "--direct", "--out", "@/out.csv"],
+        [],
+    )
+)
+@example(
+    (
         ["sweep", "--theorem", "thm3", "--ns", "1,2", "--max-tuples", "1"]
         + ["--seed", "-1", "--out", "@/rows.csv"],
         [],

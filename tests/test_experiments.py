@@ -17,7 +17,6 @@ from fiolab import (
     ExperimentRow,
     Grid,
     INF,
-    ResourceError,
     SampledFunction,
     SpaceSpec,
     SweepTuple,
@@ -39,7 +38,7 @@ from fiolab import (
     thm3_predicate,
 )
 from fiolab import cli, experiments, fio, grid as grid_module, spaces
-from fiolab.grid import MATRIX_BUDGET, TILE_ENTRIES, Runs, take
+from fiolab.grid import TILE_ENTRIES, Runs, take
 from fiolab.phase import bilinear
 from fiolab.experiments import (
     VERDICT_BOUNDED,
@@ -74,7 +73,7 @@ def test_fast_norms_track_exact_norms():
     ]
     exact = [modulation_norm(f, s) for s in specs]
     coarse = fast_modulation_norms(f, specs)
-    fine = fast_modulation_norms(f, specs, xi_step=0.05, x_step=0.1)
+    fine = fast_modulation_norms(f, specs, x_step=0.1)
     for c, fn, e in zip(coarse, fine, exact):
         assert c == pytest.approx(e, rel=3e-2)
         assert fn == pytest.approx(e, rel=5e-3)
@@ -197,10 +196,10 @@ def test_thm1_step_holds_no_whole_grid_array(modulated):
 @pytest.mark.parametrize("modulated", [False, True], ids=["F", "conjG"])
 @pytest.mark.parametrize("N", [4, 8])
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
-def test_fast_norms_own_length_padding_tracks_fine_steps(alpha, N, modulated):
-    # segments padded only to their own power of two against the 0.2
-    # frequency step the engine used to pad to, on the thm1 sweep
-    # inputs; the largest relative gap measured was 4.3e-3
+def test_fast_norms_fold_tracks_own_length_padding(monkeypatch, alpha, N, modulated):
+    # segments folded to half their power of two against the same
+    # segments padded to it, with twice the frequency step, on the thm1
+    # sweep inputs; the largest relative gap measured was 5.6e-3
     grid = experiments._thm1_grid(alpha, N)
     f = experiments._thm1_input(grid, alpha, N, modulated)
     specs = [
@@ -208,9 +207,10 @@ def test_fast_norms_own_length_padding_tracks_fine_steps(alpha, N, modulated):
         for p in (1.0, 2.0, INF)
         for q in (1.0, 2.0, INF)
     ]
+    folded = fast_modulation_norms(f, specs)
+    monkeypatch.setattr(experiments, "_FOLD", 1)
     own = fast_modulation_norms(f, specs)
-    stepped = fast_modulation_norms(f, specs, xi_step=0.2)
-    assert own == pytest.approx(stepped, rel=1e-2)
+    assert folded == pytest.approx(own, rel=1e-2)
 
 
 def test_fast_norms_memory_stays_within_three_blocks():
@@ -255,27 +255,28 @@ def test_fast_norms_hold_a_few_tiles():
 
 
 # fast_modulation_norms at p in {1, 4/3, 2, inf}, q = 2, window gauss:0.5,
-# as float.hex, recorded when each window segment was still gathered
-# through an index array taken mod n; the sliding-window producer must
-# reproduce them bit for bit, the wrap branch included
+# as float.hex, recorded when each window segment was first folded to
+# half its padded length, which moved them by at most 3.3e-4 (the p = inf
+# of "inside"); the producer must reproduce them bit for bit, the wrap
+# branch included
 FAST_NORM_PINS = {
     "inside": [
-        "0x1.340c0a876873ap+0",
-        "0x1.09ede88a4de54p+0",
-        "0x1.e15b71310570cp-1",
-        "0x1.0b260174be33ep+0",
+        "0x1.340cceeb35615p+0",
+        "0x1.09edf094697e3p+0",
+        "0x1.e15b7131057ccp-1",
+        "0x1.0b3c594263319p+0",
     ],
     "separated": [
-        "0x1.38654028cfe88p+0",
-        "0x1.079fe50349effp+0",
-        "0x1.d3af5de65687fp-1",
-        "0x1.f6c1f73eaddccp-1",
+        "0x1.38654028d0c6ap+0",
+        "0x1.079fe4eeb8202p+0",
+        "0x1.d3af5de657582p-1",
+        "0x1.f6c1f9fa6b7f6p-1",
     ],
     "seam": [
-        "0x1.4007f91b4321bp+4",
-        "0x1.0fb56064e4adap+3",
-        "0x1.e15b70fb99d9ap+1",
-        "0x1.ffea86027c6f7p-1",
+        "0x1.4007f91b9da10p+4",
+        "0x1.0fb56064f4dcdp+3",
+        "0x1.e15b70fbb299cp+1",
+        "0x1.ffea860296b3fp-1",
     ],
 }
 
@@ -342,10 +343,6 @@ def test_scan_tile_size_moves_no_fast_byte(monkeypatch, entries):
 @pytest.mark.parametrize(
     "steps",
     [
-        dict(xi_step=0.0),
-        dict(xi_step=-1.0),
-        dict(xi_step=float("nan")),
-        dict(xi_step=INF),
         dict(x_step=-1.0),
         dict(x_step=float("nan")),
         dict(x_step=INF),
@@ -362,18 +359,6 @@ def test_fast_norms_reject_bad_steps(steps):
     # zero still means the default position step
     default = fast_modulation_norms(f, specs)
     assert fast_modulation_norms(f, specs, x_step=0.0) == default
-
-
-def test_fast_norms_refuse_an_impossible_xi_step():
-    # the padded width is checked before anything is allocated, both
-    # where it overflows to inf and where it is merely too large
-    grid = Grid(1, 512, 0.0625)
-    x = grid.axis()
-    f = SampledFunction(grid, np.exp(-np.pi * x * x))
-    specs = [SpaceSpec(2.0, 2.0, Weight(), "gauss")]
-    for xi_step in (1e-300, 0.5 / (MATRIX_BUDGET * grid.spacing)):
-        with pytest.raises(ResourceError, match="xi_step"):
-            fast_modulation_norms(f, specs, xi_step=xi_step)
 
 
 @pytest.mark.parametrize("p, q", [(0.5, 2.0), (2.0, 0.0), (float("nan"), 2.0)])
@@ -534,14 +519,15 @@ def test_threshold_sweep_rows_and_determinism():
 
 
 # one thm1 tuple per stratum; serial, pooled and daemonic sweeps must
-# all write the rows of this digest, recorded when the operator first
-# ran on bump patches (exponents moved by at most 6.7e-16)
+# all write the rows of this digest, recorded when fast-norm segments
+# were first folded to half their padded length (exponents moved by at
+# most 5.2e-3)
 THM1_SMALL = [
     SweepTuple(INF, 1, 0.5, 0, alpha=0),
     SweepTuple(INF, 1, 0.25, 0, alpha=0.5),
     SweepTuple(1, INF, 0, 0.8, alpha=0.5),
 ]
-THM1_SMALL_SHA256 = "b89caf47683a50edc9b9fe1965cd9e94b7dea92547ebfc468498c38d1f72c5b9"
+THM1_SMALL_SHA256 = "2efdfe5d2c81586d9d0a60365c33bfec879647259df5e9cd0b7dcf1b4bc36dc9"
 
 
 @pytest.mark.parametrize("pool_points", [1 << 40, 1])
@@ -553,12 +539,12 @@ def test_thm1_sweep_bytes_serial_and_pooled(monkeypatch, pool_points):
     assert multiprocessing.active_children() == []
 
 
-# thm3's digest predates the shared fold of the exact and fast norm
-# engines; thm2's was recorded when fast-norm segments were first
-# padded only to their own power of two
+# both digests were recorded when fast-norm segments were first folded
+# to half their padded length, which moved the exponents by at most
+# 1.1e-3 (thm2) and 1.3e-2 (thm3, whose slopes are fitted on two points)
 SWEEP_SHA256 = {
-    "thm2": "b461c272c5000cbdcb7021fa454cf9a6bcf98f56ef325f7ace506b9c2957ed63",
-    "thm3": "96fbc3506c1104bb48978b2254cb59eb57adfe2c83e2894778eccd8f5aabbfaf",
+    "thm2": "abf863250e5630790cfe99e8b9e18f665923a97e85256ff3aaad88661234c7c0",
+    "thm3": "d6b64074b90130b4554c4fe540f882d472a37f3fa22575ab780f90ccb5fcc97d",
 }
 SWEEP_ARGS = {
     "thm2": dict(Ns=(8, 16), max_tuples=10, seed=3),
@@ -671,13 +657,14 @@ def test_thm1_thm2_slopes_fall_on_the_predicted_side(default_sweeps, theorem, i)
         assert row.exponent >= 0.1
 
 
-# the default panels' CSV bytes, read off the sweeps the gates above run;
-# thm1's was recorded when the operator first ran on bump patches, which
-# moved its exponents by at most 2.8e-16 and its ratios by 1.0e-15
+# the default panels' CSV bytes, read off the sweeps the gates above run,
+# recorded when fast-norm segments were first folded to half their
+# padded length; that moved the exponents by at most 4.8e-3 (thm1),
+# 7.0e-4 (thm2) and 8.3e-4 (thm3), each on a tuple with p or q = inf
 DEFAULT_SWEEP_SHA256 = {
-    "thm1": "b716ed05c8f492546b77c3950e9956db0636afce2fff30ad42878d47452833f4",
-    "thm2": "41033d6a423a3abcfb76149ddc518fa5f6addbe0aa565cbb9829ac050861b439",
-    "thm3": "cd4f2e989cb694ca862e55236847b2a94f4ee5aa5a3f20a2c0da00fcea23971a",
+    "thm1": "02064ee306235b1f53e58b22c73eed6607d393d1ac09f11be3da239f5b92c61c",
+    "thm2": "a78ad74eacf6734a01548cc2b6c369a95b0dea638691a4bc8d7fe200c5980f77",
+    "thm3": "33d7850893ca3d4c1046940c267c16e35fd807f97e41da42fffd54991866760a",
 }
 
 

@@ -83,14 +83,39 @@ def test_make_symbol():
 
 def test_growing_symbol_overflow_is_a_domain_error():
     # <xi>^400 overflows while the spectrum is weighed, before any FFT
-    # runs; the profile's transform is then not finite, and no numpy
-    # warning leaks
+    # runs; the profile's transform is then not finite, the error names
+    # the symbol, and no numpy warning leaks
     grid = Grid(1, 512, 0.0625)
     f = SampledFunction(grid, np.exp(-grid.axis() ** 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DomainError, match="inverse Fourier transform of 512 points is not finite"):
+        with pytest.raises(DomainError, match=r"symbol decaying\[s1=0,s2=-400\] is not finite"):
             apply_fio(f, decaying_symbol(0.0, -400.0), bilinear())
+
+
+@pytest.mark.parametrize("kind", ["mild_growth", "nonseparated_x"])
+def test_growing_symbol_fails_alike_on_every_realization(kind, tmp_path):
+    # <xi>^400 overflows in the direct quadrature, the kernel and the
+    # pairing as in the fast path, at coupling 1 and 0: one error class,
+    # the symbol named, no numpy warning, and the CLI exits 2
+    grid = Grid(1, 512, 0.0625)
+    f = SampledFunction(grid, np.exp(-grid.axis() ** 2))
+    symbol, phase = decaying_symbol(0.0, -400.0), make_phase(kind, alpha=0.5)
+    runs = {
+        "fast": lambda: apply_fio(f, symbol, phase),
+        "direct": lambda: apply_fio(f, symbol, phase, force_direct=True),
+        "kernel": lambda: kernel(symbol, phase, grid),
+        "pairing": lambda: weak_pairing(f, f, symbol, phase),
+    }
+    for run in runs.values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"symbol decaying\[s1=0,s2=-400\]"):
+                run()
+    argv = ["apply", "--signal", "gauss", "--phase", f"{kind}:alpha=0.5", "--symbol"]
+    argv += ["decaying:s1=0,s2=-400", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    assert main(argv + ["--direct"]) == 2
 
 
 def test_bandlimit_leakage_and_gate(small):
