@@ -15,6 +15,7 @@ resource budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -83,9 +84,7 @@ def _parse_space(text: str, window: str) -> SpaceSpec:
     for item in text.split(","):
         key, eq, val = item.partition("=")
         if not eq or key.strip() not in ("p", "q", "s", "t"):
-            raise ValidationError(
-                f"space spec takes p=..,q=..,s=..,t=.., got {item!r}"
-            )
+            raise ValidationError(f"space spec takes p=..,q=..,s=..,t=.., got {item!r}")
         params[key.strip()] = _number(val.strip(), f"space parameter {key.strip()}")
     if "p" not in params:
         raise ValidationError("space spec needs at least p=...")
@@ -96,10 +95,8 @@ def _parse_space(text: str, window: str) -> SpaceSpec:
 
 
 def _space_label(spec: SpaceSpec) -> str:
-    return (
-        f"M[p={spec.p:g} q={spec.q:g} "
-        f"s={spec.weight.s:g} t={spec.weight.t:g}]"
-    )
+    w = spec.weight
+    return f"M[p={spec.p:g} q={spec.q:g} s={w.s:g} t={w.t:g}]"
 
 
 def _build_signal(spec_text: str, grid: Grid) -> SampledFunction:
@@ -120,9 +117,7 @@ def _build_signal(spec_text: str, grid: Grid) -> SampledFunction:
         freq = pop("freq", 0.0)
         _reject_extras(kind, params)
         x = grid.axis()
-        samples = mollifier(x - center, radius) * np.exp(
-            2j * np.pi * freq * x
-        )
+        samples = mollifier(x - center, radius) * np.exp(2j * np.pi * freq * x)
         return SampledFunction(grid, samples)
     if kind == "train":
         alpha = pop("alpha", 0.0)
@@ -162,9 +157,7 @@ def _train_length(count: int, grid: Grid) -> int:
 
 def _reject_extras(kind: str, params: dict):
     if params:
-        raise ValidationError(
-            f"unknown parameters for {kind}: {sorted(params)}"
-        )
+        raise ValidationError(f"unknown parameters for {kind}: {sorted(params)}")
 
 
 def _load_input(args) -> SampledFunction:
@@ -266,7 +259,9 @@ def _add_input_args(sp):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="fiolab",
         description="Time-frequency norms and oscillatory integral "
@@ -350,10 +345,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FiolabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FiolabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

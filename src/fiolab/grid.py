@@ -17,6 +17,7 @@ Conventions, used everywhere downstream:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +56,12 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise DomainError(f"grid dim must be 1 or 2, got {self.dim}")
-        if not (self.n >= 2 and (self.n & (self.n - 1)) == 0):
-            raise DomainError(f"grid n must be a power of two >= 2, got {self.n}")
-        if not (np.isfinite(self.spacing) and self.spacing > 0):
-            raise DomainError(f"grid spacing must be positive, got {self.spacing}")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 2
+                and (self.n & (self.n - 1)) == 0):
+            raise DomainError(f"grid n must be a power of two >= 2, got {self.n!r}")
+        if not (isinstance(self.spacing, numbers.Real)
+                and np.isfinite(self.spacing) and self.spacing > 0):
+            raise DomainError(f"grid spacing must be a positive number, got {self.spacing!r}")
 
     @property
     def half_length(self) -> float:
@@ -320,19 +323,24 @@ def inverse_fourier_transform(f: SampledFunction) -> SampledFunction:
 # ---------------------------------------------------------------------------
 # CSV serialization (binary-free interchange format)
 
-_FMT = "{:.17g}"
-
 
 def table_to_csv(header: dict, columns: str, values: np.ndarray) -> str:
     """A '# key=value' header line, a column line, then one
-    ``indices,re,im`` row per entry of ``values`` in C order."""
-    lines = ["# " + " ".join(f"{k}={_FMT.format(v)}" for k, v in header.items())]
-    lines.append(columns)
-    for idx in np.ndindex(values.shape):
-        v = values[idx]
-        head = ",".join(str(i) for i in idx)
-        lines.append(f"{head},{_FMT.format(v.real)},{_FMT.format(v.imag)}")
-    return "\n".join(lines) + "\n"
+    ``indices,re,im`` row per entry of ``values`` in C order. Numbers are
+    written ``%.17g``, the bytes of ``'{:.17g}'.format`` for every double
+    (nan, +-inf and -0 too), so they read back bit for bit. The rows are
+    formatted one ``TILE_ENTRIES`` tile at a time, through one ``%``
+    template per tile applied to a flat tuple of the tile's fields."""
+    parts = ["# " + " ".join(f"{k}={v:.17g}" for k, v in header.items()), columns]
+    width, row = values.ndim + 2, "%d," * values.ndim + "%.17g,%.17g"
+    for lo in range(0, values.size, TILE_ENTRIES):
+        tile = values.flat[lo : lo + TILE_ENTRIES]
+        fields = [None] * (width * tile.size)
+        at = np.unravel_index(np.arange(lo, lo + tile.size), values.shape)
+        for k, column in enumerate(at + (tile.real, tile.imag)):
+            fields[k::width] = column.tolist()
+        parts.append("\n".join([row] * tile.size) % tuple(fields))
+    return "\n".join(parts) + "\n"
 
 
 def table_from_csv(text: str, keys: dict, shape) -> tuple:

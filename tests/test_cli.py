@@ -18,7 +18,7 @@ from fiolab import (
     sampled_to_csv,
 )
 from fiolab import spaces
-from fiolab.cli import main, parse_kv_spec
+from fiolab.cli import build_parser, main, parse_kv_spec
 
 
 def test_parse_kv_spec():
@@ -189,6 +189,29 @@ def test_sweep_bad_steps_is_exit_2(tmp_path):
 def test_report_missing_file_is_exit_2(capsys):
     code = main(["report", "--input", "/nonexistent/rows.csv"])
     assert code == 2
+
+
+def test_repeated_calls_share_no_parser_state(capsys):
+    # main reuses one parser per process; what one call parses, appends
+    # or fails on must not reach the next
+    assert build_parser() is build_parser()
+    norm = ["norm", "--signal", "gauss", "--grid-n", "64", "--space", "p=2"]
+    assert main(norm + ["--space", "p=1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert main(norm) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    good = ["apply", "--signal", "gauss:sigma=2", "--grid-n", "256",
+            "--phase", "bilinear"]
+    assert main(good) == 0
+    first = capsys.readouterr().out
+    bad = ["apply", "--signal", "gauss", "--symbol", "decaying:s1=1,s2=0", "--direct",
+           "--phase", "mild_growth:alpha=0.5", "--grid-n", "abc"]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(good) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_missing_required_flag_exits_via_parser():

@@ -22,7 +22,9 @@ from fiolab import (
     sampled_to_csv,
 )
 
+from fiolab import grid as grid_module
 from fiolab.grid import TILE_ENTRIES, take
+from fiolab.tf import TFMatrix, tf_to_csv
 
 
 def test_grid_validation():
@@ -32,6 +34,15 @@ def test_grid_validation():
         Grid(1, 100, 0.1)
     with pytest.raises(DomainError):
         Grid(1, 64, -0.1)
+
+
+def test_grid_rejects_non_integral_or_non_numeric_sizes():
+    for n, spacing in ((4.0, 0.1), ("4", 0.1), (4, "0.1"), (None, 0.1), (4, None)):
+        with pytest.raises(DomainError):
+            Grid(1, n, spacing)
+    # numpy integers are integers: callers pass differences and powers of two
+    assert Grid(1, np.int64(12) - np.int64(4), 0.1) == Grid(1, 8, 0.1)
+    assert Grid(1, np.int32(4), np.float64(0.5)).shape() == (4,)
 
 
 def test_axis_is_symmetric_and_covers_half_open_box():
@@ -183,3 +194,51 @@ def test_sampled_csv_header_within_budget(dim, n):
     text = f"# dim={dim} n={n} spacing=0.5\ni0,re,im\n0,1,0\n"
     with pytest.raises(ResourceError, match="budget"):
         sampled_from_csv(text)
+
+
+def _reference_csv(header, columns, values):
+    """The writer's bytes, one entry at a time through '{:.17g}'.format."""
+    fmt = "{:.17g}"
+    lines = ["# " + " ".join(f"{k}={fmt.format(v)}" for k, v in header.items()), columns]
+    for idx in np.ndindex(values.shape):
+        v = values[idx]
+        head = ",".join(str(i) for i in idx)
+        lines.append(f"{head},{fmt.format(v.real)},{fmt.format(v.imag)}")
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                -1.7976931348623157e308, 0.1, 1 / 3, -2.5, 1e16, 123456789.0]
+
+
+@pytest.mark.parametrize("tile", [TILE_ENTRIES, 64])
+def test_csv_writer_matches_the_per_entry_format(tile, monkeypatch):
+    # rows are formatted one tile at a time; in tiles of 64 every table
+    # below spans several, and the 16 x 128 table's tiles end mid-row
+    monkeypatch.setattr(grid_module, "TILE_ENTRIES", tile)
+    rng = np.random.default_rng(5)
+    edge = np.array(_EDGE_VALUES)
+    for g in (Grid(1, 256, 0.125), Grid(2, 16, 0.5)):
+        scale = 10.0 ** rng.integers(-300, 300, g.shape())
+        samples = rng.standard_normal(g.shape()) * scale + 1j * rng.standard_normal(g.shape())
+        flat = samples.reshape(-1)
+        flat[: edge.size] = edge + 1j * edge[::-1]
+        f = (SampledFunction2D if g.dim == 2 else SampledFunction)(g, samples)
+        text = sampled_to_csv(f)
+        header = {"dim": g.dim, "n": g.n, "spacing": g.spacing}
+        columns = ",".join(f"i{k}" for k in range(g.dim)) + ",re,im"
+        assert text == _reference_csv(header, columns, f.samples)
+        back = sampled_from_csv(text)
+        assert back.grid == g
+        assert back.samples.tobytes() == f.samples.tobytes()
+    # non-finite entries are written as the reference writes them
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1e308])
+    values = np.empty((16, 128), dtype=complex)
+    values.real = np.resize(special, values.shape)
+    values.imag = np.resize(special[::-1], values.shape)
+    m = TFMatrix(Grid(1, 16, 0.5), Grid(1, 128, 0.125), values)
+    header = {"nx": 16, "dx": 0.5, "nxi": 128, "dxi": 0.125}
+    text = tf_to_csv(m)
+    assert text == _reference_csv(header, "x_index,xi_index,re,im", m.values)
+    for row in ("0,0,nan,-1e+308", "0,2,-inf,4.9406564584124654e-324", "0,3,-0,-0"):
+        assert f"\n{row}\n" in text
