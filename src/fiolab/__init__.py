@@ -35,7 +35,6 @@ from .extremal import (
     annulus_profile,
     build_F,
     bump_train,
-    build_G,
     build_modulated_train,
     chirp_modulate,
     decay_grid,
@@ -62,7 +61,6 @@ from .grid import (
     Grid,
     Runs,
     SampledFunction,
-    SampledFunction2D,
     bracket,
     fourier_transform,
     inner,

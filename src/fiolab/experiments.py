@@ -151,8 +151,6 @@ def fast_modulation_norms(f: SampledFunction, specs, x_step: float = 0.0):
     if not specs:
         raise ValidationError("need at least one space")
     window = check_specs(specs)
-    if f.dim != 1:
-        raise ValidationError("fast norms handle one-dimensional samples")
     if not 0.0 <= x_step < INF:
         raise ValidationError(
             f"x_step must be positive and finite, or 0 for the default, got {x_step}"
@@ -398,7 +396,8 @@ def emit_report(rows, csv_path, svg_path=None):
 
 @dataclass(frozen=True)
 class SweepTuple:
-    """One boundedness question: exponents, decay rates, growth rates."""
+    """One boundedness question: exponents, decay rates, growth rates,
+    and the dimension d, which the one-dimensional probes fix at 1."""
 
     p: float
     q: float
@@ -1096,6 +1095,8 @@ def threshold_sweep(
         raise ValidationError("need at least one tuple to sweep")
     if len(set(tuples)) != len(tuples):
         raise ValidationError("sweep tuples must be distinct")
+    if any(t.d != 1 for t in tuples):
+        raise ValidationError("sweep tuples need d = 1: the probes are one-dimensional")
     steps = tuple(
         _whole(v, "family steps must be whole numbers")
         for v in (Ns if Ns is not None else default_steps)

@@ -34,7 +34,6 @@ __all__ = [
     "annulus_profile",
     "bump_train",
     "build_F",
-    "build_G",
     "build_modulated_train",
     "chirp_modulate",
     "dispersive_sup",
@@ -205,16 +204,6 @@ def build_F(
 ) -> SampledFunction:
     """The :func:`bump_train` F on the whole grid."""
     return bump_train(a, alpha, grid, h).densify()
-
-
-def build_G(
-    a: CoefficientSeq,
-    alpha: float,
-    grid: Grid,
-    h: Optional[Bump] = None,
-) -> SampledFunction:
-    """The modulated :func:`bump_train` G on the whole grid."""
-    return bump_train(a, alpha, grid, h, modulated=True).densify()
 
 
 def build_modulated_train(

@@ -146,8 +146,6 @@ def _spectrum(f: SampledFunction):
     """(fhat, (head, tail)): f's transform, whose entries with |xi| >
     Nyquist/2 are the head ``[:head]`` and the tail ``[tail:]`` of the
     sorted frequency axis, so their energy needs no mask, copy or axis."""
-    if f.dim != 1:
-        raise StructuralError("band-limit checks apply to one-dimensional samples")
     fhat = fourier_transform(f)
     nyquist = 1.0 / (2.0 * f.grid.spacing)
     return fhat, _band_edges(fhat.grid, nyquist / 2.0)
@@ -309,8 +307,6 @@ def apply_fio(
     """
     if not force_direct:
         return apply_fio_family(f, [symbol], phase, lambda s, g: g.densify())[0]
-    if f.dim != 1:
-        raise StructuralError("operators act on one-dimensional samples")
     return _apply_transformed(f.grid, _checked_transforms([f.densify()])[0], symbol, phase)
 
 
@@ -349,8 +345,6 @@ def apply_fio_family(
     dropped before ``reduce`` runs. So a one-symbol family holds one
     such array, and two symbols of distinct s2 hold three at most.
     """
-    if f.dim != 1:
-        raise StructuralError("operators act on one-dimensional samples")
     grid = f.grid
     patches = _patches(f, phase)
     whole = patches is None
@@ -516,8 +510,6 @@ def kernel(symbol: SymbolSpec, phase: PhaseSpec, grid: Grid) -> np.ndarray:
     exp(-2 pi i xi_m y_l) d xi. Like ``stft``, it raises
     :class:`ResourceError` when the n x n matrix exceeds the budget.
     """
-    if grid.dim != 1:
-        raise StructuralError("kernels are built over one-dimensional grids")
     check_matrix_budget(grid.n, "kernel")
     x = grid.axis()
     dual = grid.dual()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import DomainError, ResourceError, StructuralError, ValidationError
 __all__ = [
     "Grid",
     "SampledFunction",
-    "SampledFunction2D",
     "Runs",
     "bracket",
     "fourier_transform",
@@ -47,15 +46,16 @@ TILE_ENTRIES = 1 << 16
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform symmetric grid in ``dim`` variables, same n/spacing per axis."""
+    """Uniform symmetric grid of one variable; ``dim`` is always 1."""
 
     dim: int
     n: int
     spacing: float
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise DomainError(f"grid dim must be 1 or 2, got {self.dim}")
+        if not (isinstance(self.dim, numbers.Integral) and not isinstance(self.dim, bool)
+                and self.dim == 1):
+            raise DomainError(f"grid dim must be the integer 1, got {self.dim!r}")
         if not (isinstance(self.n, numbers.Integral) and self.n >= 2
                 and (self.n & (self.n - 1)) == 0):
             raise DomainError(f"grid n must be a power of two >= 2, got {self.n!r}")
@@ -65,11 +65,11 @@ class Grid:
 
     @property
     def half_length(self) -> float:
-        """L such that each axis covers [-L, L)."""
+        """L such that the grid covers [-L, L)."""
         return self.n * self.spacing / 2.0
 
     def axis(self) -> np.ndarray:
-        """The 1D point set shared by every axis."""
+        """The grid's points."""
         return np.arange(-(self.n // 2), self.n // 2) * self.spacing
 
     def dual(self) -> "Grid":
@@ -77,10 +77,10 @@ class Grid:
         return Grid(self.dim, self.n, 1.0 / (self.n * self.spacing))
 
     def shape(self) -> tuple:
-        return (self.n,) * self.dim
+        return (self.n,)
 
     def cell_measure(self) -> float:
-        return self.spacing**self.dim
+        return self.spacing
 
     def describe(self) -> str:
         return f"d={self.dim} n={self.n} L={self.half_length:g}"
@@ -89,8 +89,8 @@ class Grid:
 class SampledFunction:
     """Complex samples of a function on a :class:`Grid`.
 
-    ``samples`` has shape ``(n,)*dim``, indexed so that ``samples[j]`` is
-    the value at ``(j - n/2)*spacing`` along each axis.
+    ``samples`` has shape ``(n,)``, indexed so that ``samples[j]`` is
+    the value at ``(j - n/2)*spacing``.
     """
 
     def __init__(self, grid: Grid, samples: np.ndarray):
@@ -102,10 +102,6 @@ class SampledFunction:
         _check_finite(samples)
         self.grid = grid
         self.samples = samples
-
-    @property
-    def dim(self) -> int:
-        return self.grid.dim
 
     @property
     def runs(self) -> tuple:
@@ -124,10 +120,6 @@ class SampledFunction:
             np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.cell_measure())
         )
 
-    def value_at_zero(self) -> complex:
-        idx = (self.grid.n // 2,) * self.dim
-        return complex(self.samples[idx])
-
     def __repr__(self):
         return f"<SampledFunction {self.grid.describe()}>"
 
@@ -137,14 +129,12 @@ class Runs:
     disjoint (offset, samples) pairs inside the grid. A SampledFunction
     is the one run (0, samples), so code reading ``f.runs`` takes both."""
 
-    dim = 1
-
     def __init__(self, grid: Grid, runs):
         self.grid = grid
         self.runs = tuple((int(lo), np.asarray(s, dtype=complex)) for lo, s in runs)
         end = 0
         for lo, s in self.runs:
-            if grid.dim != 1 or s.ndim != 1 or lo < end or lo + s.size > grid.n:
+            if s.ndim != 1 or lo < end or lo + s.size > grid.n:
                 raise StructuralError(f"runs must be ordered, disjoint and on {grid}")
             _check_finite(s)
             end = lo + s.size
@@ -181,15 +171,6 @@ def take(f, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-class SampledFunction2D(SampledFunction):
-    """A sampled function of two variables (a time-frequency plane function)."""
-
-    def __init__(self, grid: Grid, samples: np.ndarray):
-        if grid.dim != 2:
-            raise StructuralError("SampledFunction2D requires a dim-2 grid")
-        super().__init__(grid, samples)
-
-
 def inner(f: SampledFunction, g: SampledFunction) -> complex:
     """<f, g> = sum f conj(g) * cell measure."""
     if f.grid != g.grid:
@@ -214,11 +195,11 @@ def check_matrix_budget(n: int, what: str):
         )
 
 
-def shifted_fft(samples: np.ndarray, axes=None) -> np.ndarray:
-    """DFT in grid order over ``axes`` (default all): exact exp(-2pi i x xi)
-    sums on symmetric grids."""
-    work = np.fft.fftn(np.fft.ifftshift(samples, axes=axes), axes=axes)
-    return np.fft.fftshift(work, axes=axes)
+def shifted_fft(samples: np.ndarray) -> np.ndarray:
+    """DFT in grid order over the last axis: exact exp(-2pi i x xi) sums
+    on symmetric grids."""
+    work = np.fft.fft(np.fft.ifftshift(samples, axes=-1))
+    return np.fft.fftshift(work, axes=-1)
 
 
 def axis_tiles(grid: Grid, start: int = 0, stop=None):
@@ -296,8 +277,6 @@ def transform_in_place(grid: Grid, work: np.ndarray, inverse: bool):
 def _transform(f: SampledFunction, inverse: bool) -> SampledFunction:
     """The DFT of f in grid order, scaled to the Riemann sum: one copy
     into FFT order and :func:`transform_in_place` on it."""
-    if f.dim != 1:
-        raise StructuralError("Fourier transforms act on one-dimensional samples")
     half = f.grid.n // 2
     work = np.empty(f.grid.n, dtype=complex)
     work[:half] = f.samples[half:]
@@ -340,7 +319,8 @@ def table_to_csv(header: dict, columns: str, values: np.ndarray) -> str:
         for k, column in enumerate(at + (tile.real, tile.imag)):
             fields[k::width] = column.tolist()
         parts.append("\n".join([row] * tile.size) % tuple(fields))
-    return "\n".join(parts) + "\n"
+    parts.append("")  # the final newline, with no copy of the joined text
+    return "\n".join(parts)
 
 
 def table_from_csv(text: str, keys: dict, shape) -> tuple:
@@ -386,14 +366,11 @@ def table_from_csv(text: str, keys: dict, shape) -> tuple:
 
 
 def sampled_to_csv(f: SampledFunction) -> str:
-    header = {"dim": f.dim, "n": f.grid.n, "spacing": f.grid.spacing}
-    columns = ",".join(f"i{k}" for k in range(f.dim)) + ",re,im"
-    return table_to_csv(header, columns, f.samples)
+    header = {"dim": 1, "n": f.grid.n, "spacing": f.grid.spacing}
+    return table_to_csv(header, "i0,re,im", f.samples)
 
 
 def sampled_from_csv(text: str) -> SampledFunction:
     keys = {"dim": int, "n": int, "spacing": float}
     header, samples = table_from_csv(text, keys, lambda h: Grid(**h).shape())
-    grid = Grid(**header)
-    cls = SampledFunction2D if grid.dim == 2 else SampledFunction
-    return cls(grid, samples)
+    return SampledFunction(Grid(**header), samples)

@@ -436,7 +436,7 @@ def second_derivative_bounds(
 
     def weighted_sup(rows):
         """Largest weighted 1-D local spectrum of eta times each row."""
-        spec = shifted_fft(rows * eta, axes=(-1,)) * h
+        spec = shifted_fft(rows * eta) * h
         return float((np.abs(spec) * weight).max())
 
     e = weighted_sup(np.ones(m))

@@ -281,8 +281,6 @@ def stft_norms(f: SampledFunction, specs) -> list:
     vector is ``ifftshift(f)``, folded by :func:`fold_norms` with the
     spectra scaled by dx before their magnitudes are taken.
     """
-    if f.dim != 1:
-        raise StructuralError("streamed norms are defined for 1D functions")
     specs = list(specs)
     if not specs:
         return []
@@ -313,17 +311,16 @@ def sequence_norm(values, indices, p: float, s: float = 0.0) -> float:
     return float((a ** float(p)).sum() ** (1.0 / float(p)))
 
 
-def embedding_holds(q1, s1, q2, s2, d: int = 1) -> bool:
+def embedding_holds(q1, s1, q2, s2) -> bool:
     """Whether l^{q1} with weight <k>^{s1} embeds into l^{q2} with <k>^{s2}.
 
-    Holds iff s1 - s2 >= d * max(1/q2 - 1/q1, 0), strictly when the
-    max is positive.
+    Holds iff s1 - s2 >= max(1/q2 - 1/q1, 0), strictly when the max is
+    positive.
     """
     r1, r2 = _rec(q1, "q1"), _rec(q2, "q2")
-    _check_dim(d)
     gap = r2 - r1
     if gap > 0:
-        return s1 - s2 > d * gap
+        return s1 - s2 > gap
     return s1 - s2 >= 0.0
 
 
@@ -340,7 +337,6 @@ def embedding_witness(
     s1,
     q2,
     s2,
-    d: int = 1,
     section: int = 64,
     threshold: float = 10.0,
 ) -> EmbeddingReport:
@@ -358,8 +354,6 @@ def embedding_witness(
     as good as the section.
     """
     r1, r2 = _rec(q1, "q1"), _rec(q2, "q2")
-    if d != 1:
-        raise DomainError("witness search is implemented for d = 1")
     ks = np.arange(-section, section + 1)
     m = bracket(ks) ** (s2 - s1)
     gap = r2 - r1
@@ -388,75 +382,66 @@ def _check_alpha(alpha: float):
         raise DomainError(f"phase growth index must lie in [0, 1], got {alpha}")
 
 
-def _check_dim(d: int):
-    if d < 1 or d != int(d):
-        raise DomainError(f"dimension must be a positive integer, got {d}")
-
-
-def thm1_predicate(p, q, s1, s2, alpha, d: int = 1) -> bool:
+def thm1_predicate(p, q, s1, s2, alpha) -> bool:
     """Boundedness test for separated phases of sublinear gradient growth.
 
     With symbol decay indices (s1, s2), the operator is bounded exactly
     when both are nonnegative and the decay compensates the exponent
-    mismatch: s1 > d (1 - alpha) (1/q - 1/p) when frequency is summed
-    harder than position, s1 + (1 - alpha) s2 > d (1 - alpha) (1/p - 1/q)
+    mismatch: s1 > (1 - alpha) (1/q - 1/p) when frequency is summed
+    harder than position, s1 + (1 - alpha) s2 > (1 - alpha) (1/p - 1/q)
     in the other case. Linear phases (alpha = 1) need no compensation.
     """
     rp, rq = _rec(p, "p"), _rec(q, "q")
     _check_alpha(alpha)
-    _check_dim(d)
     if s1 < 0 or s2 < 0:
         return False
     if alpha == 1.0:
         return True
     if rq > rp:
-        return s1 > d * (1.0 - alpha) * (rq - rp)
+        return s1 > (1.0 - alpha) * (rq - rp)
     if rp > rq:
-        return s1 + (1.0 - alpha) * s2 > d * (1.0 - alpha) * (rp - rq)
+        return s1 + (1.0 - alpha) * s2 > (1.0 - alpha) * (rp - rq)
     return True
 
 
-def thm2_predicate(p, q, s1, s2, alpha, d: int = 1) -> bool:
+def thm2_predicate(p, q, s1, s2, alpha) -> bool:
     """Boundedness test when the phase carries no separation.
 
-    Requires s1 >= d/p (strict unless p is infinite), s2 >= d(1 - 1/q)
+    Requires s1 >= 1/p (strict unless p is infinite), s2 >= 1 - 1/q
     (strict unless q = 1), and for alpha < 1 additionally
-    s1 >= alpha d/p + (1 - alpha) d/q (strict unless q is infinite).
+    s1 >= alpha/p + (1 - alpha)/q (strict unless q is infinite).
     """
     rp, rq = _rec(p, "p"), _rec(q, "q")
     _check_alpha(alpha)
-    _check_dim(d)
     if s1 < 0 or s2 < 0:
         return False
-    thr1 = d * rp
     if p == INF:
-        if not (s1 >= thr1):
+        if not (s1 >= rp):
             return False
-    elif not (s1 > thr1):
+    elif not (s1 > rp):
         return False
-    thr2 = d * (1.0 - rq)
+    thr2 = 1.0 - rq
     if q == 1.0:
         if not (s2 >= thr2):
             return False
     elif not (s2 > thr2):
         return False
     if alpha < 1.0:
-        thr3 = alpha * d * rp + (1.0 - alpha) * d * rq
+        thr3 = alpha * rp + (1.0 - alpha) * rq
         if q == INF:
             return s1 >= thr3
         return s1 > thr3
     return True
 
 
-def thm3_predicate(p, s1, s2, t1, t2, d: int = 1) -> bool:
+def thm3_predicate(p, s1, s2, t1, t2) -> bool:
     """Symbol decay thresholds in the high-growth regime (non-strict).
 
-    Needs s1 >= d t1 |1/p - 1/2| and s2 >= d t2 |1/p - 1/2|.
+    Needs s1 >= t1 |1/p - 1/2| and s2 >= t2 |1/p - 1/2|.
     """
     rp = _rec(p, "p")
-    _check_dim(d)
     for name, val in (("t1", t1), ("t2", t2)):
         if not (val >= 0):
             raise DomainError(f"{name} must be nonnegative, got {val}")
     gap = abs(rp - 0.5)
-    return s1 >= d * t1 * gap and s2 >= d * t2 * gap
+    return s1 >= t1 * gap and s2 >= t2 * gap

@@ -1,11 +1,10 @@
 """Short-time Fourier transforms of functions of one variable.
 
 ``stft`` computes V_g f(x, xi) = <f, M_xi T_x g>: rows are window shifts
-over the primal grid, columns live on the dual grid. ``stft_rows``
-evaluates one contiguous range of rows with the columns left in FFT
-order, from the window shifts of :func:`window_shifts`, which the exact
-norms in :mod:`fiolab.spaces` read too. :func:`window_at` holds the one
-window formula.
+over the primal grid, columns live on the dual grid. Its rows come from
+the window shifts of :func:`window_shifts`, which the exact norms in
+:mod:`fiolab.spaces` read too. :func:`window_at` holds the one window
+formula.
 
 Everything is exact for the cyclic model: the fundamental identity
 V_g f(x, xi) = exp(-2pi i x xi) V_ghat fhat(xi, -x) and the orthogonality
@@ -32,7 +31,6 @@ __all__ = [
     "window_at",
     "window_shifts",
     "stft",
-    "stft_rows",
     "fundamental_identity_residual",
     "tf_to_csv",
 ]
@@ -76,8 +74,6 @@ class TFMatrix:
     """STFT values of a 1D function: axis 0 is x (primal), axis 1 is xi (dual)."""
 
     def __init__(self, x_grid: Grid, xi_grid: Grid, values: np.ndarray):
-        if x_grid.dim != 1 or xi_grid.dim != 1:
-            raise StructuralError("TFMatrix grids must be one-dimensional")
         values = np.asarray(values, dtype=complex)
         if values.shape != (x_grid.n, xi_grid.n):
             raise StructuralError(
@@ -108,42 +104,24 @@ def window_shifts(g: SampledFunction) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.concatenate((gbar, gbar)), n)[:0:-1]
 
 
-def stft_rows(f: SampledFunction, g: SampledFunction, rows: slice) -> np.ndarray:
-    """STFT rows for one contiguous range of x shifts, columns in FFT order.
-
-    Row ``j`` of ``rows`` is the shift to the grid point ``(j - n/2) * dx``;
-    column ``k`` is the frequency ``np.fft.ifftshift(xi)[k]`` of the dual
-    grid, so ``fftshift`` over axis 1 gives grid order. This is the block
-    producer behind :func:`stft`: ``ifftshift(f)`` times the rows of
-    :func:`window_shifts`, multiplied straight into the output, which is
-    then transformed in place.
-    """
-    if f.grid != g.grid or f.dim != 1:
-        raise StructuralError("stft needs two 1D functions on a common grid")
-    start, stop, step = rows.indices(f.grid.n)
-    if step != 1:
-        raise StructuralError("stft rows must be a contiguous range of shifts")
-    picked = window_shifts(g)[start:stop]
-    out = np.empty(picked.shape, dtype=complex)
-    np.multiply(np.fft.ifftshift(f.samples), picked, out=out)
-    np.fft.fft(out, axis=1, out=out)
-    out *= f.grid.spacing
-    return out
-
-
 def stft(f: SampledFunction, g: SampledFunction) -> TFMatrix:
-    """Full STFT matrix of ``f`` with window ``g`` (both 1D, same grid).
+    """Full STFT matrix of ``f`` with window ``g`` (same grid).
 
-    The rows of :func:`stft_rows` over every shift, with one ``fftshift``
-    putting the frequencies in grid order. The matrix holds n^2 complex
-    values; when that exceeds ``grid.MATRIX_BUDGET`` a
-    :class:`ResourceError` names the largest admissible n. The streaming
-    norm routines have no such limit.
+    ``ifftshift(f)`` times the rows of :func:`window_shifts`, multiplied
+    straight into the output, which is transformed in place with the
+    columns in FFT order; one ``fftshift`` puts the frequencies in grid
+    order. The matrix holds n^2 complex values; when that exceeds
+    ``grid.MATRIX_BUDGET`` a :class:`ResourceError` names the largest
+    admissible n. The streaming norm routines have no such limit.
     """
-    n = f.grid.n
-    check_matrix_budget(n, "stft")
-    rows = np.fft.fftshift(stft_rows(f, g, slice(0, n)), axes=1)
-    return TFMatrix(f.grid, f.grid.dual(), rows)
+    check_matrix_budget(f.grid.n, "stft")
+    if f.grid != g.grid:
+        raise StructuralError("stft needs two functions on a common grid")
+    rows = np.empty((f.grid.n, f.grid.n), dtype=complex)
+    np.multiply(np.fft.ifftshift(f.samples), window_shifts(g), out=rows)
+    np.fft.fft(rows, axis=1, out=rows)
+    rows *= f.grid.spacing
+    return TFMatrix(f.grid, f.grid.dual(), np.fft.fftshift(rows, axes=1))
 
 
 def fundamental_identity_residual(f: SampledFunction, g: SampledFunction) -> float:

@@ -281,6 +281,19 @@ def test_malformed_input_is_exit_2(argv, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_two_dimensional_input_fails_at_the_parse(tmp_path, capsys):
+    # a well-formed 8 x 8 table under a dim=2 header: grids are
+    # one-dimensional, so reading it is the error, not a later step
+    rows = [f"{i},{j},1,0" for i in range(8) for j in range(8)]
+    path = tmp_path / "in.csv"
+    path.write_text("# dim=2 n=8 spacing=0.5\ni0,i1,re,im\n" + "\n".join(rows) + "\n")
+    for argv in (["norm", "--space", "p=2"], ["apply", "--phase", "bilinear"]):
+        assert main(argv + ["--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error:") and "grid dim must be the integer 1, got 2" in err
+
+
 def test_overflowing_transform_exits_2_without_numpy_warning(tmp_path, capsys):
     # finite samples whose transform overflows in the band-limit check
     f = SampledFunction(Grid(1, 512, 0.0625), np.full(512, 1e308, dtype=complex))

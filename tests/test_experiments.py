@@ -498,6 +498,12 @@ def test_threshold_sweep_validation():
     mixed = SweepTuple(2.0, 2.0, t1=1.0, t2=1.0)
     with pytest.raises(ValidationError, match="one growth direction"):
         threshold_sweep("thm3", tuples=[mixed], Ns=(4, 8))
+    # the probes are one-dimensional: a d = 2 tuple would get the d = 1
+    # slope under a d = 2 verdict
+    for d in (2, 0):
+        bounded_at_1 = SweepTuple(1.0, 1.0, s1=1.5, t1=2.0, d=d)
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            threshold_sweep("thm3", tuples=[bounded_at_1], Ns=(4, 8))
 
 
 def test_threshold_sweep_rows_and_determinism():
@@ -509,7 +515,7 @@ def test_threshold_sweep_rows_and_determinism():
     assert len(rows) == 4
     assert [r.id for r in rows] == ["thm3-000"] * 2 + ["thm3-001"] * 2
     for r in rows[:2]:
-        ok = thm3_predicate(r.p, r.s1, r.s2, r.t1, r.t2, r.d)
+        ok = thm3_predicate(r.p, r.s1, r.s2, r.t1, r.t2)
         want = VERDICT_BOUNDED if ok else VERDICT_UNBOUNDED
         assert r.verdict == want
     assert rows[0].exponent == rows[1].exponent

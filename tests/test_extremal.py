@@ -14,7 +14,6 @@ from fiolab import (
     ValidationError,
     annulus_profile,
     build_F,
-    build_G,
     bump_train,
     build_modulated_train,
     chirp_modulate,
@@ -103,7 +102,7 @@ def test_build_g_modulates_without_changing_modulus():
     grid = Grid(1, 1024, 0.03125)
     a = CoefficientSeq.ones(0, 4)
     F = build_F(a, 0.5, grid)
-    G = build_G(a, 0.5, grid)
+    G = bump_train(a, 0.5, grid, modulated=True).densify()
     assert np.allclose(np.abs(G.samples), np.abs(F.samples), atol=1e-14)
     assert G.norm2() == pytest.approx(F.norm2(), rel=1e-12)
 
@@ -112,7 +111,7 @@ def test_modulated_train_value_at_zero():
     grid = Grid(1, 256, 0.125)
     a = CoefficientSeq((0, 1, 2), (1.0, 2.0, 0.5))
     f = build_modulated_train(a, default_bump(0.25), grid)
-    assert f.value_at_zero() == pytest.approx(a.total(), rel=1e-12)
+    assert f.samples[grid.n // 2] == pytest.approx(a.total(), rel=1e-12)
     # spectrum concentrates near the chosen integer modulations
     fhat = fourier_transform(f)
     xi = fhat.grid.axis()
@@ -174,7 +173,7 @@ def test_bump_trains_keep_the_whole_axis_bytes(modulated):
         if modulated:
             term = term * np.exp(2j * np.pi * mu_gradient(c, 0.5) * x)
         expected += term
-    got = (build_G if modulated else build_F)(a, 0.5, grid, h).samples
+    got = bump_train(a, 0.5, grid, h, modulated).densify().samples
     assert got.tobytes() == expected.tobytes()
 
 
@@ -187,13 +186,12 @@ def test_bump_trains_memory_is_bounded(modulated):
     assert grid.n == 1 << 21
     a, h = CoefficientSeq.ones(0, 32), default_bump(0.25)
     peaks = []
-    for build in (bump_train, build_G if modulated else build_F):
+    for densify in (False, True):
         tracemalloc.start()
         try:
-            if build is bump_train:
-                build(a, 0.5, grid, h, modulated)
-            else:
-                build(a, 0.5, grid, h)
+            train = bump_train(a, 0.5, grid, h, modulated)
+            if densify:
+                train.densify()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -17,7 +17,6 @@ from fiolab import (
     Grid,
     ResourceError,
     SampledFunction,
-    SampledFunction2D,
     StructuralError,
     ValidationError,
     apply_fio,
@@ -130,9 +129,6 @@ def test_bandlimit_leakage_and_gate(small):
         ensure_bandlimited(wave)
     with pytest.raises(ValidationError):
         apply_fio(wave, constant_symbol(), bilinear())
-    g2 = Grid(2, 8, 0.5)
-    with pytest.raises(StructuralError):
-        bandlimit_leakage(SampledFunction2D(g2, np.ones((8, 8), complex)))
 
 
 def _masked_leakage(f):
@@ -348,12 +344,6 @@ def test_shape_and_grid_errors(small):
     other = SampledFunction(Grid(1, 32, 0.25), np.zeros(32, complex))
     with pytest.raises(StructuralError):
         weak_pairing(f, other, constant_symbol(), bilinear())
-    g2 = Grid(2, 8, 0.5)
-    F = SampledFunction2D(g2, np.ones((8, 8), complex))
-    with pytest.raises(StructuralError):
-        apply_fio(F, constant_symbol(), bilinear())
-    with pytest.raises(StructuralError):
-        kernel(constant_symbol(), bilinear(), g2)
 
 
 # the five built-in phases and the two symbol kinds of the CLI pins; at

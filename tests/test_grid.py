@@ -1,5 +1,6 @@
 """Grids, exact transforms, runs, CSV round trips."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -12,7 +13,6 @@ from fiolab import (
     ResourceError,
     Runs,
     SampledFunction,
-    SampledFunction2D,
     StructuralError,
     ValidationError,
     fourier_transform,
@@ -28,8 +28,11 @@ from fiolab.tf import TFMatrix, tf_to_csv
 
 
 def test_grid_validation():
-    with pytest.raises(DomainError):
-        Grid(3, 64, 0.1)
+    # grids are one-dimensional: dim is the integer 1, not a float or bool
+    for dim in (3, 2, 0, 1.0, True, np.float64(1), "1", None):
+        with pytest.raises(DomainError, match=re.escape(f"got {dim!r}")):
+            Grid(dim, 64, 0.1)
+    assert Grid(np.int64(1), 64, 0.1) == Grid(1, 64, 0.1)
     with pytest.raises(DomainError):
         Grid(1, 100, 0.1)
     with pytest.raises(DomainError):
@@ -67,7 +70,7 @@ def test_sampled_function_validation():
     with pytest.raises(ValidationError):
         SampledFunction(g, bad)
     with pytest.raises(StructuralError):
-        SampledFunction2D(g, np.zeros((16, 16)))
+        SampledFunction(g, np.zeros((16, 16)))
 
 
 def test_finite_check_holds_one_tile():
@@ -118,8 +121,6 @@ def test_runs_densify_and_take():
     for runs in ([(4, [1]), (2, [1, 2, 3])], [(15, [1, 2])], [(-1, [1])]):
         with pytest.raises(StructuralError, match="disjoint"):
             Runs(g, runs)
-    with pytest.raises(StructuralError):
-        Runs(Grid(2, 16, 0.5), [(0, [1])])
 
 
 def test_fourier_transform_of_gaussian_is_gaussian():
@@ -188,9 +189,10 @@ def test_sampled_csv_rejects_malformed_rows(row, match):
         sampled_from_csv(_malformed(row))
 
 
-@pytest.mark.parametrize("dim,n", [(1, 1 << 40), (2, 1 << 20)])
+@pytest.mark.parametrize("dim,n", [(1, 1 << 40), (1, 1 << 27)])
 def test_sampled_csv_header_within_budget(dim, n):
-    # the header alone would ask for 16 TiB, before any row is read
+    # the header alone would ask for 16 TiB, or twice the budget, before
+    # any row is read
     text = f"# dim={dim} n={n} spacing=0.5\ni0,re,im\n0,1,0\n"
     with pytest.raises(ResourceError, match="budget"):
         sampled_from_csv(text)
@@ -211,6 +213,22 @@ _EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
                 -1.7976931348623157e308, 0.1, 1 / 3, -2.5, 1e16, 123456789.0]
 
 
+def test_csv_writer_holds_its_text_at_most_twice():
+    # the tiles' texts and their join are resident together at the end,
+    # but no third copy is made by appending the last newline
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+    m = TFMatrix(Grid(1, 512, 0.125), Grid(1, 512, 1 / 64), values)
+    tracemalloc.start()
+    try:
+        text = tf_to_csv(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert peak <= 3.3 * len(text)
+
+
 @pytest.mark.parametrize("tile", [TILE_ENTRIES, 64])
 def test_csv_writer_matches_the_per_entry_format(tile, monkeypatch):
     # rows are formatted one tile at a time; in tiles of 64 every table
@@ -218,19 +236,17 @@ def test_csv_writer_matches_the_per_entry_format(tile, monkeypatch):
     monkeypatch.setattr(grid_module, "TILE_ENTRIES", tile)
     rng = np.random.default_rng(5)
     edge = np.array(_EDGE_VALUES)
-    for g in (Grid(1, 256, 0.125), Grid(2, 16, 0.5)):
-        scale = 10.0 ** rng.integers(-300, 300, g.shape())
-        samples = rng.standard_normal(g.shape()) * scale + 1j * rng.standard_normal(g.shape())
-        flat = samples.reshape(-1)
-        flat[: edge.size] = edge + 1j * edge[::-1]
-        f = (SampledFunction2D if g.dim == 2 else SampledFunction)(g, samples)
-        text = sampled_to_csv(f)
-        header = {"dim": g.dim, "n": g.n, "spacing": g.spacing}
-        columns = ",".join(f"i{k}" for k in range(g.dim)) + ",re,im"
-        assert text == _reference_csv(header, columns, f.samples)
-        back = sampled_from_csv(text)
-        assert back.grid == g
-        assert back.samples.tobytes() == f.samples.tobytes()
+    g = Grid(1, 256, 0.125)
+    scale = 10.0 ** rng.integers(-300, 300, g.shape())
+    samples = rng.standard_normal(g.shape()) * scale + 1j * rng.standard_normal(g.shape())
+    samples[: edge.size] = edge + 1j * edge[::-1]
+    f = SampledFunction(g, samples)
+    text = sampled_to_csv(f)
+    header = {"dim": 1, "n": g.n, "spacing": g.spacing}
+    assert text == _reference_csv(header, "i0,re,im", f.samples)
+    back = sampled_from_csv(text)
+    assert back.grid == g
+    assert back.samples.tobytes() == f.samples.tobytes()
     # non-finite entries are written as the reference writes them
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, -1e308])
     values = np.empty((16, 128), dtype=complex)

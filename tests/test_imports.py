@@ -58,3 +58,27 @@ def test_every_public_name_has_a_user():
         if name not in read and f"{path.stem}.{name}" not in traced
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_unused_imports_in_src(path):
+    # every name a module imports is read in it; the package's
+    # __init__ imports only to re-export
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(imported - read) == []

@@ -28,7 +28,7 @@ from fiolab import (
     verify_separation,
 )
 from fiolab import cli
-from fiolab.grid import bracket, shifted_fft
+from fiolab.grid import bracket
 from fiolab.phase import (
     DEFAULT_BOXES,
     MINUS_INF,
@@ -216,7 +216,7 @@ def _bounds_2d_reference(phase, t1, t2, eps, box, xx=None):
         for k in cells:
             for l in cells:
                 piece = block(k + off[:, None], l + off[None, :]) * np.outer(eta, eta)
-                spec = shifted_fft(piece) * (h * h)
+                spec = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(piece))) * (h * h)
                 best = max(best, float((np.abs(spec) * np.outer(weight, weight)).max()))
         bounds.append(best)
     return bounds

@@ -428,9 +428,9 @@ def test_sequence_norm_closed_forms():
 
 
 def test_embedding_holds_paper_cases():
-    assert embedding_holds(INF, 2.0, 1.0, 0.0, d=1) is True
-    assert embedding_holds(INF, 1.0, 1.0, 0.0, d=1) is False
-    assert embedding_holds(1.0, 0.0, INF, 0.0, d=1) is True
+    assert embedding_holds(INF, 2.0, 1.0, 0.0) is True
+    assert embedding_holds(INF, 1.0, 1.0, 0.0) is False
+    assert embedding_holds(1.0, 0.0, INF, 0.0) is True
 
 
 def test_embedding_witness_reports():
@@ -440,8 +440,6 @@ def test_embedding_witness_reports():
     rep = embedding_witness(2.0, 0.0, 2.0, 1.0)
     assert rep.embedded is False
     assert rep.support == (64,) or rep.support == (-64,)
-    with pytest.raises(DomainError):
-        embedding_witness(2.0, 0.0, 2.0, 0.0, d=2)
 
 
 @given(
@@ -511,5 +509,3 @@ def test_predicates_validate_inputs():
         thm1_predicate(0.5, 1.0, 0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         thm1_predicate(2.0, 2.0, 0.0, 0.0, 1.5)
-    with pytest.raises(DomainError):
-        thm2_predicate(2.0, 2.0, 0.0, 0.0, 0.0, d=0)

@@ -17,7 +17,6 @@ from fiolab import (
     tf_to_csv,
 )
 
-from fiolab.tf import stft_rows
 
 from conftest import bandlimited, pin_signal
 
@@ -113,14 +112,3 @@ def test_stft_bytes_are_pinned(key):
     w = make_window(window, f.grid)
     digest = hashlib.sha256(tf_to_csv(stft(f, w)).encode()).hexdigest()
     assert (digest, fundamental_identity_residual(f, w).hex()) == STFT_PINS[key]
-
-
-def test_stft_rows_are_contiguous_ranges_in_fft_order():
-    f = pin_signal(64, 0.5)
-    w = make_window("gauss", f.grid)
-    full = stft(f, w).values
-    rows = stft_rows(f, w, slice(5, 23))
-    assert np.array_equal(np.fft.fftshift(rows, axes=1), full[5:23])
-    assert stft_rows(f, w, slice(64, 70)).shape == (0, 64)
-    with pytest.raises(StructuralError):
-        stft_rows(f, w, slice(0, 64, 2))
