@@ -24,6 +24,7 @@ from .grid import (
     axis_tiles,
     bracket,
     inverse_fourier_transform,
+    transform_in_place,
 )
 from .phase import bracket_power, k_alpha, mollifier, mu_gradient
 
@@ -212,19 +213,19 @@ def build_modulated_train(
     grid: Grid,
 ) -> SampledFunction:
     """f = sum_k a_k exp(2 pi i k x) psi(x) with psi the normalized
-    inverse transform of phi.
+    inverse transform of phi, built from its spectrum.
 
     phi must be supported strictly inside frequency radius 1/2 so that
-    integer modulations keep disjoint spectra. psi is scaled so that
-    psi(0) = 1 exactly, making f(0) = sum_k a_k an identity of the
-    discrete model rather than an approximation.
+    integer modulations keep disjoint spectra. The transform of f is
+    sum_k a_k phi(xi - k) / mass_k, each shifted copy scaled by its own
+    Riemann sum on the dual grid, so psi(0) = 1 and f(0) = sum_k a_k
+    hold to round-off whether or not k lies on the dual lattice.
 
-    phi's samples are scaled in place and its axis is gone before the
-    transform; the modulations are summed one tile of grid points at a
-    time and multiplied into psi's own buffer, which becomes f. So the
-    peak is the transform's input and output, two n-point complex
-    arrays, and the sum in tiles has the bytes of a sum over the whole
-    axis.
+    Each shifted copy is evaluated only on the dual points of its own
+    support window, about 2 radius / dxi + 3 of them, and added into one
+    zeroed n-point buffer in FFT order, which one inverse transform
+    turns into f in place. So N modulations cost O(N support + n log n)
+    and the traced peak is that one n-point complex buffer.
     """
     if phi.radius >= 0.5:
         raise ValidationError(
@@ -238,20 +239,18 @@ def build_modulated_train(
             f"modulation {kmax:g} plus bump radius exceeds the Nyquist "
             f"frequency {nyquist:g}"
         )
-    phat = np.asarray(phi(dual.axis()), dtype=float)
-    mass = float(phat.sum()) * dual.spacing
-    if mass <= 0:
-        raise ValidationError("spectral bump has no mass on this grid")
-    phat /= mass
-    phat = SampledFunction(dual, phat)
-    psi = inverse_fourier_transform(phat).samples
-    del phat
-    for sl, x in axis_tiles(grid):
-        train = np.zeros(x.size, dtype=complex)
-        for k, v in zip(a.indices, a.values):
-            train += v * np.exp(2j * np.pi * k * x)
-        np.multiply(train, psi[sl], out=psi[sl])
-    return SampledFunction(grid, psi)
+    half = grid.n // 2
+    fhat = np.zeros(grid.n, dtype=complex)
+    for k, v in zip(a.indices, a.values):
+        lo, hi = _support_window(dual, k, phi.radius)
+        xi = np.arange(lo - half, hi - half) * dual.spacing
+        bump = np.asarray(phi(xi - k), dtype=float)
+        mass = float(bump.sum()) * dual.spacing
+        if mass <= 0:
+            raise ValidationError("spectral bump has no mass on this grid")
+        fhat[(np.arange(lo, hi) + half) % grid.n] += (v / mass) * bump
+    f = transform_in_place(dual, fhat, inverse=True)
+    return f if f.grid == grid else SampledFunction(grid, f.samples)
 
 
 def chirp_modulate(f: SampledFunction, alpha: float) -> SampledFunction:

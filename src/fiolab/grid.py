@@ -59,7 +59,7 @@ class Grid:
         if not (isinstance(self.n, numbers.Integral) and self.n >= 2
                 and (self.n & (self.n - 1)) == 0):
             raise DomainError(f"grid n must be a power of two >= 2, got {self.n!r}")
-        if not (isinstance(self.spacing, numbers.Real)
+        if not (isinstance(self.spacing, numbers.Real) and not isinstance(self.spacing, bool)
                 and np.isfinite(self.spacing) and self.spacing > 0):
             raise DomainError(f"grid spacing must be a positive number, got {self.spacing!r}")
 

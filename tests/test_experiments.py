@@ -545,11 +545,14 @@ def test_thm1_sweep_bytes_serial_and_pooled(monkeypatch, pool_points):
     assert multiprocessing.active_children() == []
 
 
-# both digests were recorded when fast-norm segments were first folded
-# to half their padded length, which moved the exponents by at most
-# 1.1e-3 (thm2) and 1.3e-2 (thm3, whose slopes are fitted on two points)
+# thm3's digest was recorded when fast-norm segments were first folded
+# to half their padded length, which moved its exponents by at most
+# 1.3e-2 (its slopes are fitted on two points). thm2's was re-recorded
+# when modulation stacks were first built from their spectrum, which
+# moved its exponents by at most 4.6e-16 and its ratios by at most
+# 2.0e-16 relative, with no verdict flipped
 SWEEP_SHA256 = {
-    "thm2": "abf863250e5630790cfe99e8b9e18f665923a97e85256ff3aaad88661234c7c0",
+    "thm2": "6e96245e1cc6444951baaede7a1aa6e6d9108cc61138173dfcefc1e8ce5d23df",
     "thm3": "d6b64074b90130b4554c4fe540f882d472a37f3fa22575ab780f90ccb5fcc97d",
 }
 SWEEP_ARGS = {
@@ -666,10 +669,13 @@ def test_thm1_thm2_slopes_fall_on_the_predicted_side(default_sweeps, theorem, i)
 # the default panels' CSV bytes, read off the sweeps the gates above run,
 # recorded when fast-norm segments were first folded to half their
 # padded length; that moved the exponents by at most 4.8e-3 (thm1),
-# 7.0e-4 (thm2) and 8.3e-4 (thm3), each on a tuple with p or q = inf
+# 7.0e-4 (thm2) and 8.3e-4 (thm3), each on a tuple with p or q = inf.
+# thm2 was re-recorded when modulation stacks were first built from
+# their spectrum: its exponents moved by at most 2.2e-16 and its ratios
+# by at most 5.7e-16 relative, and none of its 196 verdicts flipped
 DEFAULT_SWEEP_SHA256 = {
     "thm1": "02064ee306235b1f53e58b22c73eed6607d393d1ac09f11be3da239f5b92c61c",
-    "thm2": "a78ad74eacf6734a01548cc2b6c369a95b0dea638691a4bc8d7fe200c5980f77",
+    "thm2": "5e1c39ec9f66d3dd2f520a60fe5eb1d538f367601a2ddb3bb52448c4bb36df4d",
     "thm3": "33d7850893ca3d4c1046940c267c16e35fd807f97e41da42fffd54991866760a",
 }
 

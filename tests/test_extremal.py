@@ -108,23 +108,32 @@ def test_build_g_modulates_without_changing_modulus():
 
 
 def test_modulated_train_value_at_zero():
-    grid = Grid(1, 256, 0.125)
-    a = CoefficientSeq((0, 1, 2), (1.0, 2.0, 0.5))
-    f = build_modulated_train(a, default_bump(0.25), grid)
-    assert f.samples[grid.n // 2] == pytest.approx(a.total(), rel=1e-12)
-    # spectrum concentrates near the chosen integer modulations
-    fhat = fourier_transform(f)
-    xi = fhat.grid.axis()
-    near = np.zeros_like(xi, dtype=bool)
-    for k in a.indices:
-        near |= np.abs(xi - k) <= 0.25
-    outside = float(np.linalg.norm(fhat.samples[~near]))
-    assert outside < 1e-10 * float(np.linalg.norm(fhat.samples))
+    # on Grid(1, 256, 0.11) the dual spacing is 1/28.16, so no nonzero k
+    # is a dual grid point; each shifted bump is scaled by its own
+    # Riemann sum, so f(0) = sum a_k holds there too. That grid's
+    # dual().dual() differs from it in the last bit, and f keeps the grid
+    for grid, a in (
+        (Grid(1, 256, 0.125), CoefficientSeq((0, 1, 2), (1.0, 2.0, 0.5))),
+        (Grid(1, 256, 0.11), CoefficientSeq((0, 1, -3), (1.0, 2.0, 0.5))),
+    ):
+        f = build_modulated_train(a, default_bump(0.25), grid)
+        assert f.grid == grid
+        assert f.samples[grid.n // 2] == pytest.approx(a.total(), rel=1e-12)
+        # spectrum concentrates near the chosen integer modulations
+        fhat = fourier_transform(f)
+        xi = fhat.grid.axis()
+        near = np.zeros_like(xi, dtype=bool)
+        for k in a.indices:
+            near |= np.abs(xi - k) <= 0.25
+        outside = float(np.linalg.norm(fhat.samples[~near]))
+        assert outside < 1e-10 * float(np.linalg.norm(fhat.samples))
 
 
-def test_modulated_train_tiles_keep_the_bytes():
-    # four tiles of grid points; the reference sums every modulation over
-    # the whole axis and multiplies by psi, as one pass over the grid
+def test_modulated_train_matches_the_time_domain_sum():
+    # the train is built from its spectrum; the reference sums every
+    # modulation over the whole axis and multiplies by psi. The two sum
+    # in different orders, and measured 2.7e-15 (6.5e-15 for a 64-term
+    # train on 2^16 points) of the peak apart
     grid = Grid(1, 1 << 18, 128.0 / (1 << 18))
     a = CoefficientSeq((0, 3, -7), (1.0, 0.5, 2.0))
     phi = default_bump(0.3)
@@ -137,15 +146,16 @@ def test_modulated_train_tiles_keep_the_bytes():
     for k, v in zip(a.indices, a.values):
         train += v * np.exp(2j * np.pi * k * x)
     expected = train * psi.samples
-    got = build_modulated_train(a, phi, grid).samples
-    assert got.tobytes() == expected.tobytes()
+    got = build_modulated_train(a, phi, grid)
+    assert got.grid == grid
+    assert np.abs(got.samples - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_modulated_train_memory_is_bounded():
-    # the 2^20-point thm2 box input: phi's axis is gone before the
-    # transform and the modulations are summed tile by tile into psi's
-    # buffer, so the peak is the transform's input and output (36 MiB);
-    # whole-grid temporaries peaked at 89 MiB
+    # the 2^20-point thm2 box input: the shifted bumps are added into one
+    # zeroed n-point buffer that is transformed in place, so the peak is
+    # that buffer (16 MiB; measured 18.0 MiB). The time-domain sum of
+    # modulations peaked at 34 MiB
     grid = experiments._thm2_box_grid(0.0, 128)
     assert grid.n == 1 << 20
     tracemalloc.start()
@@ -156,7 +166,7 @@ def test_modulated_train_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 << 20
+    assert peak <= 20 << 20
 
 
 @pytest.mark.parametrize("modulated", [False, True], ids=["F", "G"])

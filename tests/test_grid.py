@@ -37,6 +37,10 @@ def test_grid_validation():
         Grid(1, 100, 0.1)
     with pytest.raises(DomainError):
         Grid(1, 64, -0.1)
+    # a bool spacing is refused like a bool dim, not read as 1.0
+    for spacing in (True, False):
+        with pytest.raises(DomainError, match=re.escape(f"got {spacing!r}")):
+            Grid(1, 4, spacing)
 
 
 def test_grid_rejects_non_integral_or_non_numeric_sizes():

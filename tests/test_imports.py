@@ -60,14 +60,8 @@ def test_every_public_name_has_a_user():
     assert unused == []
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.name,
-)
-def test_no_unused_imports_in_src(path):
-    # every name a module imports is read in it; the package's
-    # __init__ imports only to re-export
+def _unused_imports(path):
+    """The names a module imports but never reads."""
     tree = ast.parse(path.read_text())
     imported = {
         (alias.asname or alias.name).partition(".")[0]
@@ -81,4 +75,24 @@ def test_no_unused_imports_in_src(path):
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    assert sorted(imported - read) == []
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_unused_imports_in_src(path):
+    # every name a module imports is read in it; the package's
+    # __init__ imports only to re-export
+    assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for d in ("tests", "demos") for p in (ROOT / d).glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_no_unused_imports_in_tests_and_demos(path):
+    assert _unused_imports(path) == []

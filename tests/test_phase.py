@@ -22,7 +22,6 @@ from fiolab import (
     mu_gradient,
     nonseparated_x,
     nonseparated_xi,
-    PhaseSpec,
     separation_margin,
     verify_growth,
     verify_separation,

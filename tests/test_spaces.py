@@ -14,7 +14,6 @@ from fiolab import (
     Runs,
     SampledFunction,
     SpaceSpec,
-    StructuralError,
     Weight,
     embedding_holds,
     embedding_witness,
