@@ -71,7 +71,6 @@ from .grid import (
 from .phase import (
     ConditionVerdict,
     GrowthParams,
-    PartitionSpec,
     PhaseSpec,
     bilinear,
     bracket_power,

@@ -21,8 +21,9 @@ Three probe families are used, one per operator regime:
   weighted chirp, so plain and pre-chirped local bumps measure both
   sides of the |1/p - 1/2| threshold exactly.
 
-Each regime has its own probe runner, which holds the measurement and
-returns, per tuple, one series (family parameters, ratios, grids,
+Each regime has its own probe runner, which measures its inputs in
+tasks of the one probe step every runner shares, assembles the ratios
+and returns, per tuple, one series (family parameters, ratios, grids,
 window) for each of at least two probe families. One driver,
 :func:`threshold_sweep`, fits every series separately and reports the
 largest fitted slope, matching the fact that operator norms dominate
@@ -111,7 +112,7 @@ INF = float("inf")
 _FOLD = 2
 
 
-def fast_modulation_norms(f: SampledFunction, specs, x_step: float = 0.0):
+def fast_modulation_norms(f: SampledFunction, specs):
     """Modulation norms of f for several spaces sharing one window.
 
     The short-time transform is evaluated on truncated window segments:
@@ -122,16 +123,15 @@ def fast_modulation_norms(f: SampledFunction, specs, x_step: float = 0.0):
     exactly every second bin of the segment zero padded to m2, so the
     frequency step 1/(L dx) lies between about 1/(7 sigma) and
     1/(3.5 sigma) for a width-sigma window. Window positions advance by
-    ``x_step`` (default: a third of the window width) across the regions
-    where |f| exceeds 1e-8 times its peak. Only magnitudes of the
-    transform enter a norm, so the omitted global phase is irrelevant,
-    and dropping segments where f vanishes changes nothing but
-    round-off. The coarse lattice makes this an estimate: against the
-    closed-form norms of gaussians about as wide as the window, finite
-    exponents miss by under 1e-5 and the suprema over the lattice (p or
-    q = inf) by under 6e-2 at any modulation (tested). Ratios of norms
-    taken with the same lattice cancel most of the bias, which is what
-    the sweeps consume.
+    a third of the window width across the regions where |f| exceeds
+    1e-8 times its peak. Only magnitudes of the transform enter a norm,
+    so the omitted global phase is irrelevant, and dropping segments
+    where f vanishes changes nothing but round-off. The coarse lattice
+    makes this an estimate: against the closed-form norms of gaussians
+    about as wide as the window, finite exponents miss by under 1e-5 and
+    the suprema over the lattice (p or q = inf) by under 6e-2 at any
+    modulation (tested). Ratios of norms taken with the same lattice
+    cancel most of the bias, which is what the sweeps consume.
 
     f is a SampledFunction or a :class:`grid.Runs`, read through its
     runs, and both give the same bytes. Every spec is checked
@@ -151,10 +151,6 @@ def fast_modulation_norms(f: SampledFunction, specs, x_step: float = 0.0):
     if not specs:
         raise ValidationError("need at least one space")
     window = check_specs(specs)
-    if not 0.0 <= x_step < INF:
-        raise ValidationError(
-            f"x_step must be positive and finite, or 0 for the default, got {x_step}"
-        )
     sigma = window_width(window)
     grid = f.grid
     n, dx = grid.n, grid.spacing
@@ -168,8 +164,7 @@ def fast_modulation_norms(f: SampledFunction, specs, x_step: float = 0.0):
         return stft_norms(f.densify(), specs)
 
     pad = int(math.ceil(w_half / dx)) + 2
-    step = x_step if x_step > 0 else sigma / 3.0
-    stride = max(1, int(round(step / dx)))
+    stride = max(1, int(round(sigma / 3.0 / dx)))
 
     # each segment of the support gets its window positions and the rows
     # of a sliding-window view at the stride: the window at shift j
@@ -625,63 +620,55 @@ def _chirp_phase(alpha: float):
     )
 
 
-# ---------------------------------------------------------------------------
-# sweep: separated phases of sublinear growth
+def _symbol_scalar(fhat, s2: float) -> float:
+    xi = fhat.grid.axis()
+    total = (bracket(xi) ** (-s2) * fhat.samples).sum()
+    return abs(complex(total * fhat.grid.cell_measure()))
 
 
-def _thm1_grid(alpha: float, N: int) -> Grid:
-    kmax = max(N - 1, 1)
-    top = float(k_alpha(float(kmax), alpha))
-    half = top + 16.0
-    carrier = (2.0 - alpha) * (kmax + 2)
-    nyq = 2.0 * (carrier + _SPECTRAL_MARGIN)
-    n = max(_next_pow2(4.0 * half * nyq), 1 << 12)
-    return Grid(1, n, 2.0 * half / n)
+def _probe_step(build, args, window, pqs, family=None, s2s=()):
+    """What one sweep task measures on one probe input, ``build(*args)``.
 
+    Returns (pairing, norms, outs), all scalars, each empty unless asked
+    for. ``family`` is (phase factory, its argument, ((s1, s2), pqs)
+    entries), the phase given by its factory because a PhaseSpec holds
+    closures and does not pickle: outs maps each (s1, s2) to the norms
+    over its pqs of the input's image under that phase with the symbol
+    <x>^(-s1) <xi>^(-s2), all of them from one family call. pairing maps
+    each s2 in ``s2s`` to the spectral pairing scalar |integral of
+    <xi>^(-s2) fhat|, and norms each (p, q) in ``pqs`` to the input's
+    norm. Every norm is taken with ``window``.
 
-def _thm1_input(grid, alpha, N, modulated) -> Runs:
-    """The train F of N unit bumps, or with ``modulated`` the conjugated
-    gradient-modulated train conj(G), as runs."""
-    a = CoefficientSeq.ones(0, int(N))
-    train = bump_train(a, alpha, grid, default_bump(_TRAIN_BUMP_RADIUS), modulated)
-    if modulated:
-        for _, samples in train.runs:
-            np.conj(samples, out=samples)
-    return train
-
-
-def _thm1_step(grid, alpha, N, modulated, pair_pqs):
-    """Operator ratios of one thm1 family step on one input.
-
-    The input, from :func:`_thm1_input`, is transformed and checked once
-    for every symbol. For each ((s1, s2), pqs) entry of ``pair_pqs`` the
-    result maps ((s1, s2), (p, q)) to the output norm over the input
-    norm, for every (p, q) in pqs.
+    The stages run in that order: build, operator, pairing, norms. The
+    operator goes first so that its transform reuses the n-point buffer
+    the build just freed before the norms' allocations split it.
     """
-    f = _thm1_input(grid, alpha, N, modulated)
-    pq_all = sorted({pq for _, pqs in pair_pqs for pq in pqs})
-    norms_in = _norm_map(f, pq_all, _THM1_WINDOW)
-    plan = {decaying_symbol(s1, s2): ((s1, s2), pqs) for (s1, s2), pqs in pair_pqs}
-    norms_out = apply_fio_family(
-        f,
-        list(plan),
-        mild_growth(alpha),
-        lambda sym, g: _norm_map(g, plan[sym][1], _THM1_WINDOW),
-    )
-    return {
-        (pair, pq): out[pq] / norms_in[pq]
-        for (pair, pqs), out in zip(plan.values(), norms_out)
-        for pq in pqs
-    }
+    f = build(*args)
+    outs = {}
+    if family is not None:
+        factory, param, pair_pqs = family
+        pair_pqs = dict(pair_pqs)
+        images = apply_fio_family(
+            f,
+            [decaying_symbol(s1, s2) for s1, s2 in pair_pqs],
+            factory(param),
+            lambda sym, g: _norm_map(g, pair_pqs[sym.s1, sym.s2], window),
+        )
+        outs = dict(zip(pair_pqs, images))
+    pairing = {}
+    if s2s:
+        fhat = fourier_transform(f)
+        pairing = {s2: _symbol_scalar(fhat, s2) for s2 in s2s}
+        del fhat
+    norms = _norm_map(f, pqs, window) if pqs else {}
+    return pairing, norms, outs
 
 
 def _run_steps(step, tasks, pooled):
     """``[step(*task) for task in tasks]``, on two worker processes when
     ``pooled`` and the platform, the CPU affinity and the calling process
     allow it: a daemonic process, such as a ``multiprocessing.Pool``
-    worker, may not have children and runs the steps itself. All three
-    sweeps run their steps, each returning only scalars for the caller
-    to assemble, through it by way of :func:`_run_keyed`.
+    worker, may not have children and runs the steps itself.
 
     Tasks are handed out in list order, so callers list the longest
     first. A task's arguments are pickled to reach a worker, so each
@@ -739,14 +726,40 @@ def _keep_freed_memory():
     np.empty((1 << 25) - (1 << 20), dtype=np.uint8)
 
 
-def _run_keyed(step, tasks):
-    """``{key: step(*args)}`` for the (key, grid, args) entries of
+def _run_keyed(tasks):
+    """``{key: _probe_step(*args)}`` for the (key, grid, args) entries of
     ``tasks``, largest grid first, on the pool when the largest grid has
-    at least ``_POOL_POINTS`` points."""
+    at least ``_POOL_POINTS`` points. Every sweep runs its tasks here and
+    assembles its ratios from the returned scalars."""
     tasks = sorted(tasks, key=lambda task: -task[1].n)
     pooled = tasks[0][1].n >= _POOL_POINTS
-    results = _run_steps(step, [args for _, _, args in tasks], pooled)
+    results = _run_steps(_probe_step, [args for _, _, args in tasks], pooled)
     return {key: out for (key, _, _), out in zip(tasks, results)}
+
+
+# ---------------------------------------------------------------------------
+# sweep: separated phases of sublinear growth
+
+
+def _thm1_grid(alpha: float, N: int) -> Grid:
+    kmax = max(N - 1, 1)
+    top = float(k_alpha(float(kmax), alpha))
+    half = top + 16.0
+    carrier = (2.0 - alpha) * (kmax + 2)
+    nyq = 2.0 * (carrier + _SPECTRAL_MARGIN)
+    n = max(_next_pow2(4.0 * half * nyq), 1 << 12)
+    return Grid(1, n, 2.0 * half / n)
+
+
+def _thm1_input(grid, alpha, N, modulated) -> Runs:
+    """The train F of N unit bumps, or with ``modulated`` the conjugated
+    gradient-modulated train conj(G), as runs."""
+    a = CoefficientSeq.ones(0, int(N))
+    train = bump_train(a, alpha, grid, default_bump(_TRAIN_BUMP_RADIUS), modulated)
+    if modulated:
+        for _, samples in train.runs:
+            np.conj(samples, out=samples)
+    return train
 
 
 def _sweep_thm1(tuples, Ns):
@@ -756,7 +769,8 @@ def _sweep_thm1(tuples, Ns):
     1/q - 1/p - s1/(1-alpha); the gradient-modulated train, which the
     operator refocuses onto a single frequency cell, measures
     1/p - 1/q - s1/(1-alpha) - s2. Each (alpha, N, input) step is one
-    task for :func:`_run_keyed`.
+    task, which applies every symbol of its alpha to the input and
+    norms the input and each image; the ratios are taken here.
     """
     grids = {}
     tasks = []
@@ -766,18 +780,25 @@ def _sweep_thm1(tuples, Ns):
             (pair, sorted({(t.p, t.q) for t in members if (t.s1, t.s2) == pair}))
             for pair in sorted({(t.s1, t.s2) for t in members})
         ]
+        pq_all = sorted({(t.p, t.q) for t in members})
+        family = (mild_growth, alpha, pair_pqs)
         for N in Ns:
             grid = grids[alpha, N] = _thm1_grid(alpha, int(N))
             for modulated in (False, True):
-                args = (grid, alpha, N, modulated, pair_pqs)
-                tasks.append(((alpha, N, modulated), grid, args))
-    steps = _run_keyed(_thm1_step, tasks)
+                args = (grid, alpha, N, modulated)
+                task = (_thm1_input, args, _THM1_WINDOW, pq_all, family)
+                tasks.append(((alpha, N, modulated), grid, task))
+    steps = _run_keyed(tasks)
+
+    def ratio(t, N, modulated):
+        _, norms, outs = steps[t.alpha, N, modulated]
+        return outs[t.s1, t.s2][t.p, t.q] / norms[t.p, t.q]
 
     return {
         t: [
             (
                 Ns,
-                [steps[t.alpha, N, modulated][(t.s1, t.s2), (t.p, t.q)] for N in Ns],
+                [ratio(t, N, modulated) for N in Ns],
                 [grids[t.alpha, N].describe() for N in Ns],
                 _THM1_WINDOW,
             )
@@ -807,49 +828,16 @@ def _spectral_bump() -> Bump:
     return Bump(0.3, lambda u: mollifier(u, 0.3))
 
 
-def _symbol_scalar(fhat, s2: float) -> float:
-    xi = fhat.grid.axis()
-    total = (bracket(xi) ** (-s2) * fhat.samples).sum()
-    return abs(complex(total * fhat.grid.cell_measure()))
-
-
-def _thm2_step(grid, N, window, pq_all, s2s, alpha=None, s1_pqs=()):
-    """What one thm2 task measures on one probe input, the train of N
-    spectral bumps on ``grid`` (a box's input is the one bump N = 1).
-
-    Returns (pairing, norms, outs): the spectral pairing scalar of the
-    input's transform for each s2 in ``s2s``, the input's norms for each
-    (p, q) in ``pq_all``, and for each (s1, pqs) entry of ``s1_pqs`` the
-    norms over pqs of the image under the operator at ``alpha`` with the
-    symbol of decay s1, all of them in one family call. A task that is
-    not asked for one of the three leaves it empty.
-    """
-    f = build_modulated_train(CoefficientSeq.ones(0, N), _spectral_bump(), grid)
-    # the operator goes first, so that its transform reuses the n-point
-    # buffer the build just freed before the norms' allocations split it
-    outs = {}
-    if s1_pqs:
-        pqs = dict(s1_pqs)
-        images = apply_fio_family(
-            f,
-            [decaying_symbol(s1, 0.0) for s1 in pqs],
-            _chirp_phase(alpha),
-            lambda sym, g: _norm_map(g, pqs[sym.s1], window),
-        )
-        outs = dict(zip(pqs, images))
-    pairing = {}
-    if s2s:
-        fhat = fourier_transform(f)
-        pairing = {s2: _symbol_scalar(fhat, s2) for s2 in s2s}
-        del fhat
-    norms = _norm_map(f, pq_all, window) if pq_all else {}
-    return pairing, norms, outs
+def _thm2_input(grid, N):
+    """The train of N unit spectral bumps on ``grid``; a box's input is
+    the one bump N = 1."""
+    return build_modulated_train(CoefficientSeq.ones(0, N), _spectral_bump(), grid)
 
 
 def _thm2_ratios(outs, probes, members):
     """Each member tuple's operator ratios over ``probes``, a list of
     (pairing scalars, input norms) whose first entry is the operator's
-    input, whose output norms ``outs`` holds by s1 and (p, q).
+    input, whose output norms ``outs`` holds by (s1, 0) and (p, q).
 
     The operator has rank one, so on each probe its output norm is the
     first input's scaled by the ratio of the two pairing scalars.
@@ -857,7 +845,7 @@ def _thm2_ratios(outs, probes, members):
     c_ref = probes[0][0][0.0]
     return {
         t: [
-            outs[t.s1][t.p, t.q] * (pairing[t.s2] / c_ref) / norms[t.p, t.q]
+            outs[t.s1, 0.0][t.p, t.q] * (pairing[t.s2] / c_ref) / norms[t.p, t.q]
             for pairing, norms in probes
         ]
         for t in members
@@ -873,12 +861,11 @@ def _sweep_thm2(tuples, Ns):
     threshold; output norms on each probe scale exactly with the
     spectral pairing scalar, which saves recomputing the chirp norm.
 
-    Every :func:`_thm2_step` task, run by :func:`_run_keyed`, builds
-    the one input it measures and returns only scalars: one task per
-    train length N takes the train's norms and pairing scalars, one per
-    alpha applies the operator to the first train, and one per (alpha,
-    box scale R) does both on the box. :func:`_thm2_ratios` assembles
-    the ratios here.
+    Each task builds the one input it measures: one per train length N
+    takes the train's norms and pairing scalars, one per alpha applies
+    the operator to the first train, and one per (alpha, box scale R)
+    does both on the box. :func:`_thm2_ratios` assembles the ratios
+    here.
     """
     train_grid = _thm2_train_grid()
     Rs = [2 * int(N) for N in Ns]
@@ -887,11 +874,15 @@ def _sweep_thm2(tuples, Ns):
 
     alphas = sorted({t.alpha for t in tuples})
     members = {a: [t for t in tuples if t.alpha == a] for a in alphas}
-    s1_pqs = {
-        a: [
-            (s1, sorted({(t.p, t.q) for t in members[a] if t.s1 == s1}))
-            for s1 in sorted({t.s1 for t in members[a]})
-        ]
+    family = {
+        a: (
+            _chirp_phase,
+            a,
+            [
+                ((s1, 0.0), sorted({(t.p, t.q) for t in members[a] if t.s1 == s1}))
+                for s1 in sorted({t.s1 for t in members[a]})
+            ],
+        )
         for a in alphas
     }
     # a box is read only at its alpha's pairs
@@ -900,36 +891,25 @@ def _sweep_thm2(tuples, Ns):
     s2s = {a: sorted({0.0} | {t.s2 for t in members[a]}) for a in alphas}
     s2_all = sorted({0.0} | {t.s2 for t in tuples})
     box_grids = {(a, R): _thm2_box_grid(a, R) for a in alphas for R in Rs}
-    tasks = [
-        (
-            ("train", N),
-            train_grid,
-            (train_grid, int(N), _THM2_TRAIN_WINDOW, pq_all, s2_all),
-        )
-        for N in Ns
-    ]
+    trains = {N: (_thm2_input, (train_grid, int(N)), _THM2_TRAIN_WINDOW) for N in Ns}
+    tasks = [(("train", N), train_grid, (*trains[N], pq_all, None, s2_all)) for N in Ns]
     tasks += [
-        (
-            ("operator", a),
-            train_grid,
-            (train_grid, int(Ns[0]), _THM2_TRAIN_WINDOW, (), (), a, s1_pqs[a]),
-        )
-        for a in alphas
+        (("operator", a), train_grid, (*trains[Ns[0]], (), family[a])) for a in alphas
     ]
     tasks += [
         (
             ("box", a, R),
             grid,
-            (grid, 1, _THM2_BOX_WINDOW, pqs[a], s2s[a], a, s1_pqs[a]),
+            (_thm2_input, (grid, 1), _THM2_BOX_WINDOW, pqs[a], family[a], s2s[a]),
         )
         for (a, R), grid in box_grids.items()
     ]
-    steps = _run_keyed(_thm2_step, tasks)
+    steps = _run_keyed(tasks)
 
-    trains = [steps["train", N][:2] for N in Ns]
+    probes = [steps["train", N][:2] for N in Ns]
     series = {}
     for a in alphas:
-        along = _thm2_ratios(steps["operator", a][2], trains, members[a])
+        along = _thm2_ratios(steps["operator", a][2], probes, members[a])
         boxes = [
             _thm2_ratios(steps["box", a, R][2], [steps["box", a, R][:2]], members[a])
             for R in Rs
@@ -973,28 +953,29 @@ def _thm3_side(t: SweepTuple):
     return (t.s1, t.t1)
 
 
-def _thm3_step(growth, k, grid, s, pqs):
-    """Norms of one high-growth probe pair near x = k on ``grid``, for
-    growth rate ``growth`` and each (p, p) in ``pqs``.
+def _thm3_input(growth, k, grid, s, probe):
+    """Probe ``probe`` of one high-growth pair near x = k on ``grid``,
+    for growth rate ``growth``.
 
-    With ``s`` None the pair is the plain bump and the pre-chirped bump,
-    the denominators of the step's ratios; with a decay rate s it is
-    their images under the local operator, the numerators. Returns the
-    two inputs' norm maps.
+    With ``s`` None the pair is the plain bump (probe 0) and the
+    pre-chirped bump (probe 1), the denominators of the step's ratios;
+    with a decay rate s it is their images under the local operator, the
+    numerators.
     """
     kk = float(k)
-    mu, dmu, _ = bracket_power(2.0 + growth)
     y = grid.axis()
-    tau = mu(kk + y) - float(mu(kk)) - float(dmu(kk)) * y
     chi = mollifier(y, 1.0)
+
+    def chirp(sign):
+        mu, dmu, _ = bracket_power(2.0 + growth)
+        return np.exp(sign * (mu(kk + y) - float(mu(kk)) - float(dmu(kk)) * y))
+
     if s is None:
-        pair = (chi.astype(complex), np.exp(-1j * tau) * chi)
+        v = chirp(-1j) * chi if probe else chi.astype(complex)
     else:
         decay = bracket(kk + y) ** (-s)
-        pair = (decay * np.exp(1j * tau) * chi, (decay * chi).astype(complex))
-    return tuple(
-        _norm_map(SampledFunction(grid, v), pqs, _THM3_WINDOW) for v in pair
-    )
+        v = (decay * chi).astype(complex) if probe else decay * chirp(1j) * chi
+    return SampledFunction(grid, v)
 
 
 def _sweep_thm3(tuples, Ns):
@@ -1008,9 +989,9 @@ def _sweep_thm3(tuples, Ns):
     fitted slope equals t |1/p - 1/2| - s, the predicate margin. The
     frequency-sided tuples reduce to the same computation because the
     plain modulation norms are exactly invariant under the discrete
-    Fourier transform. Each (growth, k) step is one :func:`_thm3_step`
-    task for its denominators and one per decay rate s for its
-    numerators, run by :func:`_run_keyed`; the ratios are taken here.
+    Fourier transform. Each (growth, k) step is one task per probe for
+    its denominators and one per probe and decay rate s for its
+    numerators; the ratios are taken here.
     """
     sides = {t: _thm3_side(t) for t in tuples}
     grids = {}
@@ -1025,14 +1006,16 @@ def _sweep_thm3(tuples, Ns):
         for k in Ns:
             grid = grids[growth, k] = _thm3_grid(growth, float(k))
             for s, pqs in [(None, pq_all), *s_pqs]:
-                tasks.append(((growth, k, s), grid, (growth, k, grid, s, pqs)))
-    steps = _run_keyed(_thm3_step, tasks)
+                for probe in (0, 1):
+                    args = (_thm3_input, (growth, k, grid, s, probe), _THM3_WINDOW, pqs)
+                    tasks.append(((growth, k, s, probe), grid, args))
+    steps = _run_keyed(tasks)
 
     def ratios(t, probe):
         s, growth = sides[t]
         pq = t.p, t.p
         return [
-            steps[growth, k, s][probe][pq] / steps[growth, k, None][probe][pq]
+            steps[growth, k, s, probe][1][pq] / steps[growth, k, None, probe][1][pq]
             for k in Ns
         ]
 

@@ -16,7 +16,6 @@ Conventions, used everywhere downstream:
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -323,46 +322,8 @@ def table_to_csv(header: dict, columns: str, values: np.ndarray) -> str:
     return "\n".join(parts)
 
 
-def table_from_csv(text: str, keys: dict, shape) -> tuple:
-    """Inverse of :func:`table_to_csv`: ``(header, values)``.
-
-    ``keys`` maps each header key to its type, and ``shape(header)``
-    gives the array shape, which must hold at most ``MATRIX_BUDGET``
-    entries. Every index must appear exactly once.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValidationError("missing '# key=value' header line")
-    tokens = dict(tok.partition("=")[::2] for tok in lines[0].lstrip("#").split())
-    try:
-        header = {key: kind(tokens[key]) for key, kind in keys.items()}
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"bad header: {lines[0]!r}") from exc
-    dims = shape(header)
-    if math.prod(dims) > MATRIX_BUDGET:
-        raise ResourceError(
-            f"a table of shape {dims} exceeds the budget of {MATRIX_BUDGET} entries"
-        )
-    values = np.zeros(dims, dtype=complex)
-    seen = np.zeros(values.shape, dtype=bool)
-    for ln in lines[2:]:
-        parts = ln.split(",")
-        if len(parts) != values.ndim + 2:
-            raise ValidationError(f"expected {values.ndim + 2} fields in row {ln!r}")
-        try:
-            idx = tuple(int(p) for p in parts[:-2])
-            value = complex(float(parts[-2]), float(parts[-1]))
-        except ValueError:
-            raise ValidationError(f"non-numeric field in row {ln!r}") from None
-        if not all(0 <= i < m for i, m in zip(idx, values.shape)):
-            raise ValidationError(f"index out of range for shape {values.shape}: {ln!r}")
-        if seen[idx]:
-            raise ValidationError(f"duplicate row for index {idx}")
-        seen[idx] = True
-        values[idx] = value
-    if not seen.all():
-        raise ValidationError(f"{int((~seen).sum())} of {seen.size} rows are missing")
-    return header, values
+# the header keys of a sampled CSV and their types
+_SAMPLED_KEYS = {"dim": int, "n": int, "spacing": float}
 
 
 def sampled_to_csv(f: SampledFunction) -> str:
@@ -371,6 +332,38 @@ def sampled_to_csv(f: SampledFunction) -> str:
 
 
 def sampled_from_csv(text: str) -> SampledFunction:
-    keys = {"dim": int, "n": int, "spacing": float}
-    header, samples = table_from_csv(text, keys, lambda h: Grid(**h).shape())
-    return SampledFunction(Grid(**header), samples)
+    """Inverse of :func:`sampled_to_csv`. The grid may hold at most
+    ``MATRIX_BUDGET`` points, and every index must appear exactly once."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("#"):
+        raise ValidationError("missing '# key=value' header line")
+    tokens = dict(tok.partition("=")[::2] for tok in lines[0].lstrip("#").split())
+    try:
+        header = {key: kind(tokens[key]) for key, kind in _SAMPLED_KEYS.items()}
+    except (KeyError, ValueError) as exc:
+        raise ValidationError(f"bad header: {lines[0]!r}") from exc
+    grid = Grid(**header)
+    if grid.n > MATRIX_BUDGET:
+        raise ResourceError(
+            f"a table of shape {grid.shape()} exceeds the budget of {MATRIX_BUDGET} entries"
+        )
+    values = np.zeros(grid.n, dtype=complex)
+    seen = np.zeros(grid.n, dtype=bool)
+    for ln in lines[2:]:
+        parts = ln.split(",")
+        if len(parts) != 3:
+            raise ValidationError(f"expected 3 fields in row {ln!r}")
+        try:
+            i = int(parts[0])
+            value = complex(float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise ValidationError(f"non-numeric field in row {ln!r}") from None
+        if not 0 <= i < grid.n:
+            raise ValidationError(f"index out of range for shape {grid.shape()}: {ln!r}")
+        if seen[i]:
+            raise ValidationError(f"duplicate row for index {(i,)}")
+        seen[i] = True
+        values[i] = value
+    if not seen.all():
+        raise ValidationError(f"{int((~seen).sum())} of {seen.size} rows are missing")
+    return SampledFunction(grid, values)

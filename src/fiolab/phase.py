@@ -30,7 +30,6 @@ __all__ = [
     "ZERO_PART",
     "GrowthParams",
     "PhaseSpec",
-    "PartitionSpec",
     "mollifier",
     "bilinear",
     "mild_growth",
@@ -69,7 +68,8 @@ class GrowthParams:
     ``alpha`` controls first-order growth of the position gradient
     (exponent 1 - alpha); the sentinel -inf means that gradient growth
     is unconstrained and only the weighted second-derivative bounds
-    (exponents t1 in position, t2 in frequency) are claimed.
+    (exponents t1 in position, t2 in frequency) are claimed; a positive
+    t1 or t2 needs the sentinel.
     """
 
     alpha: float
@@ -84,20 +84,10 @@ class GrowthParams:
         for name, val in (("t1", self.t1), ("t2", self.t2)):
             if not (0 <= val < np.inf):
                 raise DomainError(f"{name} must be nonnegative and finite, got {val}")
-
-    @property
-    def regime(self) -> str:
-        if self.t1 == 0.0 and self.t2 == 0.0:
-            if self.alpha == 1.0:
-                return "low"
-            if self.alpha == 0.0 or self.alpha == MINUS_INF:
-                return "critical"
-            return "mild"
-        if self.alpha == MINUS_INF:
-            return "high"
-        raise DomainError(
-            "second-order growth exponents require the -inf sentinel for alpha"
-        )
+        if (self.t1 > 0.0 or self.t2 > 0.0) and self.alpha != MINUS_INF:
+            raise DomainError(
+                "second-order growth exponents require the -inf sentinel for alpha"
+            )
 
 
 def _zero(u, t=0.0):
@@ -310,7 +300,7 @@ def make_phase(kind: str, **params) -> PhaseSpec:
 
 
 # ---------------------------------------------------------------------------
-# Partition of unity
+# Bumps
 
 
 def mollifier(x, radius: float = 1.0):
@@ -323,48 +313,6 @@ def mollifier(x, radius: float = 1.0):
     w = 1.0 - v[inside] * v[inside]
     out[inside] = np.exp(1.0 - 1.0 / w)
     return out
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Uniform partition of unity from one bump on the integer lattice.
-
-    The base bump has support radius < spacing, so only adjacent cells
-    overlap and the star function eta_star sums three neighbors.
-    """
-
-    radius: float = 0.75
-    spacing: float = 1.0
-    star_radius: int = 1
-
-    def __post_init__(self):
-        if not (0 < self.radius < self.spacing):
-            raise DomainError("bump radius must lie in (0, spacing)")
-
-    def _raw(self, x):
-        return mollifier(x, self.radius)
-
-    def lattice_sum(self, x):
-        x = np.asarray(x, dtype=float)
-        lo = int(np.floor(x.min() / self.spacing)) - 1
-        hi = int(np.ceil(x.max() / self.spacing)) + 1
-        total = np.zeros_like(x)
-        for k in range(lo, hi + 1):
-            total += self._raw(x - k * self.spacing)
-        return total
-
-    def eta(self, x, k: int = 0):
-        """Partition piece centered at lattice point k; all pieces sum to 1."""
-        x = np.asarray(x, dtype=float)
-        return self._raw(x - k * self.spacing) / self.lattice_sum(x)
-
-    def eta_star(self, x, k: int = 0):
-        """Neighborhood sum that equals 1 on the support of eta_k."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for l in range(k - self.star_radius, k + self.star_radius + 1):
-            out += self.eta(x, l)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +341,6 @@ def growth_ratio_x(phase: PhaseSpec, alpha: float, box: float) -> float:
     diff = np.abs(G - G0)
     ratio = diff / bracket(X) ** (1.0 - alpha)
     return float(ratio.max())
-
-
-_PARTITION = PartitionSpec()
 
 
 def second_derivative_bounds(
@@ -430,7 +375,9 @@ def second_derivative_bounds(
     m = 32  # samples per cell side
     h = 2.0 / m
     off = (np.arange(m) - m // 2) * h
-    eta = _PARTITION.eta(off, 0)
+    # the partition of unity on the integer lattice from one bump of
+    # radius 3/4: the piece at 0 over the sum of the pieces that reach it
+    eta = mollifier(off, 0.75) / sum(mollifier(off - k, 0.75) for k in range(-2, 3))
     zeta = (np.arange(m) - m // 2) / (m * h)
     weight = bracket(zeta) ** (1.0 + eps)
 

@@ -26,6 +26,7 @@ from fiolab import (
     build_modulated_train,
     emit_report,
     fast_modulation_norms,
+    mild_growth,
     modulation_norm,
     mollifier,
     render_report_svg,
@@ -73,10 +74,8 @@ def test_fast_norms_track_exact_norms():
     ]
     exact = [modulation_norm(f, s) for s in specs]
     coarse = fast_modulation_norms(f, specs)
-    fine = fast_modulation_norms(f, specs, x_step=0.1)
-    for c, fn, e in zip(coarse, fine, exact):
+    for c, e in zip(coarse, exact):
         assert c == pytest.approx(e, rel=3e-2)
-        assert fn == pytest.approx(e, rel=5e-3)
 
 
 def _run_case(name):
@@ -136,12 +135,15 @@ def test_runs_give_the_dense_bytes(name):
 
 _TIMED_THM1_STEP = """
 import time
-from fiolab import experiments
+from fiolab import experiments, mild_growth
 grid = experiments._thm1_grid(0.5, 32)
-args = (grid, 0.5, 32, False, [((0.5, 0.0), [(1.0, 2.0), (2.0, 1.0)])])
-experiments._thm1_step(*args)
+pqs = [(1.0, 2.0), (2.0, 1.0)]
+family = (mild_growth, 0.5, [((0.5, 0.0), pqs)])
+build = (experiments._thm1_input, (grid, 0.5, 32, False))
+args = (*build, experiments._THM1_WINDOW, pqs, family)
+experiments._probe_step(*args)
 cpu, own = time.process_time(), time.thread_time()
-experiments._thm1_step(*args)
+experiments._probe_step(*args)
 print((time.process_time() - cpu) / (time.thread_time() - own))
 """
 
@@ -183,13 +185,19 @@ def test_thm1_step_holds_no_whole_grid_array(modulated):
         1.0: [((0.5, 0.0), [(1.0, 2.0)]), ((0.5, 1.0), [(2.0, 1.0), (INF, 1.0)])],
     }
     for bound, pair_pqs in families.items():
+        pqs = sorted({pq for _, pqs in pair_pqs for pq in pqs})
+        build = (experiments._thm1_input, (grid, 0.5, 32, modulated))
+        family = (mild_growth, 0.5, pair_pqs)
         tracemalloc.start()
         try:
-            ratios = experiments._thm1_step(grid, 0.5, 32, modulated, pair_pqs)
+            _, norms, outs = experiments._probe_step(
+                *build, experiments._THM1_WINDOW, pqs, family
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(r > 0.0 for r in ratios.values())
+        assert all(v > 0.0 for v in norms.values())
+        assert all(v > 0.0 for out in outs.values() for v in out.values())
         assert peak <= bound * grid.n * 16
 
 
@@ -338,27 +346,6 @@ def test_scan_tile_size_moves_no_fast_byte(monkeypatch, entries):
     for name, pins in FAST_NORM_PINS.items():
         got = [v.hex() for v in fast_modulation_norms(_pin_input(name), specs)]
         assert got == pins
-
-
-@pytest.mark.parametrize(
-    "steps",
-    [
-        dict(x_step=-1.0),
-        dict(x_step=float("nan")),
-        dict(x_step=INF),
-    ],
-    ids=lambda kw: "%s=%g" % next(iter(kw.items())),
-)
-def test_fast_norms_reject_bad_steps(steps):
-    grid = Grid(1, 512, 0.0625)
-    x = grid.axis()
-    f = SampledFunction(grid, np.exp(-np.pi * x * x))
-    specs = [SpaceSpec(2.0, 2.0, Weight(), "gauss")]
-    with pytest.raises(ValidationError, match="_step"):
-        fast_modulation_norms(f, specs, **steps)
-    # zero still means the default position step
-    default = fast_modulation_norms(f, specs)
-    assert fast_modulation_norms(f, specs, x_step=0.0) == default
 
 
 @pytest.mark.parametrize("p, q", [(0.5, 2.0), (2.0, 0.0), (float("nan"), 2.0)])
@@ -697,10 +684,12 @@ class _Captured(Exception):
 @pytest.mark.parametrize("theorem", ["thm1", "thm2", "thm3"])
 def test_sweep_tasks_pickle_small(monkeypatch, theorem):
     # each pool task builds its own input and carries only its
-    # parameters; the default panel's tasks are captured, not run
-    sent = []
+    # parameters; the default panel's tasks are captured, not run. Every
+    # sweep runs its tasks through the one probe step
+    sent, steps = [], []
 
     def capture(step, tasks, pooled):
+        steps.append(step)
         sent.extend(pickle.dumps((step, task)) for task in tasks)
         raise _Captured
 
@@ -708,6 +697,7 @@ def test_sweep_tasks_pickle_small(monkeypatch, theorem):
     with pytest.raises(_Captured):
         threshold_sweep(theorem)
     assert sent
+    assert all(step is experiments._probe_step for step in steps)
     assert max(map(len, sent)) <= 64 * 1024
 
 

@@ -28,7 +28,7 @@ from fiolab import (
     mu_gradient,
     SampledFunction,
 )
-from fiolab import experiments
+from fiolab import experiments, extremal
 
 
 def test_coefficient_seq_constructors():
@@ -251,15 +251,17 @@ def test_dispersive_sup_basics():
         dispersive_sup(lambda u: u, lambda u: 0.0 * u, g, 10.0)
 
 
-def test_high_growth_decay_validation():
+def test_high_growth_decay_validation(monkeypatch):
     with pytest.raises(DomainError):
         high_growth_decay(0.5, 0.0)
     with pytest.raises(DomainError):
         high_growth_decay(8.0, -1.0)
     with pytest.raises(DomainError):
         high_growth_decay(8.0, 0.0, p=0.5)
+    # a grid too coarse for the annulus is refused, not aliased
+    monkeypatch.setattr(extremal, "decay_grid", lambda k, t2: Grid(1, 1024, 0.25))
     with pytest.raises(ValidationError, match="Nyquist"):
-        high_growth_decay(8.0, 0.0, grid=Grid(1, 1024, 0.25))
+        high_growth_decay(8.0, 0.0)
 
 
 def test_high_growth_decay_flat_at_t2_zero():

@@ -9,7 +9,6 @@ from fiolab import (
     ConditionVerdict,
     DomainError,
     GrowthParams,
-    PartitionSpec,
     ValidationError,
     bilinear,
     bracket_power,
@@ -39,14 +38,6 @@ from fiolab.phase import (
 FAST_BOXES = (4.0, 8.0, 16.0)
 
 
-def test_growth_params_regimes():
-    assert GrowthParams(alpha=1.0).regime == "low"
-    assert GrowthParams(alpha=0.0).regime == "critical"
-    assert GrowthParams(alpha=MINUS_INF).regime == "critical"
-    assert GrowthParams(alpha=0.5).regime == "mild"
-    assert GrowthParams(alpha=MINUS_INF, t1=1.0, t2=0.5).regime == "high"
-
-
 def test_growth_params_validation():
     with pytest.raises(DomainError):
         GrowthParams(alpha=1.5)
@@ -54,8 +45,12 @@ def test_growth_params_validation():
         GrowthParams(alpha=-0.2)
     with pytest.raises(DomainError):
         GrowthParams(alpha=0.5, t1=-1.0)
-    with pytest.raises(DomainError):
-        GrowthParams(alpha=0.5, t1=1.0).regime
+    # second-order exponents need the -inf sentinel, checked at construction
+    with pytest.raises(DomainError, match="sentinel"):
+        GrowthParams(alpha=0.5, t1=1.0)
+    with pytest.raises(DomainError, match="sentinel"):
+        GrowthParams(alpha=0.0, t2=0.5)
+    GrowthParams(alpha=MINUS_INF, t1=1.0, t2=0.5)
 
 
 def test_bracket_power_exact_quadratic():
@@ -99,27 +94,10 @@ def test_mollifier_shape():
     assert np.all(vals > 0)
 
 
-def test_partition_sums_to_one():
-    part = PartitionSpec()
-    x = np.linspace(-5.3, 5.3, 401)
-    total = np.zeros_like(x)
-    for k in range(-8, 9):
-        total += part.eta(x, k)
-    assert np.allclose(total, 1.0, atol=1e-12)
-    # the star function covers the central piece completely
-    inside = np.abs(x) < part.radius
-    star = part.eta_star(x, 0)
-    assert np.all(star[inside] >= part.eta(x, 0)[inside])
-    assert np.allclose(star[np.abs(x) < 0.2], 1.0, atol=1e-12)
-    with pytest.raises(DomainError):
-        PartitionSpec(radius=1.0, spacing=1.0)
-
-
 def test_make_phase_and_builtin_names():
     ph = make_phase("mild_growth", alpha=0.5)
     assert "mild_growth" in ph.describe()
     assert ph.coupling == 1.0
-    assert make_phase("bilinear").declared.regime == "low"
     with pytest.raises(DomainError):
         make_phase("cubic")
     with pytest.raises(ValidationError, match="beta"):
@@ -200,7 +178,7 @@ def _bounds_2d_reference(phase, t1, t2, eps, box, xx=None):
     m = 32
     h = 2.0 / m
     off = (np.arange(m) - m // 2) * h
-    eta = PartitionSpec().eta(off, 0)
+    eta = mollifier(off, 0.75) / sum(mollifier(off - k, 0.75) for k in range(-2, 3))
     zeta = (np.arange(m) - m // 2) / (m * h)
     weight = bracket(zeta) ** (1.0 + eps)
     blocks = (
